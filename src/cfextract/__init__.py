@@ -18,7 +18,7 @@ from .errors import (CapacityError, ContractViolation, DataFormatError,
                      UnsupportedModelError)
 from .evaluation import (BoundReport, FidelityReport, anytime_fidelity, bound_report,
                          fidelity, functional_equivalence, measured_ratio,
-                         uniform_points)
+                         snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
 from .models import (CatNode, ForestModel, Leaf, ModelStats, SplitNode, TreeModel,

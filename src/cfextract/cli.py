@@ -21,7 +21,7 @@ from .cart import TrainConfig, prune, train_forest, train_tree, accuracy
 from .datasets import ingest_csv
 from .errors import CapacityError, ContractViolation, UnsupportedModelError
 from .evaluation import (bound_report, fidelity, functional_equivalence,
-                         measured_ratio, uniform_points)
+                         measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
 from .models import ForestModel, TreeModel, load_model, save_model, stats
@@ -138,13 +138,11 @@ def _write_trace(path, schema, log):
 
 def _write_curve(path, method, target, schema, snapshots, samples, seed):
     iv, cats = uniform_points(schema, samples, seed)
-    ref = target.predict_arrays(iv, cats)
+    fids = snapshot_fidelities(target, snapshots, iv, cats)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["attack", "queries", "certified_fraction", "fidelity_uniform"])
-        for snap in snapshots:
-            pred = snap.model.predict_arrays(iv, cats)
-            fid = float(((pred == ref) & (pred != -1)).mean())
+        for snap, fid in zip(snapshots, fids):
             w.writerow([method, snap.queries, float(snap.certified_fraction), fid])
 
 

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import (ForestModel, Leaf, Model, ModelStats, TreeModel, cells_within,
-                     points_to_arrays, stats)
+from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, SplitNode,
+                     TreeModel, cells_within, points_to_arrays, stats)
 from .regions import Region, center, full_region, sample_point
 from .schema import FeatureSchema, Point
-from .tra import Snapshot
+from .tra import ExtractionState, Snapshot
 
 DEFAULT_CELL_BUDGET = 2_000_000
 
@@ -108,10 +109,8 @@ def functional_equivalence(
     if isinstance(g, TreeModel):
         boxes = g.leaf_regions()
     else:
-        boxes = [(r, l) for r, l in zip(
-            g.cell_box_set(cell_budget).regions,
-            (int(v) for v in g.cell_box_set(cell_budget).labels),
-        )]
+        cells = g.cell_box_set(cell_budget)
+        boxes = list(zip(cells.regions, cells.labels.tolist()))
     for region, label in boxes:
         if label is None:
             return False, center(region)
@@ -151,6 +150,93 @@ def fidelity(f: Model, g: Model, schema: FeatureSchema, n_samples: int = 3000,
     return FidelityReport(float(agree.mean()), n_samples, seed, kind)
 
 
+def _hits(ref: np.ndarray, label: int | None) -> int:
+    """How many of the target labels ``ref`` equal ``label`` (unknown: none)."""
+    return 0 if label is None else int(np.count_nonzero(ref == label))
+
+
+def _replay(state: ExtractionState, checkpoints: Sequence[int], iv: np.ndarray, cats: np.ndarray,
+            ref: np.ndarray) -> list[float]:
+    """Agreement with ``ref`` of a TRA run's partial trees after each of the
+    ascending query counts ``checkpoints``, from the run's node-store record.
+
+    Each point sits in one pending slot and is predicted as that slot's
+    provisional label. Going through the resolutions in query order, the
+    query that resolves a slot moves only that slot's points: down the split
+    nodes the same query created, into the leaf or the new pending slots they
+    reach; the agreement count changes by those points alone. The result is
+    the same, point for point, as ``predict_arrays`` on each partial tree.
+    """
+    nodes, provisional, resolved_at = state.nodes, state.provisional, state.resolved_at
+    horizon = checkpoints[-1]
+    # the slot each query popped: the lowest slot it resolved (it created the others)
+    popped: dict[int, int] = {}
+    for slot, at in enumerate(resolved_at):
+        if at <= horizon and at not in popped:
+            popped[at] = slot
+    events = sorted(popped.items())
+    n = len(ref)
+    members = {0: np.arange(n)}  # pending slot -> the points sitting in it
+    agree = _hits(ref, provisional[0])
+    out = []
+    e = 0
+    for checkpoint in checkpoints:
+        while e < len(events) and events[e][0] <= checkpoint:
+            q, slot = events[e]
+            e += 1
+            sel = members.pop(slot, None)
+            if sel is None:
+                continue
+            agree -= _hits(ref[sel], provisional[slot])
+            stack = [(slot, sel)]
+            while stack:
+                s, sel = stack.pop()
+                node = nodes[s]
+                if resolved_at[s] > q:
+                    members[s] = sel
+                    agree += _hits(ref[sel], provisional[s])
+                elif isinstance(node, Leaf):
+                    agree += _hits(ref[sel], node.label)
+                else:
+                    if isinstance(node, SplitNode):
+                        mask = iv[sel, node.iv_axis] <= node.threshold
+                    else:
+                        mask = cats[sel, node.group] == node.category
+                    for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
+                        if part.size:
+                            stack.append((child, part))
+        out.append(agree / n)
+    return out
+
+
+def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.ndarray,
+                        cats: np.ndarray) -> list[float]:
+    """Agreement of each snapshot's model with ``target`` on the points
+    (``iv``, ``cats``), in the order given; unknown labels never agree.
+
+    Snapshots that carry a model are predicted directly. The lazy snapshots
+    of a TRA run are not built: the points are replayed once through the
+    run's record, in query order.
+    """
+    ref = target.predict_arrays(iv, cats)
+    if not ref.size:
+        raise ContractViolation("need at least one evaluation point")
+    out = [0.0] * len(snapshots)
+    replays: dict = {}  # TRA state -> indices of its snapshots
+    for i, snap in enumerate(snapshots):
+        if snap.state is None:
+            pred = snap.model.predict_arrays(iv, cats)
+            out[i] = float(((pred == ref) & (pred != UNKNOWN)).mean())
+        else:
+            replays.setdefault(snap.state, []).append(i)
+    for state, idx in replays.items():
+        idx.sort(key=lambda i: snapshots[i].queries)
+        fids = _replay(state, [snapshots[i].queries for i in idx], iv, cats, ref)
+        for i, fid in zip(idx, fids):
+            out[i] = fid
+    return out
+
+
 def anytime_fidelity(runs, checkpoint: int = 20):
     """Mean-over-runs fidelity as a function of queries spent.
 
@@ -158,7 +244,10 @@ def anytime_fidelity(runs, checkpoint: int = 20):
     ``eval_arrays`` is an (iv, cats) pair of evaluation points. Snapshots are
     step functions: at each checkpoint the latest model at or before it
     counts, and finished runs keep contributing their final model. Checkpoints
-    are multiples of ``checkpoint`` up to the longest run.
+    are multiples of ``checkpoint`` up to the longest run. One forward pass
+    over each run's sorted snapshots picks the ones some checkpoint uses, and
+    ``snapshot_fidelities`` scores them: a TRA run's by replaying its record,
+    without building its partial trees.
     """
     if not runs:
         raise ContractViolation("need at least one run")
@@ -167,31 +256,25 @@ def anytime_fidelity(runs, checkpoint: int = 20):
     for target, snapshots, eval_arrays in runs:
         if not snapshots:
             raise ContractViolation("run without snapshots")
-        iv, cats = eval_arrays
-        ref = target.predict_arrays(iv, cats)
         snaps = sorted(snapshots, key=lambda s: s.queries)
         horizon = max(horizon, snaps[-1].queries)
-        prepared.append((ref, snaps, iv, cats))
+        prepared.append((target, snaps, eval_arrays))
     qs = list(range(checkpoint, horizon + 1, checkpoint))
     if not qs or qs[-1] < horizon:
         qs.append(horizon)
-    curve = []
-    for q in qs:
-        vals = []
-        for ref, snaps, iv, cats in prepared:
-            current = None
-            for s in snaps:
-                if s.queries <= q:
-                    current = s
-                else:
-                    break
-            if current is None:
-                vals.append(0.0)
-                continue
-            pred = current.model.predict_arrays(iv, cats)
-            vals.append(float(((pred == ref) & (pred != -1)).mean()))
-        curve.append((q, sum(vals) / len(vals)))
-    return curve
+    columns = []
+    for target, snaps, (iv, cats) in prepared:
+        chosen = []  # per checkpoint: the latest snapshot at or before it, or -1
+        i = -1
+        for q in qs:
+            while i + 1 < len(snaps) and snaps[i + 1].queries <= q:
+                i += 1
+            chosen.append(i)
+        used = sorted(set(chosen) - {-1})
+        fids = dict(zip(used, snapshot_fidelities(target, [snaps[i] for i in used],
+                                                  iv, cats)))
+        columns.append([fids[i] if i >= 0 else 0.0 for i in chosen])
+    return [(q, sum(col[j] for col in columns) / len(columns)) for j, q in enumerate(qs)]
 
 
 def bound_report(arg) -> BoundReport:

@@ -258,9 +258,17 @@ class ForestModel:
         return tuple(sorted(out))
 
     def cell_box_set(self, cap: int) -> "BoxSet":
-        """Cells of the union split-level grid, labeled by the forest vote."""
+        """Cells of the union split-level grid, labeled by the forest vote.
+
+        Built once and kept; raises CapacityError whenever the cell count
+        exceeds ``cap``, including on later calls with a smaller cap."""
         if self._cells is None:
             self._cells = cells_within(self, full_region(self.schema), cap)
+        elif len(self._cells) > cap:
+            raise CapacityError(
+                f"{len(self._cells)} cells exceed the cap of {cap}; use sampled "
+                "fidelity or the heuristic oracle"
+            )
         return self._cells
 
 

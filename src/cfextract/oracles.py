@@ -285,6 +285,9 @@ class CounterfactualOracle:
             if cf is None and self.config.audit_absences:
                 if self._exact(x, region) is not None:
                     self.false_absences.append(self.log.count)
-        if cf is not None:
-            assert contains(region, cf) and self.target.predict(cf) != y
+        if cf is not None and not (contains(region, cf) and self.target.predict(cf) != y):
+            raise ContractViolation(
+                "counterfactual search returned a point outside the region or with "
+                "the query's label"
+            )
         return self.log.bill(x, region, y, cf)

@@ -14,10 +14,18 @@ With an exact oracle the final tree is functionally equivalent to the target
 on the entire grid. The queue order (FIFO, LIFO, random) shapes anytime
 behavior only; the regions created, the final model, and the total query
 count do not depend on it.
+
+Snapshots are lazy. The node store only appends slots and resolves pending
+ones, and it stamps each slot with the query that resolved it, so the partial
+tree at any earlier query can be rebuilt from it. A snapshot is therefore a
+query count and a store size, taken in O(1); its ``model`` is built on first
+read, and ``evaluation.anytime_fidelity`` replays the store's record instead
+of building trees at all.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,18 +33,45 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import CatNode, Leaf, SplitNode, TreeModel
+from .models import CatNode, Leaf, Model, Node, SplitNode, TreeModel
 from .oracles import CounterfactualOracle, QueryLog
 from .regions import Region, center, full_region, grid_volume, split
 
 _ORDERS = ("fifo", "lifo", "random")
+_PENDING = math.inf  # resolution stamp of a slot no query has resolved yet
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    queries: int
-    model: TreeModel
-    certified_fraction: Fraction
+    """The extraction after ``queries`` billed queries.
+
+    Built with a ``model`` (the baselines' surrogates, hand-made snapshots),
+    it carries that model. TRA builds it with no model, from its run's
+    ``state`` and the number of slots (``size``) the node store held then;
+    ``model`` is that partial tree, built from the state's record on first
+    read and kept. Anytime fidelity never reads it: it replays the record.
+    """
+
+    __slots__ = ("queries", "certified_fraction", "state", "size", "_model")
+
+    def __init__(self, queries: int, model: Model | None, certified_fraction: Fraction,
+                 *, state: ExtractionState | None = None, size: int = 0):
+        if (model is None) == (state is None):
+            raise ContractViolation("a snapshot takes either a model or an extraction state")
+        self.queries = queries
+        self.certified_fraction = certified_fraction
+        self.state = state
+        self.size = size
+        self._model = model
+
+    @property
+    def model(self) -> Model:
+        if self._model is None:
+            self._model = self.state.materialize(self.queries, self.size)
+        return self._model
+
+    def __repr__(self) -> str:
+        return (f"Snapshot(queries={self.queries}, "
+                f"certified_fraction={self.certified_fraction})")
 
 
 @dataclass
@@ -49,7 +84,15 @@ class AttackResult:
 
 
 class ExtractionState:
-    """Node store plus work queue; regions in flight partition the domain."""
+    """Node store plus work queue; regions in flight partition the domain.
+
+    The store is three parallel lists indexed by slot. ``nodes[s]`` is the
+    slot's tree node once a query resolved it and ``None`` before;
+    ``provisional[s]`` is the label its leaf shows while pending; and
+    ``resolved_at[s]`` is the billed query count after the resolving query,
+    ``math.inf`` before. Slots are only appended and resolved once, so the
+    tree as it stood after any earlier query can be rebuilt from this record.
+    """
 
     def __init__(self, oracle: CounterfactualOracle, order: str, order_seed: int,
                  max_regions: int):
@@ -62,8 +105,9 @@ class ExtractionState:
         self.max_regions = max_regions
         self.total_volume = full_region(self.schema).volume
         self.finalized_volume = 0
-        # entries: ["pending", region, provisional] | ("leaf", label) | ("split", spec, l, r)
-        self.nodes: list = [["pending", full_region(self.schema), None]]
+        self.nodes: list[Node | None] = [None]
+        self.provisional: list[int | None] = [None]
+        self.resolved_at: list[float] = [_PENDING]
         self.queue: deque[tuple[Region, int]] = deque()
         self.queue.append((full_region(self.schema), 0))
 
@@ -93,19 +137,30 @@ class ExtractionState:
                 "the target may be adversarial or the bound too small"
             )
 
-    def materialize(self) -> TreeModel:
-        nodes = []
-        for entry in self.nodes:
-            if entry[0] == "pending":
-                nodes.append(Leaf(entry[2]))
-            elif entry[0] == "leaf":
-                nodes.append(Leaf(entry[1]))
-            else:
-                _, spec, left, right = entry
-                if spec[0] == "s":
-                    nodes.append(SplitNode(spec[1], spec[2], left, right))
-                else:
-                    nodes.append(CatNode(spec[1], spec[2], left, right))
+    def add_slot(self, provisional: int | None) -> int:
+        self.nodes.append(None)
+        self.provisional.append(provisional)
+        self.resolved_at.append(_PENDING)
+        return len(self.nodes) - 1
+
+    def resolve(self, slot: int, node: Node) -> None:
+        self.nodes[slot] = node
+        self.resolved_at[slot] = self.oracle.log.count
+
+    def snapshot(self) -> Snapshot:
+        return Snapshot(self.oracle.log.count, None, self.certified_fraction,
+                        state=self, size=len(self.nodes))
+
+    def materialize(self, queries: int | None = None, size: int | None = None) -> TreeModel:
+        """The tree after ``queries`` billed queries, when the store held
+        ``size`` slots (by default, the tree now). Slots still pending then
+        are leaves with their provisional label."""
+        if queries is None:
+            queries = self.oracle.log.count
+        if size is None:
+            size = len(self.nodes)
+        nodes = [node if at <= queries else Leaf(label) for node, label, at in
+                 zip(self.nodes[:size], self.provisional, self.resolved_at)]
         return TreeModel(self.schema, nodes, root=0)
 
 
@@ -120,8 +175,9 @@ def tra_extract(
 ) -> AttackResult:
     """Run the extraction until the queue drains (or ``stop_certified`` hits).
 
-    Returns the reconstructed tree, the billed query log, and snapshots taken
-    every ``snapshot_every`` queries plus one at termination.
+    Returns the reconstructed tree, the billed query log, and lazy snapshots
+    taken every ``snapshot_every`` queries plus one at termination; the last
+    snapshot's model is the returned tree.
     """
     state = ExtractionState(oracle, order, order_seed, max_regions)
     schema = oracle.schema
@@ -135,7 +191,7 @@ def tra_extract(
         resp = oracle.query(x, region)
         y = resp.label
         if resp.counterfactual is None:
-            state.nodes[slot] = ("leaf", y)
+            state.resolve(slot, Leaf(y))
             state.finalized_volume += grid_volume(region, schema)
         else:
             pieces, steps = split(region, x, resp.counterfactual, schema)
@@ -145,40 +201,35 @@ def tra_extract(
                 cf_label = None
             cur = slot
             for piece, step in zip(pieces[:-1], steps):
-                piece_slot = len(state.nodes)
-                state.nodes.append(["pending", piece, y])
-                cont_slot = len(state.nodes)
-                state.nodes.append(None)
+                piece_slot = state.add_slot(y)
+                # the continuation is resolved by this same query unless it is
+                # the remainder, which stays pending with the counterfactual's label
+                cont_slot = state.add_slot(cf_label)
+                left, right = ((piece_slot, cont_slot) if step.x_left
+                               else (cont_slot, piece_slot))
                 if step.iv_axis is not None:
-                    spec = ("s", step.iv_axis, step.threshold)
+                    state.resolve(cur, SplitNode(step.iv_axis, step.threshold, left, right))
                 else:
-                    spec = ("c", step.group, step.category)
-                if step.x_left:
-                    state.nodes[cur] = ("split", spec, piece_slot, cont_slot)
-                else:
-                    state.nodes[cur] = ("split", spec, cont_slot, piece_slot)
+                    state.resolve(cur, CatNode(step.group, step.category, left, right))
                 state.push(piece, piece_slot)
                 cur = cont_slot
-            remainder = pieces[-1]
-            state.nodes[cur] = ["pending", remainder, cf_label]
-            state.push(remainder, cur)
+            state.push(pieces[-1], cur)
         if snapshot_every and oracle.log.count % snapshot_every == 0:
-            snapshots.append(
-                Snapshot(oracle.log.count, state.materialize(), state.certified_fraction)
-            )
+            snapshots.append(state.snapshot())
         if stop_certified is not None and state.certified_fraction >= stop_certified:
             stopped_early = True
             break
 
     if not snapshots or snapshots[-1].queries != oracle.log.count:
-        snapshots.append(
-            Snapshot(oracle.log.count, state.materialize(), state.certified_fraction)
-        )
+        snapshots.append(state.snapshot())
     completed = not stopped_early
-    if completed:
-        assert state.certified_fraction == 1
+    if completed and state.certified_fraction != 1:
+        raise ContractViolation(
+            f"the queue drained with only {state.certified_fraction} of the grid "
+            "volume in finalized leaves"
+        )
     return AttackResult(
-        model=state.materialize(),
+        model=snapshots[-1].model,
         log=oracle.log,
         snapshots=snapshots,
         method="tra",

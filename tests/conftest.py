@@ -7,6 +7,9 @@ checks against.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -114,3 +117,13 @@ def random_subregion(schema: cx.FeatureSchema, rng) -> cx.Region:
         n_pick = int(rng.integers(1, k + 1))
         allowed.append(frozenset(int(c) for c in rng.choice(k, size=n_pick, replace=False)))
     return cx.Region(tuple(intervals), tuple(allowed))
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -O`` process (asserts stripped) that
+    imports this checkout's ``cfextract``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cx.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    prelude = "import sys\nif not sys.flags.optimize: raise SystemExit('not optimized')\n"
+    return subprocess.run([sys.executable, "-O", "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=120)

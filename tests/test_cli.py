@@ -56,6 +56,34 @@ def test_gen_attack_eval_roundtrip(workdir, capsys):
     assert float(rows[-1]["fidelity_uniform"]) == 1.0
 
 
+# rows of the anytime curve for the target below, as the predict-every-snapshot
+# computation wrote them; the replayed curve must reproduce them byte for byte
+GOLDEN_CURVE = [
+    "attack,queries,certified_fraction,fidelity_uniform",
+    "tra,5,0.0,0.328",
+    "tra,10,0.2423076923076923,0.484",
+    "tra,15,0.2923076923076923,0.608",
+    "tra,20,0.3487179487179487,0.732",
+    "tra,25,0.6153846153846154,0.816",
+    "tra,30,0.8102564102564103,0.924",
+    "tra,35,0.8794871794871795,0.992",
+    "tra,40,0.9076923076923077,0.998",
+    "tra,43,1.0,1.0",
+]
+
+
+def test_attack_curve_matches_golden_rows(workdir):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "4", "--seed", "3", "--classes", "3", "--out", target) == 0
+    curve = workdir / "curve.csv"
+    assert run_cli("attack", "--method", "tra", "--target", target, "--seed", "1",
+                   "--order", "random", "--snapshot-every", "5",
+                   "--fidelity-samples", "500", "--out", workdir / "ex.json",
+                   "--curve", curve) == 0
+    assert curve.read_bytes() == "".join(row + "\r\n" for row in GOLDEN_CURVE).encode()
+
+
 def test_eval_identical_files(workdir):
     target = workdir / "t.json"
     run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",

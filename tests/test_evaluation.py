@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfextract as cx
 from tests.conftest import make_schema
@@ -138,6 +139,75 @@ def test_anytime_resamples_to_coarsest_grid(schema_grid10):
     ]
     curve = cx.anytime_fidelity(runs, checkpoint=20)
     assert [q for q, _ in curve] == [20, 30]
+
+
+def test_anytime_requires_evaluation_points(schema_grid10):
+    t = single_split_tree(schema_grid10, 0, 5)
+    res = cx.tra_extract(cx.CounterfactualOracle(t))
+    with pytest.raises(cx.ContractViolation):
+        cx.anytime_fidelity([(t, res.snapshots, _eval_arrays(schema_grid10, n=0))])
+
+
+def _agreement(target, model, iv, cats) -> float:
+    ref = target.predict_arrays(iv, cats)
+    pred = model.predict_arrays(iv, cats)
+    return float(((pred == ref) & (pred != -1)).mean())
+
+
+@given(seed=st.integers(0, 2**16), depth=st.integers(1, 5), classes=st.sampled_from([2, 3]),
+       order=st.sampled_from(["fifo", "lifo", "random"]),
+       snapshot_every=st.sampled_from([1, 3, 20]),
+       stop_certified=st.sampled_from([None, Fraction(1, 3)]))
+def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, order,
+                                                       snapshot_every, stop_certified):
+    sch = make_schema("mixed")
+    target = cx.gen_random_tree(sch, depth, seed, classes)
+    # the tree after each query, built when the next query starts
+    eager = {}
+    pop = cx.ExtractionState.pop
+
+    def recording_pop(state):
+        eager[state.oracle.log.count] = state.materialize().nodes
+        return pop(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.ExtractionState, "pop", recording_pop)
+        res = cx.tra_extract(cx.CounterfactualOracle(target), order=order, order_seed=seed,
+                             snapshot_every=snapshot_every, stop_certified=stop_certified)
+    eager[res.log.count] = res.model.nodes
+    iv, cats = cx.uniform_points(sch, 300, seed)
+    replayed = cx.snapshot_fidelities(target, res.snapshots, iv, cats)
+    assert replayed == [_agreement(target, s.model, iv, cats) for s in res.snapshots]
+    for snap in res.snapshots:
+        assert snap.model.nodes == eager[snap.queries]
+
+
+# anytime curves (checkpoint 5, 400 uniform points of seed 0) of two TRA runs with
+# snapshot_every=5, as predicting every snapshot's tree computed them
+GOLDEN_ANYTIME = {
+    "adversarial (6, 6)": [
+        (5, 0.3425), (10, 0.4325), (15, 0.635), (20, 0.6775), (25, 0.7275),
+        (30, 0.7325), (35, 0.765), (40, 0.7525), (45, 0.785), (50, 0.8075),
+        (55, 0.8325), (60, 0.855), (65, 0.8725), (70, 0.885), (75, 0.9125),
+        (80, 0.9325), (85, 0.9475), (90, 0.9675), (95, 0.9925), (97, 1.0)],
+    "mixed depth 5": [
+        (5, 0.6575), (10, 0.7325), (15, 0.81), (20, 0.8175), (25, 0.845), (30, 0.8525),
+        (35, 0.8875), (40, 0.9125), (45, 0.9475), (50, 0.95), (55, 0.97), (60, 0.97),
+        (65, 0.97), (70, 0.975), (75, 0.9825), (80, 0.98), (85, 0.985), (90, 0.985),
+        (95, 0.985), (100, 1.0), (105, 1.0), (106, 1.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ANYTIME))
+def test_anytime_curve_matches_golden(case):
+    if case == "mixed depth 5":
+        target = cx.gen_random_tree(make_schema("mixed"), 5, 2)
+    else:
+        target = cx.gen_adversarial(cx.AdversarialSpec((6, 6)))
+    res = cx.tra_extract(cx.CounterfactualOracle(target), snapshot_every=5)
+    arrays = cx.uniform_points(target.schema, 400, 0)
+    assert cx.anytime_fidelity([(target, res.snapshots, arrays)], checkpoint=5) \
+        == GOLDEN_ANYTIME[case]
 
 
 # -- bounds ---------------------------------------------------------------------------

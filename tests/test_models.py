@@ -64,6 +64,19 @@ def test_forest_order_invariance(schema_mixed):
     assert (f.predict_arrays(iv, cats) == g.predict_arrays(iv, cats)).all()
 
 
+def test_forest_cell_box_set_checks_the_cap_on_every_call(schema_grid10):
+    sch = schema_grid10
+    trees = [single_split_tree(sch, 0, 4, 0, 1), single_split_tree(sch, 1, 5, 1, 0)]
+    forest = cx.ForestModel(sch, trees)
+    with pytest.raises(cx.CapacityError):
+        forest.cell_box_set(3)
+    cells = forest.cell_box_set(100)
+    assert len(cells) == 4
+    assert forest.cell_box_set(4) is cells
+    with pytest.raises(cx.CapacityError, match="4 cells exceed the cap of 3"):
+        forest.cell_box_set(3)
+
+
 def test_stats_single_split(schema_grid10):
     st = cx.stats(single_split_tree(schema_grid10))
     assert st.n == 1 and st.s == (1, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cfextract as cx
-from tests.conftest import brute_force_cf, make_schema, random_subregion
+from tests.conftest import brute_force_cf, make_schema, random_subregion, run_optimized
 from tests.test_models import single_split_tree, two_split_target
 
 
@@ -289,3 +289,23 @@ def test_metering_counts_api_calls_only(schema_mixed):
         assert oracle.log.count == i + 1
     for i, rec in enumerate(oracle.log.records):
         assert rec.index == i
+
+
+FORGED_COUNTERFACTUAL = """
+import cfextract as cx
+schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
+tree = cx.TreeModel(schema, [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 3, 0, 1)], root=2)
+oracle = cx.CounterfactualOracle(tree)
+oracle._exact = lambda x, region: cx.Point(({cf},), ())
+oracle.query(cx.Point((0,), ()), cx.Region(((0, 3),), ()))
+"""
+
+
+@pytest.mark.parametrize("cf", [7, 2])  # outside the region; inside with the query's label
+def test_forged_counterfactual_is_refused_even_under_optimize(cf):
+    code = FORGED_COUNTERFACTUAL.format(cf=cf)
+    with pytest.raises(cx.ContractViolation, match="counterfactual"):
+        exec(code, {})
+    proc = run_optimized(code)
+    assert proc.returncode == 1
+    assert "ContractViolation: counterfactual search returned" in proc.stderr

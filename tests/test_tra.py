@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cfextract as cx
-from tests.conftest import make_schema
+from tests.conftest import make_schema, run_optimized
 from tests.test_models import single_split_tree
 
 
@@ -102,6 +102,63 @@ def test_snapshot_cadence(schema_mixed):
     assert qs[-1] == res.log.count
     assert all(q % 20 == 0 for q in qs[:-1])
     assert qs == sorted(qs)
+
+
+def counting_materialize(monkeypatch) -> list[int]:
+    calls = [0]
+    materialize = cx.ExtractionState.materialize
+
+    def counted(state, *args):
+        calls[0] += 1
+        return materialize(state, *args)
+
+    monkeypatch.setattr(cx.ExtractionState, "materialize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 1, 7])
+def test_terminal_tree_is_built_once(schema_mixed, monkeypatch, snapshot_every):
+    calls = counting_materialize(monkeypatch)
+    res = run(cx.gen_random_tree(schema_mixed, depth=4, seed=3),
+              snapshot_every=snapshot_every)
+    assert calls[0] == 1
+    assert res.snapshots[-1].model is res.model
+
+
+def test_snapshots_are_built_on_first_read(schema_mixed, monkeypatch):
+    calls = counting_materialize(monkeypatch)
+    res = run(cx.gen_random_tree(schema_mixed, depth=4, seed=3), snapshot_every=1)
+    assert len(res.snapshots) == res.log.count and calls[0] == 1
+    first = res.snapshots[0].model
+    assert res.snapshots[0].model is first and calls[0] == 2
+    assert first.node_count < res.model.node_count
+
+
+def test_snapshot_needs_a_model_or_a_state(schema_grid10):
+    with pytest.raises(cx.ContractViolation):
+        cx.Snapshot(1, None, Fraction(0))
+    res = run(single_split_tree(schema_grid10, 0, 5))
+    with pytest.raises(cx.ContractViolation):
+        cx.Snapshot(1, res.model, Fraction(0), state=res.snapshots[0].state)
+
+
+UNCERTIFIED_DRAIN = """
+import cfextract as cx
+import cfextract.tra
+cfextract.tra.grid_volume = lambda region, schema: 0
+schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
+cx.tra_extract(cx.CounterfactualOracle(cx.TreeModel(schema, [cx.Leaf(0)])))
+"""
+
+
+def test_drained_queue_without_full_volume_is_refused_even_under_optimize(monkeypatch):
+    monkeypatch.setattr(cx.tra, "grid_volume", lambda region, schema: 0)
+    schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
+    with pytest.raises(cx.ContractViolation, match="finalized leaves"):
+        cx.tra_extract(cx.CounterfactualOracle(cx.TreeModel(schema, [cx.Leaf(0)])))
+    proc = run_optimized(UNCERTIFIED_DRAIN)
+    assert proc.returncode == 1
+    assert "ContractViolation: the queue drained" in proc.stderr
 
 
 def test_queue_safety_bound(schema_mixed):
