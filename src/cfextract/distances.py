@@ -67,8 +67,3 @@ class Distance:
         else:
             base = np.zeros(len(group_mismatch), dtype=np.int64)
         return base + group_mismatch * self.group_term
-
-    def to_float(self, scaled: int) -> float:
-        if self.kind == "l2":
-            return float(scaled) ** 0.5 / self.scale
-        return float(scaled) / self.scale

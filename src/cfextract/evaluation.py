@@ -139,11 +139,11 @@ def fidelity(f: Model, g: Model, schema: FeatureSchema, n_samples: int = 3000,
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
     if points is not None:
-        iv, cats = points_to_arrays(schema, points)
-        n_samples = len(points)
-        kind = "test"
-    else:
-        iv, cats = uniform_points(schema, n_samples, seed)
+        n_samples, kind = len(points), "test"
+    if n_samples < 1:
+        raise ContractViolation("need at least one evaluation point")
+    iv, cats = (points_to_arrays(schema, points) if points is not None
+                else uniform_points(schema, n_samples, seed))
     pf = f.predict_arrays(iv, cats)
     pg = g.predict_arrays(iv, cats)
     agree = (pf == pg) & (pf != -1) & (pg != -1)

@@ -253,8 +253,6 @@ class CounterfactualOracle:
         self.config = config or OracleConfig()
         self.distance = Distance(self.schema, self.config.distance)
         self.training_data = tuple(training_data) if training_data else ()
-        if self.config.mode == "heuristic" and not self.training_data:
-            self.training_data = ()
         self.log = QueryLog()
         self.labels: tuple[int, ...] = target.labels
         self.false_absences: list[int] = []

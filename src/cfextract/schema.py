@@ -361,9 +361,6 @@ class FeatureSchema:
                 out.append(1 if p.cats[gi] == c else 0)
         return out
 
-    def point_from_json(self, values: Sequence) -> Point:
-        return self.point_from_axis_values(values)
-
     def lex_key(self, p: Point) -> tuple:
         """Feature-order comparison key (monotone in axis values)."""
         key: list[int] = []

@@ -1,8 +1,9 @@
-"""Shared fixtures: schema builders and the brute-force reference oracle.
+"""Shared fixtures: schema builders and the brute-force references.
 
 The brute-force counterfactual search below enumerates every grid point of a
 region and is deliberately independent of the projection-based oracle it
-checks against.
+checks against. ``reference_best_split`` is the per-cut CART split search
+that the vectorised one in ``cfextract.cart`` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -127,3 +128,67 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
     prelude = "import sys\nif not sys.flags.optimize: raise SystemExit('not optimized')\n"
     return subprocess.run([sys.executable, "-O", "-c", prelude + code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def reference_best_split(builder, idx: np.ndarray):
+    """Per-sample split search for ``cart._Builder``: the same result as
+    ``_Builder._best_split``, one candidate cut at a time in exact ints.
+
+    Install it with ``monkeypatch.setattr(cart._Builder, "_best_split", ...)``.
+    """
+    labels = builder.labels[idx]
+    n = len(idx)
+    classes, y = np.unique(labels, return_inverse=True)
+    k = len(classes)
+    total = np.bincount(y, minlength=k)
+    s_parent = int((total.astype(object) ** 2).sum())
+    best = None  # (num, den, global_axis, tie_t, spec)
+
+    def consider(s_l, n_l, s_r, n_r, g_axis, tie_t, spec):
+        nonlocal best
+        num = s_l * n_r + s_r * n_l
+        den = n_l * n_r
+        if num * n < s_parent * den:
+            return
+        if best is not None:
+            b_num, b_den, b_axis, b_t, _ = best
+            lhs = num * b_den
+            rhs = b_num * den
+            if lhs < rhs or (lhs == rhs and (g_axis, tie_t) >= (b_axis, b_t)):
+                return
+        best = (num, den, g_axis, tie_t, spec)
+
+    for g_axis in builder._axis_pool():
+        entry = builder.schema.axis_table[g_axis]
+        if entry[0] == "i":
+            ivx = entry[1]
+            col = builder.iv[idx, ivx]
+            order = np.argsort(col, kind="stable")
+            sv = col[order]
+            sy = y[order]
+            counts = np.zeros(k, dtype=np.int64)
+            s_l = 0
+            n_l = 0
+            for j in range(n - 1):
+                c = sy[j]
+                s_l += 2 * counts[c] + 1
+                counts[c] += 1
+                n_l += 1
+                if sv[j] != sv[j + 1]:
+                    t = int((int(sv[j]) + int(sv[j + 1])) // 2)
+                    rc = total - counts
+                    s_r = int((rc.astype(object) ** 2).sum())
+                    consider(int(s_l), n_l, s_r, n - n_l, g_axis, t, ("s", ivx, t))
+        else:
+            _, gi, c = entry
+            col = builder.cats[idx, gi]
+            mask = col == c
+            n_l = int(mask.sum())
+            if n_l == 0 or n_l == n:
+                continue
+            lc = np.bincount(y[mask], minlength=k)
+            rc = total - lc
+            s_l = int((lc.astype(object) ** 2).sum())
+            s_r = int((rc.astype(object) ** 2).sum())
+            consider(s_l, n_l, s_r, n - n_l, g_axis, 0, ("c", gi, c))
+    return best

@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -176,3 +178,35 @@ def test_multiclass_cf_bills_extra_label_queries():
     xs = [rec.x for rec in res.log.records]
     cfs = [rec.counterfactual for rec in res.log.records if rec.counterfactual]
     assert any(cf in xs for cf in cfs)
+
+
+# -- golden surrogates ----------------------------------------------------------
+
+GOLDEN_SURROGATES = os.path.join(os.path.dirname(__file__), "golden_surrogates.json")
+
+
+def surrogate_models_json() -> str:
+    """CF and DualCF final and snapshot surrogates, as pretty-printed JSON, on
+    a fixed depth-4 three-class tree behind the heuristic oracle."""
+    sch = make_schema("mixed")
+    target = cx.gen_random_tree(sch, 4, seed=4, n_classes=3)
+    rng = np.random.default_rng(7)
+    domain = cx.full_region(sch)
+    sample = [cx.sample_point(domain, rng) for _ in range(200)]
+    config = cx.OracleConfig(mode="heuristic", sample_budget=300, seed=1)
+    out = {}
+    for name, attack in (("cf", cx.cf_attack), ("dualcf", cx.dualcf_attack)):
+        oracle = cx.CounterfactualOracle(target, config, training_data=sample)
+        res = attack(oracle, cx.AttackBudget(120), seed=2, snapshot_every=20)
+        out[name] = {
+            "model": cx.model_json_dict(res.model, "surrogate"),
+            "snapshots": [[s.queries, cx.model_json_dict(s.model, "surrogate")]
+                          for s in res.snapshots],
+        }
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_surrogates_match_golden():
+    # written by the per-cut split search that the vectorised one replaced
+    with open(GOLDEN_SURROGATES) as fh:
+        assert surrogate_models_json() == fh.read()

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfextract as cx
-from cfextract.cart import CCP_GRID, accuracy, cost_complexity_prune
-from tests.conftest import make_schema
+from cfextract import cart
+from cfextract.cart import CCP_GRID, _square_sum, accuracy, cost_complexity_prune
+from tests.conftest import make_schema, reference_best_split
 
 
 def one_feature_schema(size=101):
@@ -162,3 +164,82 @@ def test_prune_tie_prefers_larger_alpha():
 def test_ccp_grid_is_fifty_steps_over_fifth():
     assert len(CCP_GRID) == 50
     assert CCP_GRID[0] == 0 and CCP_GRID[-1] == Fraction(1, 5)
+
+
+# -- split search against the per-cut reference --------------------------------
+
+SPLIT_SCHEMAS = (
+    make_schema("mixed"),
+    make_schema("small3"),
+    cx.FeatureSchema([
+        cx.CategoricalFeature("g", ("a", "b", "c", "d")),
+        cx.NumericFeature("x", 0, 1, Fraction(1, 8)),
+        cx.OrdinalFeature("o", 5),
+        cx.CategoricalFeature("h", ("u", "v")),
+    ]),
+)
+
+
+@st.composite
+def training_sets(draw):
+    schema = draw(st.sampled_from(SPLIT_SCHEMAS))
+    n = draw(st.integers(2, 60))
+    # few distinct values per axis make many exactly tied cuts
+    spread = draw(st.sampled_from([1, 2, 4, None]))
+    ivals = st.tuples(*(st.integers(0, size - 1 if spread is None else min(size - 1, spread))
+                        for size in schema.iv_sizes))
+    cats = st.tuples(*(st.integers(0, k - 1) for k in schema.group_sizes))
+    points = draw(st.lists(st.builds(cx.Point, ivals, cats), min_size=n, max_size=n))
+    classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.sampled_from((0, 1, 3, 6)[:classes]), min_size=n, max_size=n))
+    return schema, points, labels
+
+
+@given(training_sets(), st.booleans(), st.integers(0, 3))
+def test_split_search_matches_reference(data, forest, seed):
+    schema, points, labels = data
+
+    def trained():
+        if forest:  # bootstrap plus sqrt(m) feature subsampling per split
+            model = cx.train_forest(schema, points, labels, cx.TrainConfig(n_trees=3, seed=seed))
+        else:
+            model = cx.train_tree(schema, points, labels)
+        return cx.model_json_dict(model, "s")
+
+    fast = trained()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cart._Builder, "_best_split", reference_best_split)
+        assert trained() == fast
+
+
+@pytest.mark.parametrize("first", ["x", "g", "z"])
+def test_tied_axes_lowest_axis_wins(first):
+    features = {"x": cx.NumericFeature("x", 0, 1, Fraction(1, 10)),
+                "g": cx.CategoricalFeature("g", ("a", "b")),
+                "z": cx.NumericFeature("z", 0, 1, Fraction(1, 10))}
+    order = [first] + [f for f in "xgz" if f != first]
+    sch = cx.FeatureSchema([features[f] for f in order])
+    # x <= 0.3, category "a" and z <= 0.4 each separate the labels perfectly
+    rows = [{"x": "0.1", "g": "a", "z": "0.2"}, {"x": "0.3", "g": "a", "z": "0.4"},
+            {"x": "0.7", "g": "b", "z": "0.6"}, {"x": "0.9", "g": "b", "z": "0.8"}]
+    pts = [sch.point_of(*(r[f] for f in order)) for r in rows]
+    t = cx.train_tree(sch, pts, [0, 0, 1, 1])
+    root = t.nodes[t.root]
+    assert t.node_count == 3
+    if first == "g":
+        assert isinstance(root, cx.CatNode)
+    else:
+        assert isinstance(root, cx.SplitNode) and root.iv_axis == 0
+
+
+def test_tied_cuts_lowest_threshold_wins():
+    sch = one_feature_schema(11)
+    pts = [sch.point_of(v) for v in ("0.1", "0.5", "0.9")]
+    # both cuts score 2: {0} | {1, 0} and {0, 1} | {0}
+    t = cx.train_tree(sch, pts, [0, 1, 0])
+    assert t.nodes[t.root].threshold == 3
+
+
+def test_square_sum_is_exact_past_int64():
+    big = np.array([2**40, 3], dtype=np.int64)
+    assert _square_sum(big) == 2**80 + 9

@@ -140,6 +140,15 @@ def test_contract_violation_exit_code(workdir):
     assert code == 2
 
 
+def test_fidelity_without_samples_exit_code(workdir, capsys):
+    target = workdir / "t.json"
+    run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+            "--depth", "3", "--seed", "0", "--out", target)
+    capsys.readouterr()
+    assert run_cli("eval", "--fidelity", target, target, "--samples", "0") == 2
+    assert "NaN" not in capsys.readouterr().out
+
+
 def test_capacity_exit_code(workdir, monkeypatch):
     target = workdir / "t.json"
     run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",

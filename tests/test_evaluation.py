@@ -141,6 +141,13 @@ def test_anytime_resamples_to_coarsest_grid(schema_grid10):
     assert [q for q, _ in curve] == [20, 30]
 
 
+@pytest.mark.parametrize("n_samples, points", [(0, None), (-1, None), (3000, [])])
+def test_fidelity_requires_evaluation_points(schema_grid10, n_samples, points):
+    t = single_split_tree(schema_grid10, 0, 5)
+    with pytest.raises(cx.ContractViolation, match="evaluation point"):
+        cx.fidelity(t, t, schema_grid10, n_samples, points=points)
+
+
 def test_anytime_requires_evaluation_points(schema_grid10):
     t = single_split_tree(schema_grid10, 0, 5)
     res = cx.tra_extract(cx.CounterfactualOracle(t))

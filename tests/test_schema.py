@@ -48,7 +48,7 @@ def test_point_axis_values_roundtrip(schema_mixed):
     # JSON form keeps numeric axes as strings
     js = schema_mixed.point_json(p)
     assert js == ["0.5", 1, 3, 0, 1, 0]
-    assert schema_mixed.point_from_json(js) == p
+    assert schema_mixed.point_from_axis_values(js) == p
 
 
 def test_one_hot_validation(schema_mixed):
