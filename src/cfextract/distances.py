@@ -4,6 +4,13 @@ Numeric/ordinal/binary axes are min-max normalized (index difference divided
 by grid span); one-hot groups contribute a Hamming term of 1 when the
 category differs. Distances are computed as scaled integers (multiplied by
 the lcm of the grid spans, squared for L2), so comparisons are exact.
+
+``scaled`` works in Python ints and is exact on any grid; the exact tree
+oracle's descent uses the same terms. ``scaled_rows`` is the int64 path that
+serves only the forest oracle's cell scan. Its guard bounds the whole row sum:
+each interval axis contributes at most ``group_term`` (a full-span gap), as
+does each one-hot group, so a row is at most ``(n_iv + n_groups) * group_term``.
+Past ``2**63 - 1`` it refuses rather than wrap.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ import numpy as np
 from .errors import ContractViolation
 from .schema import FeatureSchema, Point
 
-# int64 safety margin for the vectorized paths
-_VECTOR_SCALE_LIMIT = 1 << 29
+# largest row sum the int64 path may produce
+_INT64_MAX = (1 << 63) - 1
 
 
 class Distance:
@@ -29,8 +36,9 @@ class Distance:
         self.scale = lcm(*spans) if spans else 1
         self.weights = tuple(self.scale // s for s in spans)
         self.group_term = self.scale**2 if kind == "l2" else self.scale
-        self._w = np.asarray(self.weights, dtype=np.int64)
-        self.vectorizable = self.scale <= _VECTOR_SCALE_LIMIT
+        n_terms = len(spans) + len(schema.group_sizes)
+        self.vectorizable = n_terms * self.group_term <= _INT64_MAX
+        self._w = np.asarray(self.weights, dtype=np.int64) if self.vectorizable else None
 
     def scaled(self, a: Point, b: Point) -> int:
         """Scaled distance: d^2 * scale^2 for L2, d * scale for L1."""
@@ -51,11 +59,12 @@ class Distance:
         """Vectorized ``scaled`` between ``x`` and rows of projected points.
 
         ``proj_iv`` is (n, n_interval_axes); ``group_mismatch`` counts
-        differing groups per row.
+        differing groups per row. Refuses when a row sum could pass int64.
         """
         if not self.vectorizable:
             raise ContractViolation(
-                "grid spans too large for the vectorized distance path"
+                "grid spans too large for the int64 distance path: a row sum "
+                "could exceed 2**63 - 1"
             )
         x_iv = np.asarray(x.ivals, dtype=np.int64)
         if proj_iv.size:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, DataFormatError
 from .regions import Region, full_region, intersect
-from .schema import FeatureSchema, Point, exact_number, number_str
+from .schema import FeatureSchema, Point, exact_number, json_int, number_str
 
 UNKNOWN = -1  # array sentinel for None labels
 
@@ -538,42 +538,53 @@ def _tree_nodes_json(tree: TreeModel) -> dict:
     return {"root": tree.root, "nodes": nodes}
 
 
-def _tree_from_json(schema: FeatureSchema, data: dict) -> TreeModel:
+def _tree_from_json(schema: FeatureSchema, data) -> TreeModel:
+    if not isinstance(data, dict):
+        raise DataFormatError("model JSON: a tree must be an object")
     raw = data.get("nodes")
     if not isinstance(raw, list):
         raise DataFormatError("model JSON: 'nodes' must be a list")
     nodes: list[Node | None] = [None] * len(raw)
     for entry in raw:
-        i = entry["id"]
+        if not isinstance(entry, dict):
+            raise DataFormatError("model JSON: every node must be an object")
+        i = json_int(entry.get("id"), "node id")
+        if not 0 <= i < len(raw):
+            raise DataFormatError(f"node id {i} outside 0..{len(raw) - 1}")
         kind = entry.get("kind")
         if kind == "leaf":
             label = entry.get("label")
-            nodes[i] = Leaf(None if label is None else int(label))
+            nodes[i] = Leaf(None if label is None else json_int(label, f"node {i}: label"))
         elif kind == "split":
-            axis = entry["axis"]
+            axis = json_int(entry.get("axis"), f"node {i}: axis")
             if not 0 <= axis < schema.m:
                 raise DataFormatError(f"node {i}: axis {axis} out of range")
+            left = json_int(entry.get("left"), f"node {i}: left")
+            right = json_int(entry.get("right"), f"node {i}: right")
             spec = schema.axis_table[axis]
             if "categories" in entry:
                 if spec[0] != "g":
                     raise DataFormatError(f"node {i}: categories on a non-group axis")
                 _, gi, cat = spec
-                if list(entry["categories"]) != [cat]:
+                if entry["categories"] != [cat]:
                     raise DataFormatError(
                         f"node {i}: categories must be the singleton [{cat}] for axis {axis}"
                     )
-                nodes[i] = CatNode(gi, cat, entry["left"], entry["right"])
+                nodes[i] = CatNode(gi, cat, left, right)
             else:
                 if spec[0] != "i":
                     raise DataFormatError(f"node {i}: threshold on a one-hot axis")
                 iv = spec[1]
-                t = schema.interval_axes[iv].index(exact_number(entry["threshold"]))
-                nodes[i] = SplitNode(iv, t, entry["left"], entry["right"])
+                try:
+                    t = schema.interval_axes[iv].index(exact_number(entry.get("threshold")))
+                except ContractViolation as exc:  # unparsable or off the axis grid
+                    raise DataFormatError(f"node {i}: {exc}") from exc
+                nodes[i] = SplitNode(iv, t, left, right)
         else:
             raise DataFormatError(f"node {i}: unknown kind {kind!r}")
     if any(n is None for n in nodes):
         raise DataFormatError("model JSON: node ids must cover 0..n-1")
-    return TreeModel(schema, nodes, data.get("root", 0))
+    return TreeModel(schema, nodes, json_int(data.get("root", 0), "root"))
 
 
 def model_json_dict(model: Model, schema_ref: str) -> dict:
@@ -589,10 +600,15 @@ def model_json_dict(model: Model, schema_ref: str) -> dict:
 
 
 def model_from_json_dict(data: dict, schema: FeatureSchema) -> Model:
+    """Model from its JSON form; any malformed input raises DataFormatError."""
+    if not isinstance(data, dict):
+        raise DataFormatError("model JSON must be an object")
     kind = data.get("kind", "tree")
     if kind == "forest":
-        trees = [_tree_from_json(schema, t) for t in data["trees"]]
-        return ForestModel(schema, trees)
+        trees = data.get("trees")
+        if not isinstance(trees, list):
+            raise DataFormatError("model JSON: 'trees' must be a list")
+        return ForestModel(schema, [_tree_from_json(schema, t) for t in trees])
     if kind != "tree":
         raise DataFormatError(f"unknown model kind {kind!r}")
     return _tree_from_json(schema, data)
@@ -610,11 +626,13 @@ def load_model(path: str, schema: FeatureSchema | None = None) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path}: model JSON must be an object")
     if schema is None:
         ref = data.get("schema_ref")
-        if not ref:
+        if not ref or not isinstance(ref, str):
             raise DataFormatError(f"{path}: no schema_ref and no schema given")
         schema = load_schema(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
     return model_from_json_dict(data, schema)

@@ -7,19 +7,30 @@ then a certificate); the heuristic mode scans server-side training data and
 uniform samples, refining hits with a per-axis line search, and its absences
 are only a search failure. Server-side computation (including every predict
 issued internally) is not billed; only ``query`` calls count.
+
+The exact mode is deterministic: among all minimizers it returns the
+lexicographically smallest point (``FeatureSchema.lex_key``), so the answer,
+not only its distance, is a function of the query. For a tree,
+``exact_tree_cf`` runs a branch-and-bound descent restricted to the region, in
+Python ints, visiting only subtrees whose box can still hold a point as near
+as the best found (the per-leaf search of Carreira-Perpiñán & Hada, AAAI 2021,
+run as one pruned descent). For a forest, ``exact_ensemble_cf`` scans the
+split-level cells in the region with the int64 ``Distance.scaled_rows``, which
+refuses grids whose row sums could overflow.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
 import numpy as np
 
 from .distances import Distance
 from .errors import CapacityError, ContractViolation
-from .models import BoxSet, ForestModel, Model, TreeModel, cells_within
+from .models import BoxSet, ForestModel, Leaf, Model, SplitNode, TreeModel, cells_within
 from .regions import Region, contains, sample_point
 from .schema import FeatureSchema, Point
 
@@ -123,14 +134,102 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
                   dist: Distance) -> Point | None:
     """Globally nearest label flip inside ``region`` for a single tree.
 
-    Projects the query onto every differently-labeled leaf region intersected
-    with ``region``; ties break to the lexicographically smallest point.
-    ``None`` certifies that no flip point exists in the region.
+    A depth-first branch-and-bound descent of the tree, restricted to
+    ``region``. Each stack entry is a node with its box (per-axis ``lo``/``hi``
+    and allowed category sets, already clipped to the region) and the scaled
+    distance from ``x`` to its projection on that box, which bounds every leaf
+    below. A split changes one axis term, a category test one group term. The
+    nearer child is explored first, so the first leaf reached is the one that
+    holds ``x`` (distance 0) and gives the query's label. A subtree is dropped
+    only when its bound is strictly greater than the best distance found, so
+    every tied label-flipping leaf is seen; the answer is the
+    lexicographically smallest of their projections. Arithmetic is in Python
+    ints, so it is exact for any grid. ``None`` certifies that no flip point
+    exists in the region.
     """
     if not contains(region, x):
         raise ContractViolation("query point outside region")
-    y = target.predict(x)
-    return _exact_from_boxes(target.box_set(), target.schema, dist, x, region, y)
+    xi, xc = x.ivals, x.cats
+    w = dist.weights
+    l2 = dist.kind == "l2"
+    group_term = dist.group_term
+    lex_key = target.schema.lex_key
+    nodes = target.nodes
+    y = None
+    own_leaf_seen = False
+    best = inf  # until a flip leaf is found; Python compares int and float exactly
+    best_point = best_key = None
+    stack = [(target.root, tuple(a for a, _ in region.intervals),
+              tuple(b for _, b in region.intervals), region.allowed, 0)]
+    push = stack.append
+    while stack:
+        i, lo, hi, allowed, d = stack.pop()
+        if d > best:
+            continue
+        node = nodes[i]
+        kind = type(node)
+        if kind is Leaf:
+            if not own_leaf_seen:
+                own_leaf_seen = True
+                y = node.label
+                if y is not None:  # an unknown label agrees with nothing, even itself
+                    continue
+            elif y is not None and node.label == y:
+                continue
+            point = Point(
+                tuple(a if v < a else b if v > b else v for v, a, b in zip(xi, lo, hi)),
+                tuple(c if c in s else min(s) for c, s in zip(xc, allowed)),
+            )
+            key = lex_key(point)
+            if d < best or key < best_key:
+                best, best_point, best_key = d, point, key
+            continue
+        # The child on x's side keeps the bound d; the far child's bound can
+        # only grow, so it is pushed first and explored second.
+        if kind is SplitNode:
+            a, t = node.iv_axis, node.threshold
+            la, hb = lo[a], hi[a]
+            if t >= hb:
+                push((node.left, lo, hi, allowed, d))
+                continue
+            if t < la:
+                push((node.right, lo, hi, allowed, d))
+                continue
+            lo_right = lo[:a] + (t + 1,) + lo[a + 1:]
+            hi_left = hi[:a] + (t,) + hi[a + 1:]
+            v = xi[a]
+            if v <= t:
+                old = (la - v) * w[a] if v < la else 0
+                new = (t + 1 - v) * w[a]
+                far = (node.right, lo_right, hi, allowed)
+                near = (node.left, lo, hi_left, allowed, d)
+            else:
+                old = (v - hb) * w[a] if v > hb else 0
+                new = (v - t) * w[a]
+                far = (node.left, lo, hi_left, allowed)
+                near = (node.right, lo_right, hi, allowed, d)
+            d_far = d - old * old + new * new if l2 else d - old + new
+        else:
+            g, c = node.group, node.category
+            s = allowed[g]
+            if c not in s:
+                push((node.right, lo, hi, allowed, d))
+                continue
+            if len(s) == 1:
+                push((node.left, lo, hi, allowed, d))
+                continue
+            left = allowed[:g] + (frozenset((c,)),) + allowed[g + 1:]
+            right = allowed[:g] + (s - {c},) + allowed[g + 1:]
+            xg = xc[g]
+            if xg == c:
+                far, near = (node.right, lo, hi, right), (node.left, lo, hi, left, d)
+            else:
+                far, near = (node.left, lo, hi, left), (node.right, lo, hi, right, d)
+            d_far = d + group_term if xg in s else d  # else both sides already pay it
+        if d_far <= best:
+            push(far + (d_far,))
+        push(near)
+    return best_point
 
 
 def exact_ensemble_cf(target: ForestModel, x: Point, region: Region,

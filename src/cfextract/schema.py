@@ -32,14 +32,19 @@ def exact_number(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    if isinstance(x, str):
+    if isinstance(x, (float, str)):
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            return Fraction(repr(x) if isinstance(x, float) else x)
+        except (ValueError, ZeroDivisionError) as exc:  # also inf and nan
             raise DataFormatError(f"cannot parse number {x!r}") from exc
     raise DataFormatError(f"cannot interpret {x!r} as an exact number")
+
+
+def json_int(x, what: str) -> int:
+    """An integer field of a loaded file; anything else is a DataFormatError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DataFormatError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def number_str(v: Fraction) -> str:
@@ -394,12 +399,16 @@ class FeatureSchema:
 
     @staticmethod
     def from_config(config: dict) -> "FeatureSchema":
-        if not isinstance(config, dict) or "features" not in config:
+        if not isinstance(config, dict) or not isinstance(config.get("features"), list):
             raise DataFormatError("schema config must be an object with a 'features' list")
         feats: list[FeatureSpec] = []
         for i, entry in enumerate(config["features"]):
+            if not isinstance(entry, dict):
+                raise DataFormatError(f"feature {i} must be an object")
             kind = entry.get("kind")
             name = entry.get("name", f"f{i}")
+            if not isinstance(name, str):
+                raise DataFormatError(f"feature {i}: name must be a string")
             if kind == "numeric":
                 try:
                     feats.append(
@@ -408,14 +417,15 @@ class FeatureSchema:
                 except KeyError as exc:
                     raise DataFormatError(f"{name}: numeric needs lo/hi/delta") from exc
             elif kind == "ordinal":
-                feats.append(OrdinalFeature(name, int(entry["levels"])))
+                feats.append(OrdinalFeature(name, entry.get("levels")))
             elif kind == "binary":
                 feats.append(BinaryFeature(name))
             elif kind == "categorical":
                 cats = entry.get("categories")
                 if cats is None:
-                    k = int(entry.get("k", 0))
-                    cats = [str(j) for j in range(k)]
+                    cats = [str(j) for j in range(json_int(entry.get("k", 0), f"{name}: k"))]
+                if not isinstance(cats, list):
+                    raise DataFormatError(f"{name}: categories must be a list")
                 feats.append(CategoricalFeature(name, tuple(str(c) for c in cats)))
             else:
                 raise DataFormatError(f"{name}: unknown feature kind {kind!r}")
@@ -432,6 +442,6 @@ def load_schema(path: str) -> FeatureSchema:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
     return FeatureSchema.from_config(config)

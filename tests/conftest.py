@@ -4,10 +4,12 @@ The brute-force counterfactual search below enumerates every grid point of a
 region and is deliberately independent of the projection-based oracle it
 checks against. ``reference_best_split`` is the per-cut CART split search
 that the vectorised one in ``cfextract.cart`` must reproduce exactly.
+``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 import cfextract as cx
 
@@ -40,6 +42,13 @@ def make_schema(kind: str) -> cx.FeatureSchema:
             cx.BinaryFeature("b"),
             cx.OrdinalFeature("c", 8),
             cx.CategoricalFeature("d", ("p", "q", "r")),
+        ])
+    if kind == "groups2":
+        return cx.FeatureSchema([
+            cx.CategoricalFeature("g", ("u", "v", "w")),
+            cx.NumericFeature("a", 0, 1, Fraction(1, 8)),
+            cx.CategoricalFeature("h", ("s", "t", "u", "v")),
+            cx.OrdinalFeature("b", 5),
         ])
     if kind == "small3":
         return cx.FeatureSchema([
@@ -192,3 +201,57 @@ def reference_best_split(builder, idx: np.ndarray):
             s_r = int((rc.astype(object) ** 2).sum())
             consider(s_l, n_l, s_r, n - n_l, g_axis, 0, ("c", gi, c))
     return best
+
+
+JSON_KEYS = ("id", "kind", "label", "axis", "threshold", "categories", "left", "right",
+             "root", "nodes", "trees", "features", "name", "lo", "hi", "delta", "levels", "k")
+# Integers stay small: a valid config may declare a k-way categorical, whose k
+# category names are then built.
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4)
+                | st.sampled_from(["0.5", "1/3", "1/0", "leaf", "split", "tree", "forest",
+                                   "numeric", "ordinal", "binary", "categorical"]))
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _locations(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        items = []
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def malformed(draw, doc):
+    """``doc`` after one to three random edits, each at a random location: the
+    value replaced, the key or item removed, or a key or item added inside."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        edit = draw(st.sampled_from(("replace", "remove", "add")))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        here = parent[path[-1]]
+        if edit == "remove":
+            del parent[path[-1]]
+        elif edit == "add" and isinstance(here, dict):
+            here[draw(st.sampled_from(JSON_KEYS))] = draw(json_values)
+        elif edit == "add" and isinstance(here, list):
+            here.append(draw(json_values))
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc

@@ -212,3 +212,12 @@ def test_report_aggregates_curves(workdir, tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["mean_fidelity"]) for r in rows] == [0.5, 0.9]
+
+
+def test_malformed_model_file_exits_2_without_a_traceback(workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"schema_ref": "schema.json", "kind": "tree",
+                               "nodes": [{"kind": "leaf", "label": 0}]}))
+    assert run_cli("eval", "--equivalence", bad, bad) == 2
+    err = capsys.readouterr().err
+    assert "contract violation" in err and "Traceback" not in err

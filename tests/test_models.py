@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
-from tests.conftest import enumerate_region, make_schema
+from tests.conftest import enumerate_region, make_schema, malformed
 
 
 def single_split_tree(sch, iv_axis=0, t=None, left=0, right=1):
@@ -202,3 +203,48 @@ def test_partial_labels_never_agree(schema_grid10):
     assert (t.predict_arrays(iv, cats) == -1).all()
     rep = cx.fidelity(t, t, schema_grid10, n_samples=50, seed=0)
     assert rep.fidelity == 0.0
+
+
+def valid_model_docs():
+    sch = make_schema("mixed")
+    tree = cx.gen_random_tree(sch, depth=3, seed=1)
+    forest = cx.gen_random_forest(sch, 2, 2, seed=2)
+    return [cx.model_json_dict(m, "s.json") for m in (tree, forest)]
+
+
+VALID_MODEL_DOCS = valid_model_docs()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "tree", "nodes": [{"kind": "leaf", "label": 0}]},  # node without id
+    {"nodes": [{"id": 0, "kind": "leaf", "label": "a"}]},
+    {"nodes": [{"id": 5, "kind": "leaf", "label": 0}]},  # id past a 1-node list
+    {"nodes": [{"id": -1, "kind": "leaf", "label": 0}]},
+    {"nodes": [{"id": 0, "kind": "split", "axis": 0, "threshold": "1/3",
+                "left": 1, "right": 2}, {"id": 1, "kind": "leaf", "label": 0},
+               {"id": 2, "kind": "leaf", "label": 1}]},  # threshold off the 1/64 grid
+    {"kind": "forest", "trees": "nope"},
+    [1],
+    "tree",
+])
+def test_malformed_model_json_is_a_data_format_error(doc):
+    with pytest.raises(cx.DataFormatError):
+        cx.model_from_json_dict(doc, make_schema("mixed"))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_model_loader_fuzz_raises_only_data_format_error(data):
+    doc = data.draw(malformed(data.draw(st.sampled_from(VALID_MODEL_DOCS))))
+    try:
+        model = cx.model_from_json_dict(doc, make_schema("mixed"))
+    except cx.DataFormatError:
+        return
+    assert isinstance(model, (cx.TreeModel, cx.ForestModel))
+
+
+def test_load_model_rejects_a_non_object_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[]")
+    with pytest.raises(cx.DataFormatError):
+        cx.load_model(str(path))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfextract as cx
 from tests.conftest import brute_force_cf, make_schema, random_subregion, run_optimized
@@ -73,6 +74,23 @@ def test_exact_tie_breaks_lexicographically():
     assert cf == ref_p and d.scaled(x, cf) == ref_d
 
 
+
+@pytest.mark.parametrize("metric", ["l2", "l1"])
+def test_exact_descends_a_box_that_already_excludes_x(schema_grid10, metric):
+    # Below y <= 5, x1 is cut at 1 and then at 5, so the [6, 10] leaf is reached
+    # through a box whose x1 range already starts past the query. Its bound must
+    # drop the old gap (x1 = 2) when it adds the new one (x1 = 6): the answer
+    # (6, 0) at 36 (L2) / 6 (L1) beats the competitor (1, 6) at 37 / 7.
+    nodes = [cx.Leaf(0), cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 5, 1, 2),
+             cx.SplitNode(0, 1, 0, 3), cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 0, 5, 6),
+             cx.SplitNode(1, 5, 4, 7)]
+    t = cx.TreeModel(schema_grid10, nodes, root=8)
+    d = cx.Distance(schema_grid10, metric)
+    x = cx.Point((0, 0), ())
+    full = cx.full_region(schema_grid10)
+    assert cx.exact_tree_cf(t, x, full, d) == cx.Point((6, 0), ())
+    assert brute_force_cf(t, x, full, d)[1] == cx.Point((6, 0), ())
+
 def test_ensemble_one_tree_matches_tree_oracle(schema_mixed):
     t = cx.gen_random_tree(schema_mixed, depth=4, seed=9)
     forest = cx.ForestModel(schema_mixed, [t])
@@ -113,6 +131,7 @@ def test_exact_oracle_matches_brute_force_tree():
             else:
                 assert got is not None
                 assert d.scaled(x, got) == ref[0]
+                assert got == ref[1]
 
 
 def test_exact_oracle_matches_brute_force_forest():
@@ -146,6 +165,59 @@ def test_exact_oracle_l1_matches_brute_force():
             assert got is None
         else:
             assert d.scaled(x, got) == ref[0]
+            assert got == ref[1]
+
+
+
+def random_subregion_within(region: cx.Region, rng) -> cx.Region:
+    intervals = []
+    for a, b in region.intervals:
+        lo = int(rng.integers(a, b + 1))
+        intervals.append((lo, int(rng.integers(lo, b + 1))))
+    allowed = []
+    for s in region.allowed:
+        cats = sorted(s)
+        n_pick = int(rng.integers(1, len(cats) + 1))
+        allowed.append(frozenset(int(c) for c in rng.choice(cats, size=n_pick, replace=False)))
+    return cx.Region(tuple(intervals), tuple(allowed))
+
+
+@given(kind=st.sampled_from(["mixed", "small3", "groups2"]),
+       metric=st.sampled_from(["l2", "l1"]),
+       depth=st.integers(0, 8), n_classes=st.sampled_from([2, 3]),
+       tree_seed=st.integers(0, 2**16), rng_seed=st.integers(0, 2**32 - 1),
+       inside_leaf=st.booleans())
+def test_exact_tree_cf_matches_brute_force_point_for_point(
+        kind, metric, depth, n_classes, tree_seed, rng_seed, inside_leaf):
+    sch = make_schema(kind)
+    t = cx.gen_random_tree(sch, depth, tree_seed, n_classes)
+    d = cx.Distance(sch, metric)
+    rng = np.random.default_rng(rng_seed)
+    if inside_leaf:
+        leaves = t.leaf_regions()
+        region = random_subregion_within(leaves[int(rng.integers(len(leaves)))][0], rng)
+    else:
+        region = random_subregion(sch, rng)
+    for _ in range(10):
+        x = cx.sample_point(region, rng)
+        got = cx.exact_tree_cf(t, x, region, d)
+        ref = brute_force_cf(t, x, region, d)
+        if inside_leaf:
+            assert ref is None
+        assert got == (None if ref is None else ref[1])
+
+
+def test_exact_tree_cf_unknown_leaves_never_agree(schema_grid10):
+    # as in brute force, an unknown label differs from every label, its own included
+    nodes = [cx.Leaf(None), cx.Leaf(1), cx.Leaf(None),
+             cx.SplitNode(0, 7, 1, 2), cx.SplitNode(0, 2, 0, 3)]
+    t = cx.TreeModel(schema_grid10, nodes, root=4)
+    d = cx.Distance(schema_grid10)
+    full = cx.full_region(schema_grid10)
+    inside_unknown = schema_grid10.point_of("0.1", "0.5")
+    assert cx.exact_tree_cf(t, inside_unknown, full, d) == inside_unknown
+    for x in (inside_unknown, schema_grid10.point_of("0.5", "0.5")):
+        assert cx.exact_tree_cf(t, x, full, d) == brute_force_cf(t, x, full, d)[1]
 
 
 # -- line search and local optimality ----------------------------------------------

@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
 from cfextract.schema import exact_number, number_str
+from tests.conftest import make_schema, malformed
 
 
 def test_axis_accounting_mixed(schema_mixed):
@@ -84,3 +86,39 @@ def test_lex_key_feature_order(schema_mixed):
     b = schema_mixed.point_of(0, 0, 1, "p")
     # feature c comes before d, and a has the smaller c value
     assert schema_mixed.lex_key(a) < schema_mixed.lex_key(b)
+
+
+@pytest.mark.parametrize("config", [
+    {"features": "x"},
+    {"features": [{"name": "o", "kind": "ordinal", "levels": "z"}]},
+    {"features": [3]},
+    {"features": [{"name": ["n"], "kind": "binary"}]},
+    {"features": [{"name": "c", "kind": "categorical", "categories": "abc"}]},
+    {"features": [{"name": "c", "kind": "categorical", "k": "3"}]},
+    {"features": [{"name": "a", "kind": "numeric", "lo": 0, "hi": float("inf"), "delta": 1}]},
+    [],
+])
+def test_malformed_schema_config_is_a_data_format_error(config):
+    with pytest.raises(cx.DataFormatError):
+        cx.FeatureSchema.from_config(config)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_schema_loader_fuzz_raises_only_data_format_error(data):
+    valid = data.draw(st.sampled_from(["mixed", "groups2", "small3"]))
+    config = data.draw(malformed(make_schema(valid).to_config()))
+    try:
+        schema = cx.FeatureSchema.from_config(config)
+    except cx.DataFormatError:
+        return
+    assert isinstance(schema, cx.FeatureSchema)
+
+
+def test_undecodable_files_are_a_data_format_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"features": "\xff"}')
+    with pytest.raises(cx.DataFormatError):
+        cx.load_schema(str(path))
+    with pytest.raises(cx.DataFormatError):
+        cx.load_model(str(path))

@@ -190,3 +190,20 @@ def test_heuristic_oracle_extraction(schema_mixed):
     if not oracle.false_absences:
         ok, _ = cx.functional_equivalence(target, res.model, schema_mixed)
         assert ok
+
+
+@pytest.mark.parametrize("steps, depth, queries", [
+    ((1000, 999, 997, 991), 5, 106),  # lcm of the spans about 2**40
+    ((1000003, 999983, 999979, 1000033), 4, 25),  # about 2**80, past int64 itself
+])
+def test_wide_grid_tree_is_extracted_exactly(steps, depth, queries):
+    # too wide for an int64 L2 row sum, which the tree oracle does not use
+    sch = cx.FeatureSchema([cx.NumericFeature(f"x{i}", 0, 1, Fraction(1, q))
+                            for i, q in enumerate(steps)])
+    assert not cx.Distance(sch).vectorizable
+    target = cx.gen_random_tree(sch, depth=depth, seed=0)
+    res = run(target, snapshot_every=0)
+    assert res.log.count == queries
+    assert res.certified
+    ok, _ = cx.functional_equivalence(target, res.model, sch)
+    assert ok
