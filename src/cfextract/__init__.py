@@ -27,9 +27,8 @@ from .models import (CatNode, ForestModel, Leaf, ModelStats, SplitNode, TreeMode
 from .oracles import (CounterfactualOracle, OracleConfig, OracleResponse, QueryLog,
                       QueryRecord, exact_ensemble_cf, exact_tree_cf, heuristic_cf,
                       line_search, verify_local_optimality)
-from .regions import (Region, SplitStep, center, contains, full_region, grid_volume,
-                      intersect, region_from_json, region_json, sample_point, split,
-                      subtract)
+from .regions import (Region, center, contains, full_region, grid_volume, intersect,
+                      region_from_json, region_json, sample_point, split, subtract)
 from .schema import (BinaryFeature, CategoricalFeature, FeatureSchema, NumericFeature,
                      OrdinalFeature, Point, load_schema, save_schema)
 from .tra import AttackResult, ExtractionState, Snapshot, tra_extract

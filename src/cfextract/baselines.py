@@ -12,16 +12,16 @@ functional equivalence; their outputs are tagged non-certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cart import TrainConfig, train_forest, train_tree
 from .errors import ContractViolation, UnsupportedModelError
-from .models import ForestModel, Leaf, Model, TreeModel, boxes_to_tree, stats
+from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
 from .oracles import CounterfactualOracle, QueryLog
-from .regions import Region, center, contains, full_region, intersect, sample_point, subtract
+from .regions import Region, center, full_region, sample_point, subtract
 from .schema import FeatureSchema, Point, exact_number
 from .tra import AttackResult, Snapshot
 
@@ -64,16 +64,10 @@ class LeafIdOracle:
         self.log = QueryLog()
 
     def query(self, x: Point) -> tuple[int, int]:
-        i = self.target.root
-        nodes = self.target.nodes
-        while not isinstance(nodes[i], Leaf):
-            node = nodes[i]
-            if hasattr(node, "iv_axis"):
-                i = node.left if x.ivals[node.iv_axis] <= node.threshold else node.right
-            else:
-                i = node.left if x.cats[node.group] == node.category else node.right
-        self.log.bill(x, full_region(self.schema), nodes[i].label, None)
-        return i, nodes[i].label
+        i = self.target.leaf_index(x)
+        label = self.target.nodes[i].label
+        self.log.bill(x, full_region(self.schema), label, None)
+        return i, label
 
 
 def _axis_tolerances(schema: FeatureSchema, epsilon) -> list[int]:

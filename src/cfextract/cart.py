@@ -14,7 +14,7 @@ Cost-complexity pruning grid-searches 50 evenly spaced penalties over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -72,7 +72,8 @@ class _Builder:
         return sorted(int(a) for a in picked)
 
     def _best_split(self, idx: np.ndarray):
-        """Best (score, global_axis, spec) over candidate cuts, or None.
+        """Best (num, den, global_axis, tie_t, test) over candidate cuts, or None;
+        ``test`` is the cut's node test, its children unattached.
 
         The score maximized is sum_side (sum_c count_c^2) / n_side, compared
         exactly by cross-multiplication in Python ints. Only cuts at least as
@@ -84,9 +85,9 @@ class _Builder:
         class_ids = np.arange(k)
         total = np.bincount(y, minlength=k)
         s_parent = _square_sum(total)
-        best = None  # (num, den, global_axis, tie_t, spec)
+        best = None  # (num, den, global_axis, tie_t, test)
 
-        def consider(s_l, n_l, s_r, n_r, g_axis, tie_t, spec):
+        def consider(s_l, n_l, s_r, n_r, g_axis, tie_t, test):
             nonlocal best
             num = s_l * n_r + s_r * n_l
             den = n_l * n_r
@@ -100,7 +101,7 @@ class _Builder:
                 rhs = b_num * den
                 if lhs < rhs or (lhs == rhs and (g_axis, tie_t) >= (b_axis, b_t)):
                     return
-            best = (num, den, g_axis, tie_t, spec)
+            best = (num, den, g_axis, tie_t, test)
 
         for g_axis in self._axis_pool():
             entry = self.schema.axis_table[g_axis]
@@ -127,7 +128,7 @@ class _Builder:
                     pos = int(cuts[j])
                     t = (int(sv[pos]) + int(sv[pos + 1])) // 2
                     consider(_square_sum(left[j]), pos + 1, _square_sum(total - left[j]),
-                             n - pos - 1, g_axis, t, ("s", ivx, t))
+                             n - pos - 1, g_axis, t, SplitNode(ivx, t))
             else:
                 _, gi, c = entry
                 mask = self.cats[idx, gi] == c
@@ -136,7 +137,7 @@ class _Builder:
                     continue
                 lc = np.bincount(y[mask], minlength=k)
                 consider(_square_sum(lc), n_l, _square_sum(total - lc), n - n_l,
-                         g_axis, 0, ("c", gi, c))
+                         g_axis, 0, CatNode(gi, c))
         return best
 
     def build(self, idx: np.ndarray, depth: int) -> int:
@@ -154,19 +155,11 @@ class _Builder:
         if best is None:
             self.nodes.append(Leaf(_majority(labels)))
             return len(self.nodes) - 1
-        _, _, _, _, spec = best
-        if spec[0] == "s":
-            _, ivx, t = spec
-            mask = self.iv[idx, ivx] <= t
-            left = self.build(idx[mask], depth + 1)
-            right = self.build(idx[~mask], depth + 1)
-            self.nodes.append(SplitNode(ivx, t, left, right))
-        else:
-            _, gi, c = spec
-            mask = self.cats[idx, gi] == c
-            left = self.build(idx[mask], depth + 1)
-            right = self.build(idx[~mask], depth + 1)
-            self.nodes.append(CatNode(gi, c, left, right))
+        test = best[-1]
+        mask = test.left_mask(self.iv, self.cats, idx)
+        left = self.build(idx[mask], depth + 1)
+        right = self.build(idx[~mask], depth + 1)
+        self.nodes.append(replace(test, left=left, right=right))
         return len(self.nodes) - 1
 
 
@@ -218,10 +211,7 @@ def _route_counts(tree: TreeModel, iv: np.ndarray, cats: np.ndarray,
         node = tree.nodes[i]
         if isinstance(node, Leaf):
             continue
-        if isinstance(node, SplitNode):
-            mask = iv[sel, node.iv_axis] <= node.threshold
-        else:
-            mask = cats[sel, node.group] == node.category
+        mask = node.left_mask(iv, cats, sel)
         stack.append((node.left, sel[mask]))
         stack.append((node.right, sel[~mask]))
     return counts
@@ -302,11 +292,7 @@ def cost_complexity_prune(tree: TreeModel, train_points: Sequence[Point],
         l, r = children[i]
         nl = rebuild(l)
         nr = rebuild(r)
-        old = tree.nodes[i]
-        if isinstance(old, SplitNode):
-            nodes.append(SplitNode(old.iv_axis, old.threshold, nl, nr))
-        else:
-            nodes.append(CatNode(old.group, old.category, nl, nr))
+        nodes.append(replace(tree.nodes[i], left=nl, right=nr))
         return len(nodes) - 1
 
     root = rebuild(tree.root)

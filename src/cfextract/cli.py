@@ -19,12 +19,12 @@ from .baselines import (AttackBudget, LeafIdOracle, SurrogateSpec, cf_attack,
                         default_budget, dualcf_attack, pathfinding_extract)
 from .cart import TrainConfig, prune, train_forest, train_tree, accuracy
 from .datasets import ingest_csv
-from .errors import CapacityError, ContractViolation, UnsupportedModelError
+from .errors import CapacityError, ContractViolation, DataFormatError, UnsupportedModelError
 from .evaluation import (bound_report, fidelity, functional_equivalence,
                          measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
-from .models import ForestModel, TreeModel, load_model, save_model, stats
+from .models import ForestModel, load_model, save_model, stats
 from .oracles import CounterfactualOracle, OracleConfig
 from .regions import full_region, region_json, sample_point
 from .schema import load_schema, save_schema
@@ -183,7 +183,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     with open(args.schema_config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"{args.schema_config}: not valid JSON ({exc})") from exc
     bundle = ingest_csv(args.data, config, args.label, args.seed)
     cfg = TrainConfig(max_depth=args.max_depth, n_trees=args.trees, seed=args.seed)
     train_p, train_y = bundle.train

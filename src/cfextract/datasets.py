@@ -9,8 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataFormatError
-from .schema import (BinaryFeature, CategoricalFeature, FeatureSchema, NumericFeature,
-                     OrdinalFeature, Point, exact_number, number_str)
+from .schema import FeatureSchema, Point, exact_number, number_str
 
 TRAIN_FRACTION = Fraction(3, 5)
 VAL_FRACTION = Fraction(1, 5)
@@ -88,14 +87,9 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
     if label_column not in rows[0]:
         raise DataFormatError(f"{path}: no column named {label_column!r}")
 
-    features_cfg = schema_config.get("features")
-    if not features_cfg:
+    features_cfg = schema_config.get("features") if isinstance(schema_config, dict) else None
+    if not isinstance(features_cfg, list) or not features_cfg:
         raise DataFormatError("schema config must list features")
-    for spec in features_cfg:
-        if spec.get("name") is None:
-            raise DataFormatError("every feature in the config needs a name")
-        if spec["name"] not in rows[0]:
-            raise DataFormatError(f"{path}: no column named {spec['name']!r}")
 
     def cell(row_i: int, name: str) -> str:
         v = rows[row_i].get(name)
@@ -103,42 +97,34 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
             raise DataFormatError(f"{path}: row {row_i}: missing value for {name!r}")
         return v
 
-    # resolve numeric ranges where the config leaves them open
-    feats = []
-    for spec in features_cfg:
-        kind = spec.get("kind")
+    def number(row_i: int, name: str) -> Fraction:
+        try:
+            return exact_number(cell(row_i, name))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: row {row_i}: non-numeric cell in {name!r}") from exc
+
+    # fill in what the config leaves open from the data, then parse it as a schema file
+    filled = []
+    for i, spec in enumerate(features_cfg):
+        if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
+            raise DataFormatError(f"feature {i} of the config needs a name")
         name = spec["name"]
-        if kind == "numeric":
+        if name not in rows[0]:
+            raise DataFormatError(f"{path}: no column named {name!r}")
+        spec = dict(spec)
+        kind = spec.get("kind")
+        if kind == "numeric" and "delta" in spec and ("lo" not in spec or "hi" not in spec):
             delta = exact_number(spec["delta"])
-            if "lo" in spec and "hi" in spec:
-                lo, hi = exact_number(spec["lo"]), exact_number(spec["hi"])
-            else:
-                vals = []
-                for i in range(len(rows)):
-                    try:
-                        vals.append(exact_number(cell(i, name)))
-                    except DataFormatError as exc:
-                        raise DataFormatError(
-                            f"{path}: row {i}: non-numeric cell in {name!r}"
-                        ) from exc
-                lo_raw, hi_raw = min(vals), max(vals)
-                lo = Fraction((lo_raw / delta).__floor__()) * delta
-                hi = Fraction(-((-hi_raw / delta).__floor__())) * delta
-                if lo == hi:
-                    hi = lo + delta
-            feats.append(NumericFeature(name, lo, hi, delta))
-        elif kind == "ordinal":
-            feats.append(OrdinalFeature(name, int(spec["levels"])))
-        elif kind == "binary":
-            feats.append(BinaryFeature(name))
-        elif kind == "categorical":
-            cats = spec.get("categories")
-            if cats is None:
-                cats = sorted({cell(i, name) for i in range(len(rows))})
-            feats.append(CategoricalFeature(name, tuple(str(c) for c in cats)))
-        else:
-            raise DataFormatError(f"{name}: unknown feature kind {kind!r}")
-    schema = FeatureSchema(feats)
+            if delta > 0:  # NumericFeature rejects any other step
+                vals = [number(r, name) for r in range(len(rows))]
+                lo = Fraction((min(vals) / delta).__floor__()) * delta
+                hi = Fraction(-((-max(vals) / delta).__floor__())) * delta
+                spec.setdefault("lo", lo)
+                spec.setdefault("hi", hi if hi != lo else lo + delta)
+        elif kind == "categorical" and spec.get("categories") is None:
+            spec["categories"] = sorted({cell(r, name) for r in range(len(rows))})
+        filled.append(spec)
+    schema = FeatureSchema.from_config({"features": filled})
 
     points: list[Point] = []
     raw_labels: list[str] = []
@@ -149,12 +135,7 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
             v = cell(i, feat.name)
             if tag == "i":
                 axis = schema.interval_axes[idx]
-                try:
-                    num = exact_number(v)
-                except DataFormatError as exc:
-                    raise DataFormatError(
-                        f"{path}: row {i}: non-numeric cell in {feat.name!r}"
-                    ) from exc
+                num = number(i, feat.name)
                 if axis.kind == "numeric":
                     ivals.append(axis.snap_index(num))
                 else:

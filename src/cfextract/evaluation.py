@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, SplitNode,
-                     TreeModel, cells_within, points_to_arrays, stats)
-from .regions import Region, center, full_region, sample_point
+from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, TreeModel,
+                     cells_within, points_to_arrays, stats)
+from .regions import Region, center
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
 
@@ -47,43 +47,14 @@ def _constant_witness(model: Model, region: Region, label: int,
                       budget: list[int]) -> Point | None:
     """A point of ``region`` where ``model`` != label, or None if constant."""
     if isinstance(model, TreeModel):
-        stack = [(model.root, region)]
-        while stack:
+        for i, part in model.leaves_within(region):
             budget[0] -= 1
             if budget[0] < 0:
                 raise CapacityError(
                     "equivalence check exceeded its cell budget; use sampled fidelity"
                 )
-            i, reg = stack.pop()
-            node = model.nodes[i]
-            if isinstance(node, Leaf):
-                if node.label != label:
-                    return center(reg)
-                continue
-            if hasattr(node, "iv_axis"):
-                a, b = reg.intervals[node.iv_axis]
-                if node.threshold >= b:
-                    stack.append((node.left, reg))
-                elif node.threshold < a:
-                    stack.append((node.right, reg))
-                else:
-                    iv = list(reg.intervals)
-                    iv[node.iv_axis] = (a, node.threshold)
-                    stack.append((node.left, Region(tuple(iv), reg.allowed)))
-                    iv[node.iv_axis] = (node.threshold + 1, b)
-                    stack.append((node.right, Region(tuple(iv), reg.allowed)))
-            else:
-                s = reg.allowed[node.group]
-                if s == {node.category}:
-                    stack.append((node.left, reg))
-                elif node.category not in s:
-                    stack.append((node.right, reg))
-                else:
-                    al = list(reg.allowed)
-                    al[node.group] = frozenset({node.category})
-                    stack.append((node.left, Region(reg.intervals, tuple(al))))
-                    al[node.group] = s - {node.category}
-                    stack.append((node.right, Region(reg.intervals, tuple(al))))
+            if model.nodes[i].label != label:
+                return center(part)
         return None
     cells = cells_within(model, region, budget[0])
     budget[0] -= len(cells)
@@ -198,10 +169,7 @@ def _replay(state: ExtractionState, checkpoints: Sequence[int], iv: np.ndarray, 
                 elif isinstance(node, Leaf):
                     agree += _hits(ref[sel], node.label)
                 else:
-                    if isinstance(node, SplitNode):
-                        mask = iv[sel, node.iv_axis] <= node.threshold
-                    else:
-                        mask = cats[sel, node.group] == node.category
+                    mask = node.left_mask(iv, cats, sel)
                     for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
                         if part.size:
                             stack.append((child, part))

@@ -7,13 +7,13 @@ emit lies on the schema grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .errors import ContractViolation, DataFormatError
+from .errors import ContractViolation
 from .models import CatNode, ForestModel, Leaf, Node, SplitNode, TreeModel
 from .regions import Region, full_region
 from .schema import FeatureSchema, NumericFeature
@@ -49,22 +49,14 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
         kind, idx = splittable[int(rng.integers(len(splittable)))]
         if kind == "i":
             a, b = region.intervals[idx]
-            t = int(rng.integers(a, b))
-            iv = list(region.intervals)
-            iv[idx] = (a, t)
-            left = build(Region(tuple(iv), region.allowed), d - 1)
-            iv[idx] = (t + 1, b)
-            right = build(Region(tuple(iv), region.allowed), d - 1)
-            nodes.append(SplitNode(idx, t, left, right))
+            test = SplitNode(idx, int(rng.integers(a, b)))
         else:
             s = sorted(region.allowed[idx])
-            c = s[int(rng.integers(len(s)))]
-            al = list(region.allowed)
-            al[idx] = frozenset({c})
-            left = build(Region(region.intervals, tuple(al)), d - 1)
-            al[idx] = frozenset(region.allowed[idx]) - {c}
-            right = build(Region(region.intervals, tuple(al)), d - 1)
-            nodes.append(CatNode(idx, c, left, right))
+            test = CatNode(idx, s[int(rng.integers(len(s)))])
+        left_r, right_r = test.split_region(region)  # both sides non-empty
+        left = build(left_r, d - 1)
+        right = build(right_r, d - 1)
+        nodes.append(replace(test, left=left, right=right))
         return len(nodes) - 1
 
     root = build(full_region(schema), depth)

@@ -1,9 +1,14 @@
 """Axis-parallel classifiers: decision trees, majority-vote forests.
 
-Evaluation semantics: at an interval split a point goes left iff its grid
-index is <= the threshold index; at a category split it goes left iff its
-category equals the tested one. Trees are validated on construction so every
-root-to-leaf path carries a non-empty region (no dead branches).
+A tree is a tuple of nodes: ``Leaf``s and two node tests, ``SplitNode`` (a
+point goes left iff its grid index on an interval axis is <= the threshold
+index) and ``CatNode`` (left iff its category in a one-hot group is the
+tested one). The node tests, defined next to ``Region``, route rows of index
+arrays (``left_mask``) and regions (``split_region``: the two sides, None for
+an empty one). A tree is walked through a region in one way,
+``leaves_within``, and a point in one way, ``leaf_index``. Trees are
+validated on construction so every root-to-leaf path carries a non-empty
+region (no dead branches).
 
 Leaf labels are non-negative ints; ``None`` marks the provisionally unknown
 leaves of in-progress reconstructions and never agrees with anything.
@@ -14,32 +19,16 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation, DataFormatError
-from .regions import Region, full_region, intersect
+from .regions import CatNode, Region, SplitNode, full_region, intersect
 from .schema import FeatureSchema, Point, exact_number, json_int, number_str
 
 UNKNOWN = -1  # array sentinel for None labels
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    iv_axis: int
-    threshold: int
-    left: int
-    right: int
-
-
-@dataclass(frozen=True)
-class CatNode:
-    group: int
-    category: int
-    left: int
-    right: int
 
 
 @dataclass(frozen=True)
@@ -62,60 +51,75 @@ class TreeModel:
             self._validate()
 
     def _validate(self) -> None:
-        if not self.nodes:
+        n = len(self.nodes)
+        if not n:
             raise DataFormatError("tree has no nodes")
-        if not 0 <= self.root < len(self.nodes):
+        if not 0 <= self.root < n:
             raise DataFormatError("root index out of range")
-        seen = [False] * len(self.nodes)
-        stack: list[tuple[int, Region]] = [(self.root, full_region(self.schema))]
-        while stack:
-            i, region = stack.pop()
-            if not 0 <= i < len(self.nodes):
-                raise DataFormatError(f"child index {i} out of range")
-            if seen[i]:
-                raise DataFormatError(f"node {i} reachable twice")
-            seen[i] = True
-            node = self.nodes[i]
-            if isinstance(node, Leaf):
+        children: list[int] = []
+        leaves = 0
+        for i, node in enumerate(self.nodes):
+            kind = type(node)
+            if kind is Leaf:
+                leaves += 1
                 if node.label is not None and (not isinstance(node.label, int) or node.label < 0):
                     raise DataFormatError(f"leaf {i}: bad label {node.label!r}")
-            elif isinstance(node, SplitNode):
-                a, b = region.intervals[node.iv_axis]
-                if not a <= node.threshold < b:
-                    raise DataFormatError(
-                        f"node {i}: threshold {node.threshold} leaves a dead branch"
-                    )
-                iv = list(region.intervals)
-                iv[node.iv_axis] = (a, node.threshold)
-                stack.append((node.left, Region(tuple(iv), region.allowed)))
-                iv[node.iv_axis] = (node.threshold + 1, b)
-                stack.append((node.right, Region(tuple(iv), region.allowed)))
-            elif isinstance(node, CatNode):
-                s = region.allowed[node.group]
-                if node.category not in s or len(s) < 2:
-                    raise DataFormatError(f"node {i}: category test leaves a dead branch")
-                al = list(region.allowed)
-                al[node.group] = frozenset({node.category})
-                stack.append((node.left, Region(region.intervals, tuple(al))))
-                al[node.group] = s - {node.category}
-                stack.append((node.right, Region(region.intervals, tuple(al))))
+            elif kind is SplitNode or kind is CatNode:
+                children += (node.left, node.right)
             else:
                 raise DataFormatError(f"node {i}: unknown node type")
-        if not all(seen):
-            raise DataFormatError("tree contains unreachable nodes")
+        for c in (min(children, default=0), max(children, default=0)):
+            if not 0 <= c < n:
+                raise DataFormatError(f"child index {c} out of range")
+        distinct = set(children)
+        if len(distinct) < len(children):
+            raise DataFormatError("a node is reachable twice")
+        if self.root in distinct:
+            raise DataFormatError("the root is a child of some node")
+        # no node has two parents and the root has none, so the descent from
+        # the root meets no node twice; a dead branch, or a part cut off from
+        # the root, holds a leaf that the descent never reaches
+        missed = leaves - len(self.leaf_regions())
+        if missed:
+            raise DataFormatError(f"{missed} leaves lie on a dead branch or are unreachable")
 
-    # -- evaluation ---------------------------------------------------------
-    def predict(self, p: Point) -> int | None:
-        i = self.root
+    # -- descent ------------------------------------------------------------
+    def leaves_within(self, region: Region) -> Iterator[tuple[int, Region]]:
+        """Each leaf whose region meets ``region``, as (node index, the part
+        of ``region`` it holds), left subtrees first. The parts partition
+        ``region``."""
         nodes = self.nodes
-        while True:
+        stack = [(self.root, region)]
+        while stack:
+            i, reg = stack.pop()
             node = nodes[i]
-            if isinstance(node, Leaf):
-                return node.label
-            if isinstance(node, SplitNode):
+            if type(node) is Leaf:
+                yield i, reg
+                continue
+            left, right = node.split_region(reg)
+            if right is not None:
+                stack.append((node.right, right))
+            if left is not None:
+                stack.append((node.left, left))
+
+    def leaf_index(self, p: Point) -> int:
+        """Index of the leaf holding ``p``."""
+        # the point test is inline, not a node method: a call per level made
+        # every predict about 25% slower, and oracles predict on each probe
+        nodes = self.nodes
+        i = self.root
+        node = nodes[i]
+        while type(node) is not Leaf:
+            if type(node) is SplitNode:
                 i = node.left if p.ivals[node.iv_axis] <= node.threshold else node.right
             else:
                 i = node.left if p.cats[node.group] == node.category else node.right
+            node = nodes[i]
+        return i
+
+    # -- evaluation ---------------------------------------------------------
+    def predict(self, p: Point) -> int | None:
+        return self.nodes[self.leaf_index(p)].label
 
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
         n = iv.shape[0] if iv.ndim == 2 else cats.shape[0]
@@ -126,44 +130,22 @@ class TreeModel:
             if sel.size == 0:
                 continue
             node = self.nodes[i]
-            if isinstance(node, Leaf):
+            if type(node) is Leaf:
                 out[sel] = UNKNOWN if node.label is None else node.label
-            elif isinstance(node, SplitNode):
-                mask = iv[sel, node.iv_axis] <= node.threshold
-                stack.append((node.left, sel[mask]))
-                stack.append((node.right, sel[~mask]))
             else:
-                mask = cats[sel, node.group] == node.category
+                mask = node.left_mask(iv, cats, sel)
                 stack.append((node.left, sel[mask]))
                 stack.append((node.right, sel[~mask]))
         return out
 
     # -- structure ----------------------------------------------------------
     def leaf_regions(self) -> list[tuple[Region, int | None]]:
-        """Disjoint regions covering the grid, paired with their leaf labels."""
+        """Disjoint regions covering the grid, paired with their leaf labels,
+        left subtrees first; validation builds and keeps them."""
         if self._leaf_regions is None:
-            out: list[tuple[Region, int | None]] = []
-            stack = [(self.root, full_region(self.schema))]
-            while stack:
-                i, region = stack.pop()
-                node = self.nodes[i]
-                if isinstance(node, Leaf):
-                    out.append((region, node.label))
-                elif isinstance(node, SplitNode):
-                    a, b = region.intervals[node.iv_axis]
-                    iv = list(region.intervals)
-                    iv[node.iv_axis] = (node.threshold + 1, b)
-                    stack.append((node.right, Region(tuple(iv), region.allowed)))
-                    iv[node.iv_axis] = (a, node.threshold)
-                    stack.append((node.left, Region(tuple(iv), region.allowed)))
-                else:
-                    s = region.allowed[node.group]
-                    al = list(region.allowed)
-                    al[node.group] = s - {node.category}
-                    stack.append((node.right, Region(region.intervals, tuple(al))))
-                    al[node.group] = frozenset({node.category})
-                    stack.append((node.left, Region(region.intervals, tuple(al))))
-            self._leaf_regions = out
+            nodes = self.nodes
+            self._leaf_regions = [(region, nodes[i].label) for i, region
+                                  in self.leaves_within(full_region(self.schema))]
         return self._leaf_regions
 
     def box_set(self) -> "BoxSet":
@@ -453,6 +435,13 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
                 out.append((inter, label))
         return out
 
+    def attach(test, region: Region, items) -> int:
+        left_r, right_r = test.split_region(region)  # both sides hold a box edge
+        left = build(left_r, clip(items, left_r))
+        right = build(right_r, clip(items, right_r))
+        nodes.append(replace(test, left=left, right=right))
+        return len(nodes) - 1
+
     def build(region: Region, items) -> int:
         labels = {label for _, label in items}
         if len(labels) == 1:
@@ -471,32 +460,14 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
                 if bh < b:
                     cand.add(bh)
             if cand:
-                t = min(cand)
-                ivs = list(region.intervals)
-                ivs[iv] = (a, t)
-                left_r = Region(tuple(ivs), region.allowed)
-                ivs[iv] = (t + 1, b)
-                right_r = Region(tuple(ivs), region.allowed)
-                left = build(left_r, clip(items, left_r))
-                right = build(right_r, clip(items, right_r))
-                nodes.append(SplitNode(iv, t, left, right))
-                return len(nodes) - 1
+                return attach(SplitNode(iv, min(cand)), region, items)
         for g in range(len(schema.group_sizes)):
             s = region.allowed[g]
             if len(s) < 2:
                 continue
             cand = {c for c in s for box, _ in items if c not in box.allowed[g]}
             if cand:
-                c = min(cand)
-                al = list(region.allowed)
-                al[g] = frozenset({c})
-                left_r = Region(region.intervals, tuple(al))
-                al[g] = s - {c}
-                right_r = Region(region.intervals, tuple(al))
-                left = build(left_r, clip(items, left_r))
-                right = build(right_r, clip(items, right_r))
-                nodes.append(CatNode(g, c, left, right))
-                return len(nodes) - 1
+                return attach(CatNode(g, min(cand)), region, items)
         raise ContractViolation("conflicting labels with no separating edge")
 
     root = build(domain, list(boxes))

@@ -4,6 +4,10 @@ A region is a product of inclusive grid-index intervals (one per
 numeric/ordinal/binary axis) and non-empty allowed-category sets (one per
 one-hot group). Regions are always non-empty by construction. All operations
 here are pure and deterministic.
+
+The two tree node tests live here too, since each is a cut of a region:
+``SplitNode`` and ``CatNode`` route rows of index arrays (``left_mask``) and
+a region (``split_region``).
 """
 
 from __future__ import annotations
@@ -38,20 +42,60 @@ class Region:
 
 
 @dataclass(frozen=True)
-class SplitStep:
-    """One axis cut peeled off by ``split``.
+class SplitNode:
+    """Interval test: a point goes left iff its index on ``iv_axis`` is
+    <= ``threshold``. ``left`` and ``right`` are node indices, -1 while the
+    test is not yet attached to children."""
 
-    For interval cuts the reconstruction test is "value <= threshold goes
-    left"; for category cuts it is "category == category goes left".
-    ``x_left`` says which child the peeled x-side piece becomes.
-    """
+    iv_axis: int
+    threshold: int
+    left: int = -1
+    right: int = -1
 
-    axis: int  # global axis index
-    iv_axis: int | None = None
-    threshold: int | None = None
-    group: int | None = None
-    category: int | None = None
-    x_left: bool = False
+    def left_mask(self, iv, cats, sel):
+        """Which of the index-array rows ``sel`` go left."""
+        return iv[sel, self.iv_axis] <= self.threshold
+
+    def split_region(self, region: Region) -> tuple[Region | None, Region | None]:
+        """The parts of ``region`` sent left and right; None for an empty side."""
+        k, t = self.iv_axis, self.threshold
+        ivs = region.intervals
+        a, b = ivs[k]
+        if t >= b:
+            return region, None
+        if t < a:
+            return None, region
+        head, tail = ivs[:k], ivs[k + 1:]
+        return (Region(head + ((a, t),) + tail, region.allowed),
+                Region(head + ((t + 1, b),) + tail, region.allowed))
+
+
+@dataclass(frozen=True)
+class CatNode:
+    """Category test: a point goes left iff its category in ``group`` is
+    ``category``. Children as for ``SplitNode``."""
+
+    group: int
+    category: int
+    left: int = -1
+    right: int = -1
+
+    def left_mask(self, iv, cats, sel):
+        """Which of the index-array rows ``sel`` go left."""
+        return cats[sel, self.group] == self.category
+
+    def split_region(self, region: Region) -> tuple[Region | None, Region | None]:
+        """The parts of ``region`` sent left and right; None for an empty side."""
+        g, c = self.group, self.category
+        al = region.allowed
+        s = al[g]
+        if c not in s:
+            return None, region
+        if len(s) == 1:
+            return region, None
+        head, tail = al[:g], al[g + 1:]
+        return (Region(region.intervals, head + (frozenset((c,)),) + tail),
+                Region(region.intervals, head + (s - {c},) + tail))
 
 
 def full_region(schema: FeatureSchema) -> Region:
@@ -143,13 +187,15 @@ def subtract(a: Region, b: Region) -> list[Region]:
 
 def split(
     region: Region, x: Point, x_cf: Point, schema: FeatureSchema
-) -> tuple[list[Region], list[SplitStep]]:
+) -> tuple[list[Region], list[tuple[SplitNode | CatNode, bool]]]:
     """Partition ``region`` along the axes where ``x`` and ``x_cf`` differ.
 
-    Iterates differing axes in ascending global order, peeling off the side
-    containing ``x`` each time; the final remainder contains ``x_cf``. Returns
-    the pieces in peel order (remainder last) together with one SplitStep per
-    peeled piece. Empty peels (possible within a one-hot group) are skipped.
+    Iterates differing axes in ascending global order. On each it cuts the
+    remainder with one node test (children unattached) and peels off the side
+    holding ``x``; the final remainder holds ``x_cf``. Returns the pieces in
+    peel order (remainder last) and, per peeled piece, its node test and
+    ``x_left``: whether the piece is the test's left side. A test that leaves
+    one side empty (possible within a one-hot group) peels nothing.
     """
     if not contains(region, x):
         raise ContractViolation("query point outside region")
@@ -158,73 +204,32 @@ def split(
     if x == x_cf:
         raise ContractViolation("query equals counterfactual")
 
-    events: list[tuple[int, tuple]] = []
+    events: list[tuple[int, SplitNode | CatNode, bool]] = []
     for iv, axis in enumerate(schema.interval_axes):
-        if x.ivals[iv] != x_cf.ivals[iv]:
-            events.append((axis.global_axis, ("i", iv)))
+        v, vx = x_cf.ivals[iv], x.ivals[iv]
+        if v < vx:  # counterfactual below the query: x keeps values >= v+1
+            events.append((axis.global_axis, SplitNode(iv, v), False))
+        elif v > vx:  # counterfactual above: x keeps values <= v-1
+            events.append((axis.global_axis, SplitNode(iv, v - 1), True))
     for gi, grp in enumerate(schema.groups):
         cx, cv = x.cats[gi], x_cf.cats[gi]
         if cx != cv:
-            events.append((grp.global_axis0 + cx, ("g", gi, cx, True)))
-            events.append((grp.global_axis0 + cv, ("g", gi, cv, False)))
+            # peel {category == cx}, then {category != cv}
+            events.append((grp.global_axis0 + cx, CatNode(gi, cx), True))
+            events.append((grp.global_axis0 + cv, CatNode(gi, cv), False))
     events.sort(key=lambda e: e[0])
 
     pieces: list[Region] = []
-    steps: list[SplitStep] = []
-    rem_iv = list(region.intervals)
-    rem_al = list(region.allowed)
-
-    def region_with(iv_override=None, al_override=None) -> Region:
-        iv = list(rem_iv)
-        al = list(rem_al)
-        if iv_override is not None:
-            iv[iv_override[0]] = iv_override[1]
-        if al_override is not None:
-            al[al_override[0]] = al_override[1]
-        return Region(tuple(iv), tuple(al))
-
-    for g_axis, ev in events:
-        if ev[0] == "i":
-            iv = ev[1]
-            a, b = rem_iv[iv]
-            v = x_cf.ivals[iv]
-            if v < x.ivals[iv]:
-                # counterfactual below the query: x side keeps values >= v+1
-                piece = region_with(iv_override=(iv, (v + 1, b)))
-                rem_iv[iv] = (a, v)
-                steps.append(
-                    SplitStep(axis=g_axis, iv_axis=iv, threshold=v, x_left=False)
-                )
-            else:
-                # counterfactual above: x side keeps values <= v-1
-                piece = region_with(iv_override=(iv, (a, v - 1)))
-                rem_iv[iv] = (v, b)
-                steps.append(
-                    SplitStep(axis=g_axis, iv_axis=iv, threshold=v - 1, x_left=True)
-                )
-            pieces.append(piece)
-        else:
-            gi, cat, is_x_cat = ev[1], ev[2], ev[3]
-            s = rem_al[gi]
-            if is_x_cat:
-                # peel {category == cat}; remainder drops cat
-                side = frozenset({cat}) & s
-                rest = s - {cat}
-                if not side or not rest:
-                    continue
-                pieces.append(region_with(al_override=(gi, side)))
-                rem_al[gi] = rest
-                steps.append(SplitStep(axis=g_axis, group=gi, category=cat, x_left=True))
-            else:
-                # peel {category != cat}; remainder keeps only cat
-                side = s - {cat}
-                if not side or cat not in s:
-                    continue
-                pieces.append(region_with(al_override=(gi, frozenset(side))))
-                rem_al[gi] = frozenset({cat})
-                steps.append(SplitStep(axis=g_axis, group=gi, category=cat, x_left=False))
-
-    pieces.append(Region(tuple(rem_iv), tuple(rem_al)))
+    steps: list[tuple[SplitNode | CatNode, bool]] = []
+    rem = region
+    for _, test, x_left in events:
+        left, right = test.split_region(rem)
+        if left is None or right is None:
+            continue
+        piece, rem = (left, right) if x_left else (right, left)
+        pieces.append(piece)
+        steps.append((test, x_left))
+    pieces.append(rem)
     return pieces, steps
 
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import CatNode, Leaf, Model, Node, SplitNode, TreeModel
+from .models import Leaf, Model, Node, TreeModel
 from .oracles import CounterfactualOracle, QueryLog
 from .regions import Region, center, full_region, grid_volume, split
 
@@ -200,17 +200,14 @@ def tra_extract(
             else:
                 cf_label = None
             cur = slot
-            for piece, step in zip(pieces[:-1], steps):
+            for piece, (test, x_left) in zip(pieces[:-1], steps):
                 piece_slot = state.add_slot(y)
                 # the continuation is resolved by this same query unless it is
                 # the remainder, which stays pending with the counterfactual's label
                 cont_slot = state.add_slot(cf_label)
-                left, right = ((piece_slot, cont_slot) if step.x_left
+                left, right = ((piece_slot, cont_slot) if x_left
                                else (cont_slot, piece_slot))
-                if step.iv_axis is not None:
-                    state.resolve(cur, SplitNode(step.iv_axis, step.threshold, left, right))
-                else:
-                    state.resolve(cur, CatNode(step.group, step.category, left, right))
+                state.resolve(cur, replace(test, left=left, right=right))
                 state.push(piece, piece_slot)
                 cur = cont_slot
             state.push(pieces[-1], cur)

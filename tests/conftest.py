@@ -187,7 +187,7 @@ def reference_best_split(builder, idx: np.ndarray):
                     t = int((int(sv[j]) + int(sv[j + 1])) // 2)
                     rc = total - counts
                     s_r = int((rc.astype(object) ** 2).sum())
-                    consider(int(s_l), n_l, s_r, n - n_l, g_axis, t, ("s", ivx, t))
+                    consider(int(s_l), n_l, s_r, n - n_l, g_axis, t, cx.SplitNode(ivx, t))
         else:
             _, gi, c = entry
             col = builder.cats[idx, gi]
@@ -199,7 +199,7 @@ def reference_best_split(builder, idx: np.ndarray):
             rc = total - lc
             s_l = int((lc.astype(object) ** 2).sum())
             s_r = int((rc.astype(object) ** 2).sum())
-            consider(s_l, n_l, s_r, n - n_l, g_axis, 0, ("c", gi, c))
+            consider(s_l, n_l, s_r, n - n_l, g_axis, 0, cx.CatNode(gi, c))
     return best
 
 

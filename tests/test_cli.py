@@ -221,3 +221,14 @@ def test_malformed_model_file_exits_2_without_a_traceback(workdir, capsys):
     assert run_cli("eval", "--equivalence", bad, bad) == 2
     err = capsys.readouterr().err
     assert "contract violation" in err and "Traceback" not in err
+
+
+def test_undecodable_schema_config_exits_2(workdir, capsys):
+    data = workdir / "d.csv"
+    data.write_text("age,y\n0.5,0\n1.5,1\n")
+    cfg = workdir / "cfg.json"
+    cfg.write_text("{bad")
+    assert run_cli("train", "--data", data, "--schema-config", cfg, "--label", "y",
+                   "--out", workdir / "m.json") == 2
+    err = capsys.readouterr().err
+    assert "contract violation" in err and "Traceback" not in err

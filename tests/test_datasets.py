@@ -116,3 +116,22 @@ def test_trained_targets_are_attackable(tmp_path):
     res = cx.tra_extract(cx.CounterfactualOracle(model))
     ok, _ = cx.functional_equivalence(model, res.model, bundle.schema)
     assert ok
+
+
+BAD_CONFIGS = {
+    "ordinal-levels-not-an-int": {"features": [{"name": "age", "kind": "ordinal",
+                                                "levels": "z"}]},
+    "numeric-without-delta": {"features": [{"name": "age", "kind": "numeric"}]},
+    "numeric-zero-delta": {"features": [{"name": "age", "kind": "numeric", "delta": 0}]},
+    "feature-not-an-object": {"features": [3]},
+    "features-not-a-list": {"features": "x"},
+    "config-not-an-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_malformed_config_is_a_data_format_error(case, tmp_path):
+    path = tmp_path / "toy.csv"
+    write_csv(path, [[0.5, "blue", 0], [1.5, "red", 1]])
+    with pytest.raises(cx.DataFormatError):
+        cx.ingest_csv(str(path), BAD_CONFIGS[case], "label", seed=0)

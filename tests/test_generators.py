@@ -158,4 +158,4 @@ def test_adversarial_discovery_order_lowest_dimension_first():
                 if any(rec.region.intervals[axis][0] <= v < rec.region.intervals[axis][1]
                        for v in ts)
             ]
-            assert steps[0].iv_axis == min(dims_inside)
+            assert steps[0][0].iv_axis == min(dims_inside)

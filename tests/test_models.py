@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
-from tests.conftest import enumerate_region, make_schema, malformed
+from tests.conftest import enumerate_region, make_schema, malformed, random_subregion
 
 
 def single_split_tree(sch, iv_axis=0, t=None, left=0, right=1):
@@ -130,15 +130,62 @@ def test_leaf_regions_match_predict(schema_mixed):
         assert (t.predict_arrays(iv[take], cats[take]) == label).all()
 
 
-def test_dead_branch_rejected(schema_grid10):
+@given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 7), st.integers(2, 4),
+       st.integers(0, 2**32 - 1))
+def test_leaves_within_partitions_a_subregion(kind, depth, n_classes, seed):
+    sch = make_schema(kind)
+    rng = np.random.default_rng(seed)
+    t = cx.gen_random_tree(sch, depth, seed, n_classes)
+    sub = random_subregion(sch, rng)
+    whole = dict(t.leaves_within(cx.full_region(sch)))
+    parts = dict(t.leaves_within(sub))
+    assert sum(r.volume for r in parts.values()) == sub.volume
+    regions = list(parts.values())
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            assert cx.intersect(regions[i], regions[j]) is None
+    for i, part in parts.items():
+        assert part == cx.intersect(whole[i], sub)
+        assert (t.predict_arrays(*enumerate_region(sch, part)) == t.nodes[i].label).all()
+    oracle = cx.LeafIdOracle(t)
+    iv, cats = enumerate_region(sch, sub)
+    for r in rng.choice(len(iv), size=min(100, len(iv)), replace=False):
+        p = cx.Point(tuple(int(v) for v in iv[r]), tuple(int(c) for c in cats[r]))
+        i = t.leaf_index(p)
+        assert cx.contains(parts[i], p)
+        assert oracle.query(p)[0] == i
+        assert t.predict(p) == t.nodes[i].label
+
+
+def test_nested_split_on_the_same_axis_is_accepted(schema_grid10):
     nodes = [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 4, 0, 1),
              cx.Leaf(0), cx.SplitNode(0, 8, 2, 3)]
-    # inner split at 4 is fine, but a second split at 4 below the left branch is dead
-    bad = [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 4, 0, 1),
-           cx.Leaf(0), cx.SplitNode(0, 4, 2, 3)]
-    cx.TreeModel(schema_grid10, nodes, root=4)
+    assert cx.TreeModel(schema_grid10, nodes, root=4).leaf_count == 3
+
+
+MALFORMED_TREES = {
+    # a second split at 4 below the left branch of a split at 4 is dead
+    "interval-dead-branch": ("grid10", [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 4, 0, 1),
+                                        cx.Leaf(0), cx.SplitNode(0, 4, 2, 3)], 4),
+    # the left branch of "d == q" allows only q, so testing q again is dead
+    "category-dead-branch": ("mixed", [cx.Leaf(0), cx.Leaf(1), cx.CatNode(0, 1, 0, 1),
+                                       cx.Leaf(2), cx.CatNode(0, 1, 2, 3)], 4),
+    "reachable-twice": ("grid10", [cx.Leaf(0), cx.SplitNode(0, 4, 0, 0)], 1),
+    "cycle-through-root": ("grid10", [cx.Leaf(0), cx.SplitNode(0, 4, 0, 1)], 1),
+    "unreachable-node": ("grid10", [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 4, 0, 1),
+                                    cx.Leaf(0)], 2),
+    "child-out-of-range": ("grid10", [cx.Leaf(0), cx.SplitNode(0, 4, 0, 2)], 1),
+    "root-out-of-range": ("grid10", [cx.Leaf(0)], 1),
+    "no-nodes": ("grid10", [], 0),
+    "negative-label": ("grid10", [cx.Leaf(-1)], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TREES))
+def test_dead_branch_rejected(case):
+    kind, nodes, root = MALFORMED_TREES[case]
     with pytest.raises(cx.DataFormatError):
-        cx.TreeModel(schema_grid10, bad, root=4)
+        cx.TreeModel(make_schema(kind), nodes, root=root)
 
 
 def test_boxes_to_tree_single_box(schema_grid10):

@@ -61,8 +61,9 @@ def test_split_single_axis_paper_example(schema_grid10):
     assert len(pieces) == 2 and len(steps) == 1
     assert pieces[0].intervals == ((0, 10), (5, 10))  # x side: x2 > 0.4
     assert pieces[1].intervals == ((0, 10), (0, 4))  # counterfactual side
-    assert steps[0].axis == 1 and steps[0].threshold == 4  # t = 0.4
-    assert sch.interval_axes[1].value(steps[0].threshold) == Fraction(2, 5)
+    (test, x_left), = steps
+    assert test == cx.SplitNode(1, 4) and not x_left  # t = 0.4
+    assert sch.interval_axes[1].value(test.threshold) == Fraction(2, 5)
 
 
 def test_split_two_axes_peel_order(schema_grid10):
@@ -75,7 +76,7 @@ def test_split_two_axes_peel_order(schema_grid10):
         ((6, 10), (0, 6)),  # z1 >= 0.6, z2 <= 0.7 - delta
         ((6, 10), (7, 10)),  # z1 >= 0.6, z2 >= 0.7
     ]
-    assert [(s.axis, s.threshold, s.x_left) for s in steps] == [(0, 5, True), (1, 6, True)]
+    assert steps == [(cx.SplitNode(0, 5), True), (cx.SplitNode(1, 6), True)]
 
 
 def test_split_contract_violations(schema_grid10):
@@ -100,7 +101,7 @@ def test_split_one_hot_membership():
     assert pieces[1].allowed[0] == {1}  # what is neither p nor r
     assert pieces[2].allowed[0] == {2}  # counterfactual side
     assert cx.contains(pieces[0], x) and cx.contains(pieces[-1], cf)
-    assert all(s.group == 0 for s in steps)
+    assert steps == [(cx.CatNode(0, 0), True), (cx.CatNode(0, 2), False)]
 
 
 def test_split_one_hot_two_categories_skips_empty_peel():

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -207,3 +208,26 @@ def test_wide_grid_tree_is_extracted_exactly(steps, depth, queries):
     assert res.certified
     ok, _ = cx.functional_equivalence(target, res.model, sch)
     assert ok
+
+
+# -- golden extractions ----------------------------------------------------------
+
+GOLDEN_TRA = {
+    "tree": lambda: cx.gen_random_tree(make_schema("mixed"), 5, seed=3, n_classes=3),
+    "forest": lambda: cx.gen_random_forest(make_schema("mixed"), 2, 2, seed=4),
+}
+
+
+def golden_tra_path(case: str) -> str:
+    return os.path.join(os.path.dirname(__file__), f"golden_tra_{case}.json")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRA))
+def test_extraction_matches_golden(case, tmp_path):
+    # FIFO queue, exact L2 oracle; the file pins every node of the extracted tree
+    res = run(GOLDEN_TRA[case](), snapshot_every=0)
+    assert res.certified
+    out = tmp_path / "extracted.json"
+    cx.save_model(str(out), res.model, "schema.json")
+    with open(golden_tra_path(case), "rb") as fh:
+        assert out.read_bytes() == fh.read()
