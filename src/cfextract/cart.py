@@ -14,7 +14,7 @@ Cost-complexity pruning grid-searches 50 evenly spaced penalties over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -159,7 +159,7 @@ class _Builder:
         mask = test.left_mask(self.iv, self.cats, idx)
         left = self.build(idx[mask], depth + 1)
         right = self.build(idx[~mask], depth + 1)
-        self.nodes.append(replace(test, left=left, right=right))
+        self.nodes.append(test.with_children(left, right))
         return len(self.nodes) - 1
 
 
@@ -292,7 +292,7 @@ def cost_complexity_prune(tree: TreeModel, train_points: Sequence[Point],
         l, r = children[i]
         nl = rebuild(l)
         nr = rebuild(r)
-        nodes.append(replace(tree.nodes[i], left=nl, right=nr))
+        nodes.append(tree.nodes[i].with_children(nl, nr))
         return len(nodes) - 1
 
     root = rebuild(tree.root)

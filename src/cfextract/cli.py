@@ -1,6 +1,7 @@
 """Command-line pipelines: gen | train | attack | eval | report.
 
-Exit codes: 0 success, 1 usage error, 2 contract violation, 3 capacity.
+Exit codes: 0 success, 1 usage error (including a missing or unreadable
+file), 2 contract violation, 3 capacity.
 """
 
 from __future__ import annotations
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except UnsupportedModelError as exc:
+    except (UnsupportedModelError, OSError) as exc:  # OSError: a file that cannot be read
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ContractViolation as exc:

@@ -5,12 +5,13 @@ by grid span); one-hot groups contribute a Hamming term of 1 when the
 category differs. Distances are computed as scaled integers (multiplied by
 the lcm of the grid spans, squared for L2), so comparisons are exact.
 
-``scaled`` works in Python ints and is exact on any grid; the exact tree
-oracle's descent uses the same terms. ``scaled_rows`` is the int64 path that
-serves only the forest oracle's cell scan. Its guard bounds the whole row sum:
-each interval axis contributes at most ``group_term`` (a full-span gap), as
-does each one-hot group, so a row is at most ``(n_iv + n_groups) * group_term``.
-Past ``2**63 - 1`` it refuses rather than wrap.
+``scaled`` works in Python ints and is exact on any grid; the exact oracle's
+descent, for trees and compiled forests alike, uses the same terms.
+``scaled_rows`` is an int64 row version that no oracle uses any more. Its
+guard bounds the whole row sum: each interval axis contributes at most
+``group_term`` (a full-span gap), as does each one-hot group, so a row is at
+most ``(n_iv + n_groups) * group_term``. Past ``2**63 - 1`` it refuses rather
+than wrap.
 """
 
 from __future__ import annotations

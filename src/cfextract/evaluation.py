@@ -1,9 +1,9 @@
 """Verification and measurement: exact equivalence, fidelity, bounds, ratios.
 
 The equivalence check never materializes the full product grid of split
-levels; it walks one model's box decomposition and checks the other model for
-constancy on each box, so tree-vs-tree comparisons stay near-linear. All
-bound arithmetic is exact (Fractions).
+levels: it compiles each forest to one tree, walks one tree's leaves and
+checks the other tree for constancy on each, so comparisons stay
+near-linear in the leaves. All bound arithmetic is exact (Fractions).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation
 from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, TreeModel,
-                     cells_within, points_to_arrays, stats)
+                     points_to_arrays, stats)
 from .regions import Region, center
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
@@ -43,24 +43,17 @@ class FidelityReport:
     kind: str  # "uniform" | "test"
 
 
-def _constant_witness(model: Model, region: Region, label: int,
+def _constant_witness(tree: TreeModel, region: Region, label: int,
                       budget: list[int]) -> Point | None:
-    """A point of ``region`` where ``model`` != label, or None if constant."""
-    if isinstance(model, TreeModel):
-        for i, part in model.leaves_within(region):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapacityError(
-                    "equivalence check exceeded its cell budget; use sampled fidelity"
-                )
-            if model.nodes[i].label != label:
-                return center(part)
-        return None
-    cells = cells_within(model, region, budget[0])
-    budget[0] -= len(cells)
-    bad = np.flatnonzero(cells.labels != label)
-    if bad.size:
-        return center(cells.regions[int(bad[0])])
+    """A point of ``region`` where ``tree`` != label, or None if constant."""
+    for i, part in tree.leaves_within(region):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CapacityError(
+                "equivalence check exceeded its cell budget; use sampled fidelity"
+            )
+        if tree.nodes[i].label != label:
+            return center(part)
     return None
 
 
@@ -69,20 +62,21 @@ def functional_equivalence(
 ) -> tuple[bool, Point | None]:
     """Exact agreement of two axis-parallel models over the whole grid.
 
-    Returns (True, None) on equivalence, else (False, witness point). Raises
-    CapacityError when the required cell work exceeds ``cell_budget``.
+    A forest is first compiled to the one tree computing its function
+    (``ForestModel.tree``, at most ``cell_budget`` leaves). Then the walk goes
+    through ``g``'s leaves and checks ``f`` for constancy on each. Returns
+    (True, None) on equivalence, else (False, witness point). Raises
+    CapacityError when a compiled tree, or the leaves the walk visits in
+    ``f``, exceed ``cell_budget``.
     """
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
+    if isinstance(f, ForestModel):
+        f = f.tree(cell_budget)
+    if isinstance(g, ForestModel):
+        g = g.tree(cell_budget)
     budget = [cell_budget]
-    if isinstance(g, ForestModel) and isinstance(f, TreeModel):
-        f, g = g, f  # walk the tree's leaves, constancy-check the forest
-    if isinstance(g, TreeModel):
-        boxes = g.leaf_regions()
-    else:
-        cells = g.cell_box_set(cell_budget)
-        boxes = list(zip(cells.regions, cells.labels.tolist()))
-    for region, label in boxes:
+    for region, label in g.leaf_regions():
         if label is None:
             return False, center(region)
         w = _constant_witness(f, region, label, budget)

@@ -7,7 +7,7 @@ emit lies on the schema grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -56,7 +56,7 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
         left_r, right_r = test.split_region(region)  # both sides non-empty
         left = build(left_r, d - 1)
         right = build(right_r, d - 1)
-        nodes.append(replace(test, left=left, right=right))
+        nodes.append(test.with_children(left, right))
         return len(nodes) - 1
 
     root = build(full_region(schema), depth)

@@ -10,6 +10,10 @@ an empty one). A tree is walked through a region in one way,
 validated on construction so every root-to-leaf path carries a non-empty
 region (no dead branches).
 
+A forest is served through the one tree it compiles to (``ForestModel.tree``),
+so the exact oracle and the equivalence check only ever walk trees.
+``cells_within`` still enumerates a forest's split-level cells, as a reference.
+
 Leaf labels are non-negative ints; ``None`` marks the provisionally unknown
 leaves of in-progress reconstructions and never agrees with anything.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -150,7 +154,9 @@ class TreeModel:
 
     def box_set(self) -> "BoxSet":
         if self._boxset is None:
-            self._boxset = BoxSet.from_labeled_regions(self.schema, self.leaf_regions())
+            labeled = self.leaf_regions()
+            self._boxset = BoxSet(tuple(r for r, _ in labeled), np.array(
+                [UNKNOWN if lab is None else lab for _, lab in labeled], dtype=np.int64))
         return self._boxset
 
     @property
@@ -187,6 +193,19 @@ class TreeModel:
         return any(isinstance(n, Leaf) and n.label is None for n in self.nodes)
 
 
+def _vote(counts: Sequence[int], undecided: int = 0) -> int | None:
+    """The class with the most votes, ties to the lowest, from per-class vote
+    ``counts`` in ascending class-id order; None while ``undecided`` votes
+    still to come could change it."""
+    top = max(counts)
+    lead = counts.index(top)  # the first maximum: the lowest tied class
+    for c, n in enumerate(counts):
+        # a class below the leader wins by drawing level, one above by passing it
+        if c != lead and n + undecided >= top + (c > lead):
+            return None
+    return lead
+
+
 class ForestModel:
     """Majority vote over trees; ties go to the lowest class id."""
 
@@ -200,15 +219,17 @@ class ForestModel:
                 raise DataFormatError("forest trees cannot have unknown leaves")
         self.schema = schema
         self.trees: tuple[TreeModel, ...] = tuple(trees)
+        self.labels: tuple[int, ...] = tuple(sorted({lab for t in self.trees
+                                                     for lab in t.labels}))
+        self._class_of = {lab: c for c, lab in enumerate(self.labels)}
         self._cells: BoxSet | None = None
+        self._tree: TreeModel | None = None
 
     def predict(self, p: Point) -> int:
-        votes: dict[int, int] = {}
+        counts = [0] * len(self.labels)
         for t in self.trees:
-            lab = t.predict(p)
-            votes[lab] = votes.get(lab, 0) + 1
-        best = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
-        return best[0]
+            counts[self._class_of[t.predict(p)]] += 1
+        return self.labels[_vote(counts)]
 
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
         votes = np.stack([t.predict_arrays(iv, cats) for t in self.trees])
@@ -232,12 +253,75 @@ class ForestModel:
     def depth(self) -> int:
         return max(t.depth for t in self.trees)
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for t in self.trees:
-            out.update(t.labels)
-        return tuple(sorted(out))
+    def tree(self, cap: int) -> TreeModel:
+        """One tree computing the forest's vote, with at most ``cap`` leaves
+        (a born-again tree, Vidal & Schiffer, ICML 2020, grafted rather than
+        made minimal).
+
+        Each tree is grafted onto every leaf of the trees before it, cut to
+        that leaf's region: only the non-empty sides of its tests are
+        followed, and a test is kept only where both sides are. A leaf is
+        placed, labeled by the vote, as soon as the trees still to come cannot
+        change it. Every leaf is a non-empty intersection of leaf regions, one
+        per tree, so there are never more leaves than split-level cells.
+
+        Built once and kept; raises CapacityError whenever the leaf count
+        exceeds ``cap``, including on later calls with a smaller cap."""
+        if self._tree is None:
+            self._tree = self._compile(cap)
+        elif len(self._tree.leaf_regions()) > cap:
+            raise CapacityError(
+                f"the forest compiles to {len(self._tree.leaf_regions())} leaves, "
+                f"past the cap of {cap}; use sampled fidelity or the heuristic oracle"
+            )
+        return self._tree
+
+    def _compile(self, cap: int) -> TreeModel:
+        trees = self.trees
+        class_of = self._class_of
+        nodes: list[Node] = []
+        leaves = 0
+        done: list[int] = []  # roots of compiled subtrees, awaiting their parents
+        # a work item is (region, tree, node of that tree, votes of the trees
+        # before it); a bare node test is a compiled test whose two subtrees
+        # are the last two entries of ``done``
+        stack: list = [(full_region(self.schema), 0, trees[0].root, (0,) * len(self.labels))]
+        while stack:
+            item = stack.pop()
+            if type(item) is not tuple:
+                right = done.pop()
+                nodes.append(item.with_children(done.pop(), right))
+                done.append(len(nodes) - 1)
+                continue
+            region, k, i, votes = item
+            while True:
+                node = trees[k].nodes[i]
+                if type(node) is Leaf:
+                    c = class_of[node.label]
+                    votes = votes[:c] + (votes[c] + 1,) + votes[c + 1:]
+                    k += 1
+                    lead = _vote(votes, len(trees) - k)
+                    if lead is None:
+                        i = trees[k].root
+                        continue
+                    leaves += 1
+                    if leaves > cap:
+                        raise CapacityError(
+                            f"the forest compiles to more than {cap} leaves; use "
+                            "sampled fidelity or the heuristic oracle"
+                        )
+                    nodes.append(Leaf(self.labels[lead]))
+                    done.append(len(nodes) - 1)
+                    break
+                left, right = node.split_region(region)
+                if right is None:
+                    i = node.left
+                elif left is None:
+                    i = node.right
+                else:
+                    stack += (node, (right, k, node.right, votes), (left, k, node.left, votes))
+                    break
+        return TreeModel(self.schema, nodes, done.pop())
 
     def cell_box_set(self, cap: int) -> "BoxSet":
         """Cells of the union split-level grid, labeled by the forest vote.
@@ -257,35 +341,12 @@ class ForestModel:
 Model = Union[TreeModel, ForestModel]
 
 
+@dataclass(frozen=True)
 class BoxSet:
-    """Array view of a labeled box decomposition (for vectorized geometry)."""
+    """A labeled box decomposition: disjoint regions and their labels."""
 
-    def __init__(self, schema, lo, hi, cat_ok, labels, regions):
-        self.schema = schema
-        self.lo = lo  # (n, n_iv) int64
-        self.hi = hi
-        self.cat_ok = cat_ok  # per group: (n, k) bool
-        self.labels = labels  # (n,) int64
-        self.regions = regions  # tuple[Region, ...]
-
-    @staticmethod
-    def from_labeled_regions(schema, labeled: Sequence[tuple[Region, int | None]]) -> "BoxSet":
-        n = len(labeled)
-        n_iv = len(schema.iv_sizes)
-        lo = np.zeros((n, n_iv), dtype=np.int64)
-        hi = np.zeros((n, n_iv), dtype=np.int64)
-        cat_ok = [np.zeros((n, k), dtype=bool) for k in schema.group_sizes]
-        labels = np.empty(n, dtype=np.int64)
-        for r, (region, label) in enumerate(labeled):
-            for i, (a, b) in enumerate(region.intervals):
-                lo[r, i] = a
-                hi[r, i] = b
-            for g, s in enumerate(region.allowed):
-                for c in s:
-                    cat_ok[g][r, c] = True
-            labels[r] = UNKNOWN if label is None else label
-        return BoxSet(schema, lo, hi, cat_ok, labels,
-                      tuple(region for region, _ in labeled))
+    regions: tuple[Region, ...]
+    labels: np.ndarray  # (n,) int64, UNKNOWN for None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -392,20 +453,16 @@ def cells_within(model: Model, region: Region, cap: int) -> BoxSet:
             "the heuristic oracle"
         )
 
-    labeled: list[tuple[Region, int]] = []
+    cells: list[Region] = []
     reps: list[Point] = []
     for combo in itertools.product(*segments, *group_choices):
         intervals = tuple(combo[: len(segments)])
         allowed = tuple(combo[len(segments):])
-        cell = Region(intervals, allowed)
-        labeled.append((cell, 0))
+        cells.append(Region(intervals, allowed))
         reps.append(Point(tuple(a for a, _ in intervals),
                           tuple(min(s) for s in allowed)))
     iv_arr, cat_arr = points_to_arrays(schema, reps)
-    labels = model.predict_arrays(iv_arr, cat_arr)
-    boxset = BoxSet.from_labeled_regions(schema, labeled)
-    boxset.labels = labels.astype(np.int64)
-    return boxset
+    return BoxSet(tuple(cells), model.predict_arrays(iv_arr, cat_arr).astype(np.int64))
 
 
 def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) -> TreeModel:
@@ -439,7 +496,7 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
         left_r, right_r = test.split_region(region)  # both sides hold a box edge
         left = build(left_r, clip(items, left_r))
         right = build(right_r, clip(items, right_r))
-        nodes.append(replace(test, left=left, right=right))
+        nodes.append(test.with_children(left, right))
         return len(nodes) - 1
 
     def build(region: Region, items) -> int:

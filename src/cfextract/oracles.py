@@ -14,9 +14,9 @@ not only its distance, is a function of the query. For a tree,
 ``exact_tree_cf`` runs a branch-and-bound descent restricted to the region, in
 Python ints, visiting only subtrees whose box can still hold a point as near
 as the best found (the per-leaf search of Carreira-Perpiñán & Hada, AAAI 2021,
-run as one pruned descent). For a forest, ``exact_ensemble_cf`` scans the
-split-level cells in the region with the int64 ``Distance.scaled_rows``, which
-refuses grids whose row sums could overflow.
+run as one pruned descent). A forest is served by the same descent, on the
+one tree it compiles to (``ForestModel.tree``): that tree computes the
+forest's function, and the answer depends on nothing else.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .distances import Distance
-from .errors import CapacityError, ContractViolation
-from .models import BoxSet, ForestModel, Leaf, Model, SplitNode, TreeModel, cells_within
+from .errors import ContractViolation
+from .models import ForestModel, Leaf, Model, SplitNode, TreeModel
 from .regions import Region, contains, sample_point
 from .schema import FeatureSchema, Point
 
@@ -40,7 +40,7 @@ class OracleConfig:
     distance: str = "l2"
     mode: str = "exact"  # "exact" | "heuristic"
     sample_budget: int = 1000  # uniform draws tried by the heuristic search
-    cell_cap: int = 100_000  # max enumerated cells for the exact ensemble search
+    cell_cap: int = 100_000  # max leaves of the tree a forest compiles to (exact mode)
     seed: int = 0
     audit_absences: bool = False  # heuristic only: re-check every "no counterfactual"
 
@@ -84,50 +84,6 @@ class QueryLog:
         index = len(self.records)
         self.records.append(QueryRecord(index, x, region, label, counterfactual))
         return OracleResponse(label, counterfactual, index)
-
-
-def _exact_from_boxes(boxset: BoxSet, schema: FeatureSchema, dist: Distance,
-                      x: Point, region: Region, y: int) -> Point | None:
-    """Nearest label-flipping point among box-decomposition pieces in region."""
-    n = len(boxset)
-    if n == 0:
-        return None
-    reg_lo = np.array([a for a, _ in region.intervals], dtype=np.int64).reshape(1, -1)
-    reg_hi = np.array([b for _, b in region.intervals], dtype=np.int64).reshape(1, -1)
-    lo = np.maximum(boxset.lo, reg_lo)
-    hi = np.minimum(boxset.hi, reg_hi)
-    ok = boxset.labels != y
-    if lo.size:
-        ok &= (lo <= hi).all(axis=1)
-
-    n_groups = len(schema.group_sizes)
-    mismatch = np.zeros(n, dtype=np.int64)
-    chosen_cats = np.empty((n, n_groups), dtype=np.int64)
-    for g in range(n_groups):
-        allowed = np.zeros(schema.group_sizes[g], dtype=bool)
-        for c in region.allowed[g]:
-            allowed[c] = True
-        inter = boxset.cat_ok[g] & allowed
-        any_ok = inter.any(axis=1)
-        ok &= any_ok
-        keep = inter[:, x.cats[g]]
-        mismatch += ~keep
-        first = inter.argmax(axis=1)
-        chosen_cats[:, g] = np.where(keep, x.cats[g], first)
-
-    if not ok.any():
-        return None
-    x_iv = np.asarray(x.ivals, dtype=np.int64)
-    proj = np.clip(np.broadcast_to(x_iv, lo.shape), lo, hi) if lo.size else lo
-    d = dist.scaled_rows(x, proj, mismatch)
-    d = np.where(ok, d, np.iinfo(np.int64).max)
-    best = int(d.min())
-    ties = np.flatnonzero(d == best)
-    cands = [
-        Point(tuple(int(v) for v in proj[i]), tuple(int(c) for c in chosen_cats[i]))
-        for i in ties
-    ]
-    return min(cands, key=schema.lex_key)
 
 
 def exact_tree_cf(target: TreeModel, x: Point, region: Region,
@@ -234,20 +190,12 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
 
 def exact_ensemble_cf(target: ForestModel, x: Point, region: Region,
                       dist: Distance, cell_cap: int) -> Point | None:
-    """Exact oracle for forests via enumeration of the region's split-level cells.
-
-    Requires the number of cells induced within ``region`` by the union of all
-    trees' split levels to stay within ``cell_cap``; raises CapacityError
-    otherwise (use the heuristic mode then).
+    """Exact oracle for forests: ``exact_tree_cf`` on the one tree the forest
+    compiles to (``ForestModel.tree``). The answer depends only on the
+    prediction function, so it is the forest's own. Raises CapacityError when
+    that tree has more than ``cell_cap`` leaves (use the heuristic mode then).
     """
-    if not contains(region, x):
-        raise ContractViolation("query point outside region")
-    y = target.predict(x)
-    try:
-        cells = target.cell_box_set(cell_cap)
-    except CapacityError:
-        cells = cells_within(target, region, cell_cap)
-    return _exact_from_boxes(cells, target.schema, dist, x, region, y)
+    return exact_tree_cf(target.tree(cell_cap), x, region, dist)
 
 
 def line_search(target: Model, x: Point, x_cand: Point) -> Point:

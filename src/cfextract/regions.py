@@ -52,6 +52,10 @@ class SplitNode:
     left: int = -1
     right: int = -1
 
+    def with_children(self, left: int, right: int) -> "SplitNode":
+        """This test attached to the nodes ``left`` and ``right``."""
+        return SplitNode(self.iv_axis, self.threshold, left, right)
+
     def left_mask(self, iv, cats, sel):
         """Which of the index-array rows ``sel`` go left."""
         return iv[sel, self.iv_axis] <= self.threshold
@@ -79,6 +83,10 @@ class CatNode:
     category: int
     left: int = -1
     right: int = -1
+
+    def with_children(self, left: int, right: int) -> "CatNode":
+        """This test attached to the nodes ``left`` and ``right``."""
+        return CatNode(self.group, self.category, left, right)
 
     def left_mask(self, iv, cats, sel):
         """Which of the index-array rows ``sel`` go left."""

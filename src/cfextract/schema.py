@@ -276,17 +276,6 @@ class FeatureSchema:
     def __repr__(self) -> str:
         return f"FeatureSchema({len(self.features)} features, m={self.m})"
 
-    # -- sizes ------------------------------------------------------------
-    @property
-    def grid_size(self) -> int:
-        """Total number of grid points in the domain."""
-        n = 1
-        for s in self.iv_sizes:
-            n *= s
-        for k in self.group_sizes:
-            n *= k
-        return n
-
     # -- points -----------------------------------------------------------
     def validate_point(self, p: Point) -> None:
         if len(p.ivals) != len(self.interval_axes) or len(p.cats) != len(self.groups):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +207,7 @@ def tra_extract(
                 cont_slot = state.add_slot(cf_label)
                 left, right = ((piece_slot, cont_slot) if x_left
                                else (cont_slot, piece_slot))
-                state.resolve(cur, replace(test, left=left, right=right))
+                state.resolve(cur, test.with_children(left, right))
                 state.push(piece, piece_slot)
                 cur = cont_slot
             state.push(pieces[-1], cur)

@@ -223,6 +223,24 @@ def test_malformed_model_file_exits_2_without_a_traceback(workdir, capsys):
     assert "contract violation" in err and "Traceback" not in err
 
 
+def test_missing_model_file_exits_1_without_a_traceback(workdir, capsys):
+    missing = workdir / "missing.json"
+    assert run_cli("eval", "--equivalence", missing, missing) == 1
+    err = capsys.readouterr().err
+    assert "missing.json" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_schema_config_exits_1_without_a_traceback(workdir, capsys):
+    data = workdir / "d.csv"
+    data.write_text("age,y\n0.5,0\n1.5,1\n")
+    assert run_cli("train", "--data", data, "--schema-config", workdir / "missing.json",
+                   "--label", "y", "--out", workdir / "m.json") == 1
+    err = capsys.readouterr().err
+    assert "missing.json" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_undecodable_schema_config_exits_2(workdir, capsys):
     data = workdir / "d.csv"
     data.write_text("age,y\n0.5,0\n1.5,1\n")

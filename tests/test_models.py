@@ -78,6 +78,42 @@ def test_forest_cell_box_set_checks_the_cap_on_every_call(schema_grid10):
         forest.cell_box_set(3)
 
 
+@given(st.sampled_from(["mixed", "groups2", "small3"]), st.integers(1, 5), st.integers(0, 4),
+       st.integers(2, 3), st.integers(0, 2**16))
+def test_forest_compiles_to_a_tree_with_the_same_vote(kind, n_trees, depth, n_classes, seed):
+    sch = make_schema(kind)
+    forest = cx.gen_random_forest(sch, n_trees, depth, seed, n_classes)
+    tree = forest.tree(100_000)
+    iv, cats = enumerate_region(sch, cx.full_region(sch))
+    expected = [forest.predict(cx.Point(tuple(map(int, a)), tuple(map(int, c))))
+                for a, c in zip(iv, cats)]
+    assert tree.predict_arrays(iv, cats).tolist() == expected
+    assert tree.leaf_count <= len(forest.cell_box_set(100_000))
+
+
+def test_forest_tree_stops_at_a_decided_vote(schema_grid10):
+    # three trees: once two agree, the third cannot change the vote
+    sch = schema_grid10
+    trees = [single_split_tree(sch, 0, 4, 0, 1), single_split_tree(sch, 0, 4, 0, 1),
+             single_split_tree(sch, 1, 5, 1, 0)]
+    tree = cx.ForestModel(sch, trees).tree(100)
+    assert tree.leaf_count == 2 and tree.depth == 1
+
+
+def test_forest_tree_checks_the_cap_on_every_call(schema_grid10):
+    sch = schema_grid10
+    trees = [single_split_tree(sch, 0, 4, 0, 1), single_split_tree(sch, 1, 5, 1, 0)]
+    forest = cx.ForestModel(sch, trees)
+    with pytest.raises(cx.CapacityError):
+        forest.tree(2)
+    tree = forest.tree(100)
+    # a 0 from the first tree wins even a tie, so only its right side grafts
+    assert tree.leaf_count == 3
+    assert forest.tree(3) is tree
+    with pytest.raises(cx.CapacityError, match="3 leaves, past the cap of 2"):
+        forest.tree(2)
+
+
 def test_stats_single_split(schema_grid10):
     st = cx.stats(single_split_tree(schema_grid10))
     assert st.n == 1 and st.s == (1, 0)

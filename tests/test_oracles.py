@@ -105,6 +105,7 @@ def test_ensemble_one_tree_matches_tree_oracle(schema_mixed):
             assert b is None
         else:
             assert d.scaled(x, a) == d.scaled(x, b)
+            assert a == b
 
 
 def test_ensemble_capacity_error(schema_mixed):
@@ -149,6 +150,7 @@ def test_exact_oracle_matches_brute_force_forest():
         else:
             assert got is not None
             assert d.scaled(x, got) == ref[0]
+            assert got == ref[1]
 
 
 def test_exact_oracle_l1_matches_brute_force():

@@ -210,6 +210,23 @@ def test_wide_grid_tree_is_extracted_exactly(steps, depth, queries):
     assert ok
 
 
+@pytest.mark.parametrize("steps, n_trees, depth, queries", [
+    ((256,) * 4, 5, 4, 1097),  # 125,902 split-level cells, past the default cap
+    ((1000, 999, 997, 991), 3, 3, 75),  # too wide for an int64 L2 row sum
+])
+def test_forest_past_the_cell_scan_is_extracted_exactly(steps, n_trees, depth, queries):
+    sch = cx.FeatureSchema([cx.NumericFeature(f"x{i}", 0, 1, Fraction(1, q))
+                            for i, q in enumerate(steps)])
+    target = cx.gen_random_forest(sch, n_trees, depth, seed=0)
+    res = run(target, snapshot_every=0)
+    assert res.log.count == queries
+    assert res.certified
+    ok, _ = cx.functional_equivalence(target, res.model, sch)
+    assert ok
+    # the forest's own numpy vote, which does not go through its compiled tree
+    assert cx.fidelity(target, res.model, sch).fidelity == 1.0
+
+
 # -- golden extractions ----------------------------------------------------------
 
 GOLDEN_TRA = {
