@@ -181,6 +181,8 @@ def _other_label(labels: tuple[int, ...], y: int) -> int:
 def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                       surrogate: SurrogateSpec, seed: int, snapshot_every: int,
                       dual: bool) -> AttackResult:
+    if snapshot_every < 0:
+        raise ContractViolation("snapshot_every must be >= 0")
     schema = oracle.schema
     rng = np.random.default_rng(seed)
     domain = full_region(schema)
@@ -237,7 +239,10 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                     lbls.append(lab)
         maybe_snapshot()
 
-    model = _train_surrogate(schema, pts, lbls, surrogate)
+    if snapshots and snapshots[-1].queries == oracle.log.count:
+        model = snapshots[-1].model  # trained on these same points
+    else:
+        model = _train_surrogate(schema, pts, lbls, surrogate)
     snapshots.append(Snapshot(oracle.log.count, model, Fraction(0)))
     return AttackResult(
         model=model,

@@ -7,8 +7,12 @@ pass (stable sort, cumulative class counts); its float scores are only a
 pre-filter, and the cuts within a relative 1e-9 of the axis maximum are
 re-checked by exact cross-multiplication in Python ints (no float ties, no
 int64 overflow).
-Cost-complexity pruning grid-searches 50 evenly spaced penalties over
-[0, 0.2] against a validation set, preferring the larger penalty on ties.
+
+Cost-complexity pruning computes a tree's weakest-link path once: the nested
+sequence of subtrees that collapsing the cheapest links in turn produces
+(Breiman et al., 1984). A penalty selects a prefix of that path, and ``prune``
+scores the prefixes for 50 evenly spaced penalties over [0, 0.2] against a
+validation set, preferring the larger penalty on ties.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ CCP_GRID: tuple[Fraction, ...] = tuple(
 @dataclass(frozen=True)
 class TrainConfig:
     max_depth: int | None = None
-    min_samples_split: int = 2
-    ccp_grid: tuple[Fraction, ...] = CCP_GRID
     n_trees: int = 10
     bootstrap: bool = True
     feature_subsampling: bool = True  # sqrt(m) axes per split, forests only
@@ -143,12 +145,8 @@ class _Builder:
     def build(self, idx: np.ndarray, depth: int) -> int:
         labels = self.labels[idx]
         pure = labels.min() == labels.max()
-        cfg = self.config
-        if (
-            pure
-            or len(idx) < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        ):
+        max_depth = self.config.max_depth
+        if pure or (max_depth is not None and depth >= max_depth):
             self.nodes.append(Leaf(_majority(labels)))
             return len(self.nodes) - 1
         best = self._best_split(idx)
@@ -202,7 +200,7 @@ def train_forest(schema: FeatureSchema, points: Sequence[Point],
 def _route_counts(tree: TreeModel, iv: np.ndarray, cats: np.ndarray,
                   labels: np.ndarray) -> dict[int, np.ndarray]:
     """Per-node class counts for the training sample."""
-    k = int(labels.max()) + 1 if len(labels) else 1
+    k = int(labels.max()) + 1
     counts = {i: np.zeros(k, dtype=np.int64) for i in range(len(tree.nodes))}
     stack = [(tree.root, np.arange(len(labels)))]
     while stack:
@@ -217,6 +215,68 @@ def _route_counts(tree: TreeModel, iv: np.ndarray, cats: np.ndarray,
     return counts
 
 
+def _pruning_path(tree: TreeModel, train_points: Sequence[Point],
+                  train_labels: Sequence[int]):
+    """Per-node class counts of the training sample, and the tree's weakest-link
+    path: steps ``(g, nodes)`` in order, each collapsing every live internal
+    node whose link penalty g = (R(node) - R(subtree)) / (leaves - 1) ties the
+    minimum. Risks count training misclassifications over the sample size."""
+    iv, cats = points_to_arrays(tree.schema, train_points)
+    y = np.asarray(train_labels, dtype=np.int64)
+    if len(y) == 0:
+        raise ContractViolation("pruning needs training samples")
+    counts = _route_counts(tree, iv, cats, y)
+    errors = {i: int(c.sum() - c.max()) for i, c in counts.items()}
+    collapsed: set[int] = set()
+    path: list[tuple[Fraction, list[int]]] = []
+
+    def walk(i: int) -> tuple[int, int]:
+        """(errors, leaves) of the live subtree at i; records its weakest links."""
+        nonlocal best, weakest
+        node = tree.nodes[i]
+        if isinstance(node, Leaf) or i in collapsed:
+            return errors[i], 1
+        (el, nl), (er, nr) = walk(node.left), walk(node.right)
+        gain, links = errors[i] - el - er, nl + nr - 1
+        # g = gain / links, compared exactly by cross-multiplication
+        if best is None or gain * best[1] < best[0] * links:
+            best, weakest = (gain, links), [i]
+        elif gain * best[1] == best[0] * links:
+            weakest.append(i)
+        return el + er, nl + nr
+
+    while True:
+        best, weakest = None, []  # (gain, links) of the minimum g, and its nodes
+        walk(tree.root)
+        if best is None:
+            return counts, path
+        path.append((Fraction(best[0], best[1] * len(y)), weakest))
+        collapsed.update(weakest)
+
+
+def _pruned(tree: TreeModel, counts, path, alpha: Fraction) -> TreeModel:
+    """The tree after every path step before the first with g >= ``alpha``;
+    a collapsed node becomes a leaf of its training majority."""
+    collapsed: set[int] = set()
+    for g, weakest in path:
+        if g >= alpha:
+            break
+        collapsed.update(weakest)
+    nodes: list[Node] = []
+
+    def rebuild(i: int) -> int:
+        node = tree.nodes[i]
+        if i in collapsed:
+            node = Leaf(int(counts[i].argmax()))  # lowest id on ties
+        elif not isinstance(node, Leaf):
+            node = node.with_children(rebuild(node.left), rebuild(node.right))
+        nodes.append(node)
+        return len(nodes) - 1
+
+    root = rebuild(tree.root)
+    return TreeModel(tree.schema, nodes, root)
+
+
 def cost_complexity_prune(tree: TreeModel, train_points: Sequence[Point],
                           train_labels: Sequence[int], alpha) -> TreeModel:
     """Weakest-link pruning with penalty ``alpha`` on training misclassification.
@@ -224,79 +284,8 @@ def cost_complexity_prune(tree: TreeModel, train_points: Sequence[Point],
     Collapses subtrees while the cheapest link's effective penalty stays
     strictly below ``alpha`` (so ``alpha = 0`` returns the tree unchanged).
     """
-    alpha = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-    iv, cats = points_to_arrays(tree.schema, train_points)
-    y = np.asarray(train_labels, dtype=np.int64)
-    n_total = len(y)
-    if n_total == 0:
-        raise ContractViolation("pruning needs training samples")
-    counts = _route_counts(tree, iv, cats, y)
-
-    children: dict[int, tuple[int, int] | None] = {}
-    for i, node in enumerate(tree.nodes):
-        children[i] = None if isinstance(node, Leaf) else (node.left, node.right)
-
-    def node_risk(i: int) -> Fraction:
-        c = counts[i]
-        return Fraction(int(c.sum() - c.max()), n_total) if c.sum() else Fraction(0)
-
-    collapsed: set[int] = set()
-
-    def subtree(i: int) -> tuple[Fraction, int]:
-        """(risk, leaf count) for the current pruned structure below i."""
-        if children[i] is None or i in collapsed:
-            return node_risk(i), 1
-        l, r = children[i]
-        rl, nl = subtree(l)
-        rr, nr = subtree(r)
-        return rl + rr, nl + nr
-
-    def internal_nodes() -> list[int]:
-        out = []
-        stack = [tree.root]
-        while stack:
-            i = stack.pop()
-            if children[i] is not None and i not in collapsed:
-                out.append(i)
-                stack.extend(children[i])
-        return out
-
-    while True:
-        live = internal_nodes()
-        if not live:
-            break
-        best_g = None
-        weakest: list[int] = []
-        for i in live:
-            r_sub, leaves = subtree(i)
-            g = (node_risk(i) - r_sub) / (leaves - 1)
-            if best_g is None or g < best_g:
-                best_g, weakest = g, [i]
-            elif g == best_g:
-                weakest.append(i)
-        if best_g >= alpha:
-            break
-        collapsed.update(weakest)
-
-    # rebuild without the collapsed subtrees
-    nodes: list[Node] = []
-
-    def rebuild(i: int) -> int:
-        if children[i] is None and i not in collapsed:
-            nodes.append(Leaf(tree.nodes[i].label))
-            return len(nodes) - 1
-        if i in collapsed:
-            c = counts[i]
-            nodes.append(Leaf(int(c.argmax()) if c.sum() else 0))
-            return len(nodes) - 1
-        l, r = children[i]
-        nl = rebuild(l)
-        nr = rebuild(r)
-        nodes.append(tree.nodes[i].with_children(nl, nr))
-        return len(nodes) - 1
-
-    root = rebuild(tree.root)
-    return TreeModel(tree.schema, nodes, root)
+    counts, path = _pruning_path(tree, train_points, train_labels)
+    return _pruned(tree, counts, path, Fraction(alpha))
 
 
 def accuracy(model, points: Sequence[Point], labels: Sequence[int]) -> Fraction:
@@ -308,13 +297,14 @@ def accuracy(model, points: Sequence[Point], labels: Sequence[int]) -> Fraction:
 
 
 def prune(tree: TreeModel, train_points: Sequence[Point], train_labels: Sequence[int],
-          val_points: Sequence[Point], val_labels: Sequence[int],
-          config: TrainConfig = TrainConfig()) -> TreeModel:
-    """Grid search the pruning penalty; best validation accuracy wins, ties
-    go to the larger penalty (smaller tree)."""
+          val_points: Sequence[Point], val_labels: Sequence[int]) -> TreeModel:
+    """Pick a subtree on the tree's one weakest-link path: the path is computed
+    once, and each ``CCP_GRID`` penalty selects a prefix of it. Best validation
+    accuracy wins; ties go to the larger penalty (smaller tree)."""
+    counts, path = _pruning_path(tree, train_points, train_labels)
     best = None  # (acc, alpha, model)
-    for alpha in config.ccp_grid:
-        cand = cost_complexity_prune(tree, train_points, train_labels, alpha)
+    for alpha in CCP_GRID:
+        cand = _pruned(tree, counts, path, alpha)
         acc = accuracy(cand, val_points, val_labels)
         if best is None or (acc, alpha) > (best[0], best[1]):
             best = (acc, alpha, cand)

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
 from .models import ForestModel, load_model, save_model, stats
 from .oracles import CounterfactualOracle, OracleConfig
 from .regions import full_region, region_json, sample_point
-from .schema import load_schema, save_schema
+from .schema import exact_number, load_schema, save_schema
 from .tra import tra_extract
 
 
@@ -48,6 +47,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
+def _budget(text: str):
+    """``--budget``: ``auto`` or a query count."""
+    return text if text == "auto" else int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="cfextract", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -62,8 +66,9 @@ def build_parser() -> _Parser:
     g.add_argument("--classes", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--s", help="comma-separated split counts (chessboard, adversarial)")
-    g.add_argument("--epsilon", help="adversarial placement offset (exact number)")
-    g.add_argument("--delta", help="adversarial grid step (exact number)")
+    g.add_argument("--epsilon", type=exact_number,
+                   help="adversarial placement offset (exact number)")
+    g.add_argument("--delta", type=exact_number, help="adversarial grid step (exact number)")
     g.add_argument("--out", required=True, help="output model JSON")
 
     t = sub.add_parser("train", help="train a target on an ingested CSV dataset")
@@ -84,11 +89,11 @@ def build_parser() -> _Parser:
     a.add_argument("--oracle", choices=["exact", "heuristic"], default="exact")
     a.add_argument("--distance", choices=["l2", "l1"], default="l2")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--budget", help="query budget for cf/dualcf (int or 'auto')",
-                   default="auto")
+    a.add_argument("--budget", type=_budget, default="auto",
+                   help="query budget for cf/dualcf (int or 'auto')")
     a.add_argument("--order", choices=["fifo", "lifo", "random"], default="fifo")
     a.add_argument("--snapshot-every", type=int, default=20)
-    a.add_argument("--epsilon", help="pathfinding split precision", default=None)
+    a.add_argument("--epsilon", type=exact_number, help="pathfinding split precision")
     a.add_argument("--surrogate", choices=["tree", "forest"], default="tree")
     a.add_argument("--oracle-samples", type=int, default=1000,
                    help="heuristic oracle: uniform draws per query")
@@ -167,12 +172,8 @@ def _cmd_gen(args) -> int:
     else:
         if not args.s:
             raise _UsageError("--s is required for adversarial")
-        spec = AdversarialSpec(
-            _int_list(args.s),
-            epsilon=Fraction(args.epsilon) if args.epsilon else None,
-            delta=Fraction(args.delta) if args.delta else None,
-        )
-        model = gen_adversarial(spec)
+        model = gen_adversarial(AdversarialSpec(_int_list(args.s), epsilon=args.epsilon,
+                                                delta=args.delta))
         schema_path = args.out + ".schema.json"
         save_schema(schema_path, model.schema)
         schema_ref = os.path.basename(schema_path)
@@ -197,7 +198,7 @@ def _cmd_train(args) -> int:
         model = train_tree(bundle.schema, train_p, train_y, cfg)
         if not args.no_prune and bundle.val_idx:
             val_p, val_y = bundle.val
-            model = prune(model, train_p, train_y, val_p, val_y, cfg)
+            model = prune(model, train_p, train_y, val_p, val_y)
     schema_path = args.out + ".schema.json"
     save_schema(schema_path, bundle.schema)
     save_model(args.out, model, os.path.basename(schema_path))
@@ -213,8 +214,8 @@ def _cmd_attack(args) -> int:
         if isinstance(target, ForestModel):
             raise _UsageError("pathfinding applies to single trees only")
         oracle = LeafIdOracle(target)
-        eps = Fraction(args.epsilon) if args.epsilon else min(
-            (ax.step for ax in schema.interval_axes)
+        eps = args.epsilon if args.epsilon is not None else min(
+            ax.step for ax in schema.interval_axes
         )
         model, log = pathfinding_extract(oracle, schema, eps)
         snapshots = []
@@ -236,7 +237,7 @@ def _cmd_attack(args) -> int:
                               snapshot_every=args.snapshot_every)
         else:
             budget = (default_budget(target) if args.budget == "auto"
-                      else AttackBudget(int(args.budget)))
+                      else AttackBudget(args.budget))
             attack = cf_attack if args.method == "cf" else dualcf_attack
             res = attack(oracle, budget, SurrogateSpec(kind=args.surrogate,
                                                        train=TrainConfig(seed=args.seed)),
@@ -316,12 +317,16 @@ def _cmd_report(args) -> int:
     series: dict[str, dict[int, list[tuple[float, float]]]] = {}
     for path in args.curves:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                attack = row["attack"]
-                q = int(row["queries"])
-                series.setdefault(attack, {}).setdefault(q, []).append(
-                    (float(row["certified_fraction"]), float(row["fidelity_uniform"]))
-                )
+            rows = csv.DictReader(fh)
+            try:
+                for row in rows:
+                    vals = (float(row["certified_fraction"]), float(row["fidelity_uniform"]))
+                    series.setdefault(row["attack"], {}).setdefault(
+                        int(row["queries"]), []).append(vals)
+            # a missing column, a short row (None fields) or an unreadable value
+            except (KeyError, TypeError, ValueError, csv.Error) as exc:
+                raise DataFormatError(f"{path}, line {rows.line_num}: not an anytime-curve "
+                                      f"row ({type(exc).__name__}: {exc})") from exc
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["attack", "queries", "mean_certified_fraction", "mean_fidelity"])
@@ -367,3 +372,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:  # console script
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

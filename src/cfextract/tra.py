@@ -179,6 +179,8 @@ def tra_extract(
     taken every ``snapshot_every`` queries plus one at termination; the last
     snapshot's model is the returned tree.
     """
+    if snapshot_every < 0:
+        raise ContractViolation("snapshot_every must be >= 0")
     state = ExtractionState(oracle, order, order_seed, max_regions)
     schema = oracle.schema
     binary = len(oracle.labels) == 2

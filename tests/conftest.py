@@ -3,7 +3,9 @@
 The brute-force counterfactual search below enumerates every grid point of a
 region and is deliberately independent of the projection-based oracle it
 checks against. ``reference_best_split`` is the per-cut CART split search
-that the vectorised one in ``cfextract.cart`` must reproduce exactly.
+that the vectorised one in ``cfextract.cart`` must reproduce exactly;
+``reference_cost_complexity_prune`` re-derives the weakest links for one
+penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -201,6 +203,92 @@ def reference_best_split(builder, idx: np.ndarray):
             s_r = int((rc.astype(object) ** 2).sum())
             consider(s_l, n_l, s_r, n - n_l, g_axis, 0, cx.CatNode(gi, c))
     return best
+
+
+def reference_cost_complexity_prune(tree, train_points, train_labels, alpha):
+    """Weakest-link pruning for one penalty, re-deriving every link's penalty
+    from scratch after each collapse: the same tree as
+    ``cart.cost_complexity_prune``."""
+    from cfextract.cart import _route_counts
+    from cfextract.models import points_to_arrays
+
+    alpha = Fraction(alpha)
+    iv, cats = points_to_arrays(tree.schema, train_points)
+    y = np.asarray(train_labels, dtype=np.int64)
+    n_total = len(y)
+    counts = _route_counts(tree, iv, cats, y)
+    children = {i: None if isinstance(node, cx.Leaf) else (node.left, node.right)
+                for i, node in enumerate(tree.nodes)}
+
+    def node_risk(i):
+        c = counts[i]
+        return Fraction(int(c.sum() - c.max()), n_total) if c.sum() else Fraction(0)
+
+    collapsed = set()
+
+    def subtree(i):
+        """(risk, leaf count) for the current pruned structure below i."""
+        if children[i] is None or i in collapsed:
+            return node_risk(i), 1
+        rl, nl = subtree(children[i][0])
+        rr, nr = subtree(children[i][1])
+        return rl + rr, nl + nr
+
+    def internal_nodes():
+        out, stack = [], [tree.root]
+        while stack:
+            i = stack.pop()
+            if children[i] is not None and i not in collapsed:
+                out.append(i)
+                stack.extend(children[i])
+        return out
+
+    while True:
+        live = internal_nodes()
+        if not live:
+            break
+        best_g, weakest = None, []
+        for i in live:
+            r_sub, leaves = subtree(i)
+            g = (node_risk(i) - r_sub) / (leaves - 1)
+            if best_g is None or g < best_g:
+                best_g, weakest = g, [i]
+            elif g == best_g:
+                weakest.append(i)
+        if best_g >= alpha:
+            break
+        collapsed.update(weakest)
+
+    nodes = []
+
+    def rebuild(i):
+        if i in collapsed:
+            c = counts[i]
+            nodes.append(cx.Leaf(int(c.argmax()) if c.sum() else 0))
+        elif children[i] is None:
+            nodes.append(cx.Leaf(tree.nodes[i].label))
+        else:
+            left, right = rebuild(children[i][0]), rebuild(children[i][1])
+            nodes.append(tree.nodes[i].with_children(left, right))
+        return len(nodes) - 1
+
+    root = rebuild(tree.root)
+    return cx.TreeModel(tree.schema, nodes, root)
+
+
+def reference_prune(tree, train_points, train_labels, val_points, val_labels):
+    """``cart.prune`` over ``reference_cost_complexity_prune``: every
+    ``CCP_GRID`` penalty pruned from scratch; best validation accuracy wins,
+    then the larger penalty."""
+    from cfextract.cart import CCP_GRID, accuracy
+
+    best = None
+    for alpha in CCP_GRID:
+        cand = reference_cost_complexity_prune(tree, train_points, train_labels, alpha)
+        acc = accuracy(cand, val_points, val_labels)
+        if best is None or (acc, alpha) > (best[0], best[1]):
+            best = (acc, alpha, cand)
+    return best[2]
 
 
 JSON_KEYS = ("id", "kind", "label", "axis", "threshold", "categories", "left", "right",

@@ -158,6 +158,29 @@ def test_surrogate_fidelity_reasonable(schema_mixed):
         assert res.snapshots[-1].queries == 300
 
 
+@pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])
+def test_final_surrogate_is_trained_once(schema_mixed, monkeypatch, attack):
+    calls = []
+    train = cx.baselines.train_tree
+    monkeypatch.setattr(cx.baselines, "train_tree",
+                        lambda *args: calls.append(1) or train(*args))
+    target = cx.gen_random_tree(schema_mixed, depth=4, seed=7)
+    res = attack(cx.CounterfactualOracle(target), cx.AttackBudget(300), seed=1,
+                 snapshot_every=20)
+    # the last bucket snapshot lands on the budget, so the final model is that snapshot's
+    assert [s.queries for s in res.snapshots[-2:]] == [300, 300]
+    assert res.model is res.snapshots[-2].model is res.snapshots[-1].model
+    assert len(calls) == len({s.queries for s in res.snapshots})
+
+
+@pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])
+def test_negative_snapshot_every_rejected(schema_grid10, attack):
+    oracle = cx.CounterfactualOracle(cx.gen_random_tree(schema_grid10, depth=2, seed=0))
+    with pytest.raises(cx.ContractViolation, match="snapshot_every"):
+        attack(oracle, cx.AttackBudget(10), snapshot_every=-5)
+    assert oracle.log.count == 0
+
+
 def test_forest_surrogate_kind(schema_mixed):
     target = cx.gen_random_tree(schema_mixed, depth=3, seed=2)
     oracle = cx.CounterfactualOracle(target)

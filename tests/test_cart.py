@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 import cfextract as cx
 from cfextract import cart
 from cfextract.cart import CCP_GRID, _square_sum, accuracy, cost_complexity_prune
-from tests.conftest import make_schema, reference_best_split
+from tests.conftest import (make_schema, reference_best_split,
+                            reference_cost_complexity_prune, reference_prune)
 
 
 def one_feature_schema(size=101):
@@ -164,6 +165,51 @@ def test_prune_tie_prefers_larger_alpha():
 def test_ccp_grid_is_fifty_steps_over_fifth():
     assert len(CCP_GRID) == 50
     assert CCP_GRID[0] == 0 and CCP_GRID[-1] == Fraction(1, 5)
+
+
+def test_prune_routes_the_training_sample_once(monkeypatch):
+    calls = []
+    route = cart._route_counts
+    monkeypatch.setattr(cart, "_route_counts", lambda *args: calls.append(1) or route(*args))
+    sch, pts, ys, val, yval = _noisy_setup()
+    cx.prune(cx.train_tree(sch, pts, ys), pts, ys, val, yval)
+    assert len(calls) == 1
+
+
+# -- the pruning path against the per-penalty reference ------------------------
+
+@st.composite
+def noisy_training_sets(draw):
+    """Labels of a random depth-3 tree on 2-4 classes, a share of them
+    replaced by uniform noise; half of the points serve as validation."""
+    schema = make_schema(draw(st.sampled_from(["mixed", "small3", "groups2"])))
+    classes = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**16))
+    noise = draw(st.sampled_from([0, 0.1, 0.25]))
+    n = draw(st.integers(2, 60))
+    truth = cx.gen_random_tree(schema, 3, seed, classes)
+    rng = np.random.default_rng(seed)
+    full = cx.full_region(schema)
+    pts = [cx.sample_point(full, rng) for _ in range(2 * n)]
+    ys = [int(rng.integers(classes)) if rng.random() < noise else truth.predict(p)
+          for p in pts]
+    return schema, pts[:n], ys[:n], pts[n:], ys[n:]
+
+
+penalties = (st.sampled_from(CCP_GRID + (Fraction(0), Fraction(1), Fraction(1, 1000)))
+             | st.fractions(0, 1, max_denominator=997))
+
+
+@given(noisy_training_sets(), st.lists(penalties, min_size=1, max_size=4))
+def test_pruning_path_matches_reference(data, alphas):
+    schema, pts, ys, val, yval = data
+    tree = cx.train_tree(schema, pts, ys)
+    for alpha in alphas:
+        assert (cx.model_json_dict(cost_complexity_prune(tree, pts, ys, alpha), "s")
+                == cx.model_json_dict(reference_cost_complexity_prune(tree, pts, ys, alpha),
+                                      "s"))
+    assert (cx.model_json_dict(cx.prune(tree, pts, ys, val, yval), "s")
+            == cx.model_json_dict(reference_prune(tree, pts, ys, val, yval), "s"))
 
 
 # -- split search against the per-cut reference --------------------------------

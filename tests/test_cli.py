@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,3 +253,54 @@ def test_undecodable_schema_config_exits_2(workdir, capsys):
                    "--out", workdir / "m.json") == 2
     err = capsys.readouterr().err
     assert "contract violation" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("gen", "--epsilon abc"),
+    ("gen", "--delta 1/0"),
+    ("attack", "--epsilon zz"),
+    ("attack", "--budget abc"),
+])
+def test_malformed_number_option_is_a_usage_error(workdir, capsys, command, option):
+    args = {"gen": ["gen", "--kind", "adversarial", "--s", "2,2"],
+            "attack": ["attack", "--method", "cf", "--target", workdir / "t.json"]}[command]
+    assert run_cli(*args, *option.split(), "--out", workdir / "x.json") == 1
+    err = capsys.readouterr().err
+    assert option.split()[0] in err and "Traceback" not in err
+    assert not (workdir / "x.json").exists()
+
+
+CURVE_HEADER = "attack,queries,certified_fraction,fidelity_uniform\n"
+
+
+@pytest.mark.parametrize("text, where, problem", [
+    (CURVE_HEADER.replace("attack", "method") + "cf,20,0.0,0.5\n", "line 2", "'attack'"),
+    (CURVE_HEADER + "cf,20,0.0,0.4\ncf,x,0.0,0.5\n", "line 3", "'x'"),
+], ids=["missing-column", "bad-queries"])
+def test_malformed_curve_is_a_data_format_error(workdir, capsys, text, where, problem):
+    curve = workdir / "bad.csv"
+    curve.write_text(text)
+    assert run_cli("report", curve, "--out", workdir / "mean.csv") == 2
+    err = capsys.readouterr().err
+    assert f"bad.csv, {where}" in err and problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["tra", "cf"])
+def test_negative_snapshot_every_exits_2(workdir, capsys, method):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "2", "--out", target) == 0
+    assert run_cli("attack", "--method", method, "--target", target, "--budget", "40",
+                   "--snapshot-every", "-5", "--out", workdir / "x.json") == 2
+    assert "snapshot_every" in capsys.readouterr().err
+
+
+def test_cli_runs_as_a_module(workdir):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cx.__file__)))
+    out = workdir / "t.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfextract.cli", "gen", "--kind", "adversarial", "--s", "2,2",
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists() and "wrote" in proc.stdout

@@ -135,6 +135,13 @@ def test_snapshots_are_built_on_first_read(schema_mixed, monkeypatch):
     assert first.node_count < res.model.node_count
 
 
+def test_negative_snapshot_every_rejected(schema_grid10):
+    oracle = cx.CounterfactualOracle(cx.gen_random_tree(schema_grid10, depth=2, seed=0))
+    with pytest.raises(cx.ContractViolation, match="snapshot_every"):
+        cx.tra_extract(oracle, snapshot_every=-5)
+    assert oracle.log.count == 0
+
+
 def test_snapshot_needs_a_model_or_a_state(schema_grid10):
     with pytest.raises(cx.ContractViolation):
         cx.Snapshot(1, None, Fraction(0))
