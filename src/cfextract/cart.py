@@ -6,13 +6,14 @@ axis then lowest threshold. Each interval axis is scanned in one vectorised
 pass (stable sort, cumulative class counts); its float scores are only a
 pre-filter, and the cuts within a relative 1e-9 of the axis maximum are
 re-checked by exact cross-multiplication in Python ints (no float ties, no
-int64 overflow).
+int64 overflow). Trees grow through ``models.grow``.
 
 Cost-complexity pruning computes a tree's weakest-link path once: the nested
 sequence of subtrees that collapsing the cheapest links in turn produces
 (Breiman et al., 1984). A penalty selects a prefix of that path, and ``prune``
 scores the prefixes for 50 evenly spaced penalties over [0, 0.2] against a
-validation set, preferring the larger penalty on ties.
+validation set, preferring the larger penalty on ties. Neither the path's
+walk nor a pruned tree's rebuild recurses, so trees may be as deep as their data.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .models import CatNode, Leaf, Node, SplitNode, TreeModel, ForestModel, points_to_arrays
+from .models import CatNode, Leaf, SplitNode, TreeModel, ForestModel, grow, points_to_arrays
 from .schema import FeatureSchema, Point
 
 CCP_GRID: tuple[Fraction, ...] = tuple(
@@ -61,7 +62,6 @@ class _Builder:
         self.labels = labels
         self.config = config
         self.rng = rng
-        self.nodes: list[Node] = []
         m = schema.m
         self.n_sub = max(1, int(math.sqrt(m))) if (rng is not None and
                                                    config.feature_subsampling) else m
@@ -142,23 +142,20 @@ class _Builder:
                          g_axis, 0, CatNode(gi, c))
         return best
 
-    def build(self, idx: np.ndarray, depth: int) -> int:
+    def expand(self, item):
+        """``grow``'s step on (sample indices, depth): a leaf, or a split."""
+        idx, depth = item
         labels = self.labels[idx]
         pure = labels.min() == labels.max()
         max_depth = self.config.max_depth
         if pure or (max_depth is not None and depth >= max_depth):
-            self.nodes.append(Leaf(_majority(labels)))
-            return len(self.nodes) - 1
+            return Leaf(_majority(labels))
         best = self._best_split(idx)
         if best is None:
-            self.nodes.append(Leaf(_majority(labels)))
-            return len(self.nodes) - 1
+            return Leaf(_majority(labels))
         test = best[-1]
         mask = test.left_mask(self.iv, self.cats, idx)
-        left = self.build(idx[mask], depth + 1)
-        right = self.build(idx[~mask], depth + 1)
-        self.nodes.append(test.with_children(left, right))
-        return len(self.nodes) - 1
+        return test, (idx[mask], depth + 1), (idx[~mask], depth + 1)
 
 
 def train_tree(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[int],
@@ -168,14 +165,15 @@ def train_tree(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[
         raise ContractViolation("training needs at least one sample")
     if len(points) != len(labels):
         raise ContractViolation("points and labels disagree in length")
+    if config.max_depth is not None and config.max_depth < 0:
+        raise ContractViolation("max_depth must be >= 0")
     iv, cats = points_to_arrays(schema, points)
     y = np.asarray(labels, dtype=np.int64)
     if y.min() < 0:
         raise ContractViolation("labels must be non-negative ints")
     idx = np.arange(len(points)) if _subsample is None else _subsample
     builder = _Builder(schema, iv, cats, y, config, rng=_rng)
-    root = builder.build(idx, 0)
-    return TreeModel(schema, builder.nodes, root)
+    return TreeModel(schema, *grow((idx, 0), builder.expand))
 
 
 def train_forest(schema: FeatureSchema, points: Sequence[Point],
@@ -199,9 +197,10 @@ def train_forest(schema: FeatureSchema, points: Sequence[Point],
 
 def _route_counts(tree: TreeModel, iv: np.ndarray, cats: np.ndarray,
                   labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-node class counts for the training sample."""
+    """Per-node class counts for the training sample, keyed parents before
+    children (right subtrees first)."""
     k = int(labels.max()) + 1
-    counts = {i: np.zeros(k, dtype=np.int64) for i in range(len(tree.nodes))}
+    counts: dict[int, np.ndarray] = {}
     stack = [(tree.root, np.arange(len(labels)))]
     while stack:
         i, sel = stack.pop()
@@ -227,31 +226,32 @@ def _pruning_path(tree: TreeModel, train_points: Sequence[Point],
         raise ContractViolation("pruning needs training samples")
     counts = _route_counts(tree, iv, cats, y)
     errors = {i: int(c.sum() - c.max()) for i, c in counts.items()}
-    collapsed: set[int] = set()
+    nodes = tree.nodes
+    # the live internal nodes, children before parents, left subtrees first
+    live = [i for i in reversed(counts) if type(nodes[i]) is not Leaf]
     path: list[tuple[Fraction, list[int]]] = []
-
-    def walk(i: int) -> tuple[int, int]:
-        """(errors, leaves) of the live subtree at i; records its weakest links."""
-        nonlocal best, weakest
-        node = tree.nodes[i]
-        if isinstance(node, Leaf) or i in collapsed:
-            return errors[i], 1
-        (el, nl), (er, nr) = walk(node.left), walk(node.right)
-        gain, links = errors[i] - el - er, nl + nr - 1
-        # g = gain / links, compared exactly by cross-multiplication
-        if best is None or gain * best[1] < best[0] * links:
-            best, weakest = (gain, links), [i]
-        elif gain * best[1] == best[0] * links:
-            weakest.append(i)
-        return el + er, nl + nr
-
-    while True:
+    while live:
         best, weakest = None, []  # (gain, links) of the minimum g, and its nodes
-        walk(tree.root)
-        if best is None:
-            return counts, path
+        subtree: dict[int, tuple[int, int]] = {}  # (errors, leaves) of each live one
+        for i in live:
+            node = nodes[i]
+            el, nl = subtree.get(node.left, (errors[node.left], 1))
+            er, nr = subtree.get(node.right, (errors[node.right], 1))
+            gain, links = errors[i] - el - er, nl + nr - 1
+            # g = gain / links, compared exactly by cross-multiplication
+            if best is None or gain * best[1] < best[0] * links:
+                best, weakest = (gain, links), [i]
+            elif gain * best[1] == best[0] * links:
+                weakest.append(i)
+            subtree[i] = (el + er, nl + nr)
         path.append((Fraction(best[0], best[1] * len(y)), weakest))
-        collapsed.update(weakest)
+        # a collapsed link cuts off every node below it; parents come last
+        cut = set(weakest)
+        for i in reversed(live):
+            if i in cut:
+                cut.update((nodes[i].left, nodes[i].right))
+        live = [i for i in live if i not in cut]
+    return counts, path
 
 
 def _pruned(tree: TreeModel, counts, path, alpha: Fraction) -> TreeModel:
@@ -262,19 +262,16 @@ def _pruned(tree: TreeModel, counts, path, alpha: Fraction) -> TreeModel:
         if g >= alpha:
             break
         collapsed.update(weakest)
-    nodes: list[Node] = []
 
-    def rebuild(i: int) -> int:
+    def expand(i: int):
         node = tree.nodes[i]
         if i in collapsed:
-            node = Leaf(int(counts[i].argmax()))  # lowest id on ties
-        elif not isinstance(node, Leaf):
-            node = node.with_children(rebuild(node.left), rebuild(node.right))
-        nodes.append(node)
-        return len(nodes) - 1
+            return Leaf(int(counts[i].argmax()))  # lowest id on ties
+        if type(node) is Leaf:
+            return node
+        return node, node.left, node.right
 
-    root = rebuild(tree.root)
-    return TreeModel(tree.schema, nodes, root)
+    return TreeModel(tree.schema, *grow(tree.root, expand))
 
 
 def cost_complexity_prune(tree: TreeModel, train_points: Sequence[Point],

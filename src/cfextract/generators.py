@@ -2,7 +2,8 @@
 single-branch adversarial family that drives the attack to its worst case.
 
 All generators are deterministic under their seed, and every threshold they
-emit lies on the schema grid.
+emit lies on the schema grid. Random trees and chessboards grow through
+``models.grow``, whose pre-order expansion fixes the order of seeded draws.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from math import lcm
 import numpy as np
 
 from .errors import ContractViolation
-from .models import CatNode, ForestModel, Leaf, Node, SplitNode, TreeModel
-from .regions import Region, full_region
+from .models import CatNode, ForestModel, Leaf, Node, SplitNode, TreeModel, grow
+from .regions import full_region
 from .schema import FeatureSchema, NumericFeature
 
 
@@ -30,10 +31,9 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
     if n_classes < 2:
         raise ContractViolation("n_classes must be >= 2")
     rng = np.random.default_rng(seed)
-    nodes: list[Node] = []
-    leaf_ids: list[int] = []
 
-    def build(region: Region, d: int) -> int:
+    def expand(item):
+        region, d = item
         splittable: list[tuple] = []
         if d > 0:
             for iv, (a, b) in enumerate(region.intervals):
@@ -43,9 +43,7 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
                 if len(s) > 1:
                     splittable.append(("g", g))
         if not splittable:
-            nodes.append(Leaf(int(rng.integers(n_classes))))
-            leaf_ids.append(len(nodes) - 1)
-            return len(nodes) - 1
+            return Leaf(int(rng.integers(n_classes)))
         kind, idx = splittable[int(rng.integers(len(splittable)))]
         if kind == "i":
             a, b = region.intervals[idx]
@@ -53,17 +51,13 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
         else:
             s = sorted(region.allowed[idx])
             test = CatNode(idx, s[int(rng.integers(len(s)))])
-        left_r, right_r = test.split_region(region)  # both sides non-empty
-        left = build(left_r, d - 1)
-        right = build(right_r, d - 1)
-        nodes.append(test.with_children(left, right))
-        return len(nodes) - 1
+        left, right = test.split_region(region)  # both sides non-empty
+        return test, (left, d - 1), (right, d - 1)
 
-    root = build(full_region(schema), depth)
-    labels = {nodes[i].label for i in leaf_ids}
-    if len(leaf_ids) > 1 and len(labels) == 1:
-        only = nodes[leaf_ids[-1]].label
-        nodes[leaf_ids[-1]] = Leaf((only + 1) % n_classes)
+    nodes, root = grow((full_region(schema), depth), expand)
+    leaves = [i for i, node in enumerate(nodes) if type(node) is Leaf]
+    if len(leaves) > 1 and len({nodes[i].label for i in leaves}) == 1:
+        nodes[leaves[-1]] = Leaf((nodes[leaves[-1]].label + 1) % n_classes)
     return TreeModel(schema, nodes, root)
 
 
@@ -100,27 +94,20 @@ def gen_chessboard(schema: FeatureSchema, s: tuple[int, ...],
             )
         thresholds.append(ts)
 
-    nodes: list[Node] = []
-
-    def build(cell_lo: list[int], cell_hi: list[int]) -> int:
+    def expand(cell):
         # cell index ranges over the per-axis threshold segments
+        cell_lo, cell_hi = cell
         for iv in range(len(s)):
             if cell_lo[iv] < cell_hi[iv]:
                 mid = (cell_lo[iv] + cell_hi[iv]) // 2
-                t = thresholds[iv][mid]
                 hi2 = list(cell_hi)
                 hi2[iv] = mid
-                left = build(cell_lo, hi2)
                 lo2 = list(cell_lo)
                 lo2[iv] = mid + 1
-                right = build(lo2, cell_hi)
-                nodes.append(SplitNode(iv, t, left, right))
-                return len(nodes) - 1
-        nodes.append(Leaf(sum(cell_lo) % n_classes))
-        return len(nodes) - 1
+                return SplitNode(iv, thresholds[iv][mid]), (cell_lo, hi2), (lo2, cell_hi)
+        return Leaf(sum(cell_lo) % n_classes)
 
-    root = build([0] * len(s), [v for v in s])
-    return TreeModel(schema, nodes, root)
+    return TreeModel(schema, *grow(([0] * len(s), list(s)), expand))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ arrays (``left_mask``) and regions (``split_region``: the two sides, None for
 an empty one). A tree is walked through a region in one way,
 ``leaves_within``, and a point in one way, ``leaf_index``. Trees are
 validated on construction so every root-to-leaf path carries a non-empty
-region (no dead branches).
+region (no dead branches). A tree is built one way, ``grow``: top-down on an
+explicit stack, so a tree may be as deep as its data makes it.
 
 A forest is served through the one tree it compiles to (``ForestModel.tree``),
 so the exact oracle and the equivalence check only ever walk trees.
@@ -41,6 +42,34 @@ class Leaf:
 
 
 Node = Union[SplitNode, CatNode, Leaf]
+
+
+def grow(item, expand) -> tuple[list[Node], int]:
+    """The nodes and root index of the tree grown from ``item``.
+
+    ``expand(item)`` returns a ``Leaf``, or ``(test, left item, right item)``
+    with ``test``'s children unattached. Items are expanded in pre-order, left
+    subtree first, and children are stored before their parent, as a
+    recursion would; the stack is explicit, so depth is unbounded."""
+    nodes: list[Node] = []
+    done: list[int] = []  # roots of grown subtrees, awaiting their parents
+    # an entry is (None, item) to expand, or (test, None) to attach to the
+    # last two entries of ``done``
+    stack: list = [(None, item)]
+    while stack:
+        test, item = stack.pop()
+        if test is None:
+            node = expand(item)
+            if type(node) is not Leaf:
+                test, left, right = node
+                stack += ((test, None), (None, right), (None, left))
+                continue
+        else:
+            right = done.pop()
+            node = test.with_children(done.pop(), right)
+        nodes.append(node)
+        done.append(len(nodes) - 1)
+    return nodes, done.pop()
 
 
 class TreeModel:
@@ -279,20 +308,11 @@ class ForestModel:
     def _compile(self, cap: int) -> TreeModel:
         trees = self.trees
         class_of = self._class_of
-        nodes: list[Node] = []
         leaves = 0
-        done: list[int] = []  # roots of compiled subtrees, awaiting their parents
-        # a work item is (region, tree, node of that tree, votes of the trees
-        # before it); a bare node test is a compiled test whose two subtrees
-        # are the last two entries of ``done``
-        stack: list = [(full_region(self.schema), 0, trees[0].root, (0,) * len(self.labels))]
-        while stack:
-            item = stack.pop()
-            if type(item) is not tuple:
-                right = done.pop()
-                nodes.append(item.with_children(done.pop(), right))
-                done.append(len(nodes) - 1)
-                continue
+
+        def expand(item):
+            # (region, tree, node of that tree, votes of the trees before it)
+            nonlocal leaves
             region, k, i, votes = item
             while True:
                 node = trees[k].nodes[i]
@@ -310,18 +330,17 @@ class ForestModel:
                             f"the forest compiles to more than {cap} leaves; use "
                             "sampled fidelity or the heuristic oracle"
                         )
-                    nodes.append(Leaf(self.labels[lead]))
-                    done.append(len(nodes) - 1)
-                    break
+                    return Leaf(self.labels[lead])
                 left, right = node.split_region(region)
                 if right is None:
                     i = node.left
                 elif left is None:
                     i = node.right
                 else:
-                    stack += (node, (right, k, node.right, votes), (left, k, node.left, votes))
-                    break
-        return TreeModel(self.schema, nodes, done.pop())
+                    return node, (left, k, node.left, votes), (right, k, node.right, votes)
+
+        root_item = (full_region(self.schema), 0, trees[0].root, (0,) * len(self.labels))
+        return TreeModel(self.schema, *grow(root_item, expand))
 
     def cell_box_set(self, cap: int) -> "BoxSet":
         """Cells of the union split-level grid, labeled by the forest vote.
@@ -468,8 +487,8 @@ def cells_within(model: Model, region: Region, cap: int) -> BoxSet:
 def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) -> TreeModel:
     """Greedy tree agreeing with a disjoint, covering box labeling.
 
-    Splits on any box edge (lowest global axis, lowest threshold first) and
-    recurses; raises on overlapping or non-covering input.
+    Splits on any box edge (lowest global axis, lowest threshold first) until
+    one label remains; raises on overlapping or non-covering input.
     """
     if not boxes:
         raise ContractViolation("no boxes given")
@@ -482,8 +501,6 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
             if intersect(boxes[i][0], boxes[j][0]) is not None:
                 raise ContractViolation("boxes overlap")
 
-    nodes: list[Node] = []
-
     def clip(items, region):
         out = []
         for box, label in items:
@@ -492,19 +509,8 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
                 out.append((inter, label))
         return out
 
-    def attach(test, region: Region, items) -> int:
-        left_r, right_r = test.split_region(region)  # both sides hold a box edge
-        left = build(left_r, clip(items, left_r))
-        right = build(right_r, clip(items, right_r))
-        nodes.append(test.with_children(left, right))
-        return len(nodes) - 1
-
-    def build(region: Region, items) -> int:
-        labels = {label for _, label in items}
-        if len(labels) == 1:
-            nodes.append(Leaf(next(iter(labels))))
-            return len(nodes) - 1
-        # lowest interval edge strictly inside the region
+    def lowest_edge(region, items):
+        # lowest interval edge strictly inside the region, then lowest category
         for iv in range(len(schema.iv_sizes)):
             a, b = region.intervals[iv]
             if a == b:
@@ -517,18 +523,26 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
                 if bh < b:
                     cand.add(bh)
             if cand:
-                return attach(SplitNode(iv, min(cand)), region, items)
+                return SplitNode(iv, min(cand))
         for g in range(len(schema.group_sizes)):
             s = region.allowed[g]
             if len(s) < 2:
                 continue
             cand = {c for c in s for box, _ in items if c not in box.allowed[g]}
             if cand:
-                return attach(CatNode(g, min(cand)), region, items)
+                return CatNode(g, min(cand))
         raise ContractViolation("conflicting labels with no separating edge")
 
-    root = build(domain, list(boxes))
-    return TreeModel(schema, nodes, root)
+    def expand(item):
+        region, items = item
+        labels = {label for _, label in items}
+        if len(labels) == 1:
+            return Leaf(next(iter(labels)))
+        test = lowest_edge(region, items)
+        left, right = test.split_region(region)  # both sides hold a box edge
+        return test, (left, clip(items, left)), (right, clip(items, right))
+
+    return TreeModel(schema, *grow((domain, list(boxes)), expand))
 
 
 # -- serialization -----------------------------------------------------------

@@ -40,6 +40,14 @@ def test_empty_data_rejected():
         cx.train_tree(sch, [], [])
 
 
+@pytest.mark.parametrize("train", [cx.train_tree, cx.train_forest])
+def test_negative_max_depth_rejected(train):
+    sch = one_feature_schema()
+    pts = [sch.point_of(v) for v in ("0.1", "0.9")]
+    with pytest.raises(cx.ContractViolation, match="max_depth"):
+        train(sch, pts, [0, 1], cx.TrainConfig(max_depth=-1))
+
+
 def test_xor_two_levels():
     sch = make_schema("grid10")
     pts = [sch.point_of(a, b) for a in ("0.2", "0.8") for b in ("0.2", "0.8")]

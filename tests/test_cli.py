@@ -285,6 +285,31 @@ def test_malformed_curve_is_a_data_format_error(workdir, capsys, text, where, pr
     assert f"bad.csv, {where}" in err and problem in err and "Traceback" not in err
 
 
+def test_train_negative_max_depth_exits_2(workdir, capsys):
+    data = workdir / "d.csv"
+    data.write_text("a,y\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"features": [{"name": "a", "kind": "numeric", "delta": "0.1"}]}))
+    out = workdir / "m.json"
+    assert run_cli("train", "--data", data, "--schema-config", cfg, "--label", "y",
+                   "--max-depth", "-1", "--out", out) == 2
+    assert "max_depth" in capsys.readouterr().err and not out.exists()
+
+
+def test_pathfinding_on_a_chessboard_deeper_than_the_recursion_limit(workdir):
+    # 601 boxes in a row: PathFinding's box compiler peels one per level
+    schema = workdir / "line.json"
+    schema.write_text(json.dumps({"features": [
+        {"name": "x", "kind": "numeric", "lo": "0", "hi": "1", "delta": "0.0009765625"}]}))
+    target, extracted, report = workdir / "board.json", workdir / "ex.json", workdir / "r.json"
+    assert run_cli("gen", "--kind", "chessboard", "--schema", schema, "--s", "600",
+                   "--out", target) == 0
+    assert run_cli("attack", "--method", "pathfinding", "--target", target,
+                   "--out", extracted) == 0
+    assert run_cli("eval", "--equivalence", target, extracted, "--out", report) == 0
+    assert json.loads(report.read_text())["equivalence"]["equivalent"] is True
+
+
 @pytest.mark.parametrize("method", ["tra", "cf"])
 def test_negative_snapshot_every_exits_2(workdir, capsys, method):
     target = workdir / "t.json"
