@@ -25,10 +25,9 @@ from .models import (CatNode, ForestModel, Leaf, ModelStats, SplitNode, TreeMode
                      boxes_to_tree, load_model, model_from_json_dict, model_json_dict,
                      predict, save_model, stats)
 from .oracles import (CounterfactualOracle, OracleConfig, OracleResponse, QueryLog,
-                      QueryRecord, exact_ensemble_cf, exact_tree_cf, heuristic_cf,
-                      line_search, verify_local_optimality)
+                      QueryRecord, exact_ensemble_cf, exact_tree_cf, heuristic_cf, line_search)
 from .regions import (Region, center, contains, full_region, grid_volume, intersect,
-                      region_from_json, region_json, sample_point, split, subtract)
+                      region_json, sample_point, split, subtract)
 from .schema import (BinaryFeature, CategoricalFeature, FeatureSchema, NumericFeature,
                      OrdinalFeature, Point, load_schema, save_schema)
 from .tra import AttackResult, ExtractionState, Snapshot, tra_extract

@@ -23,7 +23,7 @@ from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
 from .oracles import CounterfactualOracle, QueryLog
 from .regions import Region, center, full_region, sample_point, subtract
 from .schema import FeatureSchema, Point, exact_number
-from .tra import AttackResult, Snapshot
+from .tra import AttackResult, Snapshot, take_snapshot
 
 
 @dataclass(frozen=True)
@@ -190,20 +190,10 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
     pts: list[Point] = []
     lbls: list[int] = []
     snapshots: list[Snapshot] = []
-    last_bucket = 0
 
-    def maybe_snapshot():
-        nonlocal last_bucket
-        if not snapshot_every:
-            return
-        bucket = oracle.log.count // snapshot_every
-        if bucket > last_bucket:
-            last_bucket = bucket
-            snapshots.append(Snapshot(
-                oracle.log.count,
-                _train_surrogate(schema, pts, lbls, surrogate),
-                Fraction(0),
-            ))
+    def snapshot() -> Snapshot:
+        return Snapshot(oracle.log.count, _train_surrogate(schema, pts, lbls, surrogate),
+                        Fraction(0))
 
     def cf_label_of(point: Point, flipped_from: int) -> int | None:
         """Label of a returned counterfactual: free flip in binary tasks,
@@ -237,15 +227,11 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                 if lab is not None:
                     pts.append(cf)
                     lbls.append(lab)
-        maybe_snapshot()
+        take_snapshot(snapshots, oracle.log.count, snapshot_every, snapshot)
 
-    if snapshots and snapshots[-1].queries == oracle.log.count:
-        model = snapshots[-1].model  # trained on these same points
-    else:
-        model = _train_surrogate(schema, pts, lbls, surrogate)
-    snapshots.append(Snapshot(oracle.log.count, model, Fraction(0)))
+    take_snapshot(snapshots, oracle.log.count, 1, snapshot)  # the final one
     return AttackResult(
-        model=model,
+        model=snapshots[-1].model,
         log=oracle.log,
         snapshots=snapshots,
         method="dualcf" if dual else "cf",

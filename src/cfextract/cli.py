@@ -1,7 +1,8 @@
 """Command-line pipelines: gen | train | attack | eval | report.
 
-Exit codes: 0 success, 1 usage error (including a missing or unreadable
-file), 2 contract violation, 3 capacity.
+Exit codes: 0 success (also when the reader of stdout closes it early: the
+output ends there), 1 usage error (including a missing or unreadable file),
+2 contract violation, 3 capacity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .baselines import (AttackBudget, LeafIdOracle, SurrogateSpec, cf_attack,
 from .cart import TrainConfig, prune, train_forest, train_tree, accuracy
 from .datasets import ingest_csv
 from .errors import CapacityError, ContractViolation, DataFormatError, UnsupportedModelError
-from .evaluation import (bound_report, fidelity, functional_equivalence,
+from .evaluation import (bound_report, fidelity, functional_equivalence, mean_curve,
                          measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
@@ -117,7 +118,8 @@ def build_parser() -> _Parser:
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out")
 
-    r = sub.add_parser("report", help="aggregate anytime curves (means over runs)")
+    r = sub.add_parser("report", help="aggregate anytime curves (means over runs)",
+                       description=_cmd_report.__doc__)
     r.add_argument("curves", nargs="+", help="curve CSVs from 'attack'")
     r.add_argument("--out", required=True)
     return p
@@ -313,31 +315,35 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Mean fidelity (and certified fraction) per checkpoint, grouped by attack."""
-    series: dict[str, dict[int, list[tuple[float, float]]]] = {}
-    for path in args.curves:
+    """Mean certified fraction and fidelity per attack over curve CSVs. Each
+    file is one run of each attack it names, rows ascending in queries. At
+    every query count some run of an attack reports, each run counts its
+    latest row at or before that count, and 0 before its first row."""
+    runs: dict[str, dict[int, list[tuple[int, float, float]]]] = {}  # attack -> file -> rows
+    for k, path in enumerate(args.curves):
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = csv.DictReader(fh)
             try:
                 for row in rows:
-                    vals = (float(row["certified_fraction"]), float(row["fidelity_uniform"]))
-                    series.setdefault(row["attack"], {}).setdefault(
-                        int(row["queries"]), []).append(vals)
-            # a missing column, a short row (None fields) or an unreadable value
+                    q = int(row["queries"])
+                    run = runs.setdefault(row["attack"], {}).setdefault(k, [])
+                    if run and q < run[-1][0]:
+                        raise ValueError(f"queries go back from {run[-1][0]} to {q}")
+                    run.append((q, float(row["certified_fraction"]),
+                                float(row["fidelity_uniform"])))
+            # a missing column, a short row (None fields), an unreadable value or a step back
             except (KeyError, TypeError, ValueError, csv.Error) as exc:
                 raise DataFormatError(f"{path}, line {rows.line_num}: not an anytime-curve "
                                       f"row ({type(exc).__name__}: {exc})") from exc
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["attack", "queries", "mean_certified_fraction", "mean_fidelity"])
-        for attack in sorted(series):
-            for q in sorted(series[attack]):
-                vals = series[attack][q]
-                w.writerow([
-                    attack, q,
-                    sum(v[0] for v in vals) / len(vals),
-                    sum(v[1] for v in vals) / len(vals),
-                ])
+        for attack in sorted(runs):
+            qs = sorted({row[0] for run in runs[attack].values() for row in run})
+            certified, fids = (mean_curve([[(row[0], row[k]) for row in run]
+                                           for run in runs[attack].values()], qs)
+                               for k in (1, 2))
+            w.writerows([attack, *row] for row in zip(qs, certified, fids))
     print(f"wrote {args.out}")
     return 0
 
@@ -359,6 +365,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left: flush what stdout holds to devnull at exit
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 0
     except (UnsupportedModelError, OSError) as exc:  # OSError: a file that cannot be read
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ near-linear in the leaves. All bound arithmetic is exact (Fractions).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -98,21 +99,24 @@ def uniform_points(schema: FeatureSchema, n: int, seed: int):
     return iv, cats
 
 
+def _agreement(pred: np.ndarray, ref: np.ndarray) -> float:
+    """Share of points where two label arrays agree; unknown labels never agree."""
+    return float(((pred == ref) & (pred != UNKNOWN)).mean())
+
+
 def fidelity(f: Model, g: Model, schema: FeatureSchema, n_samples: int = 3000,
-             seed: int = 0, kind: str = "uniform", points=None) -> FidelityReport:
-    """Agreement fraction on uniform grid samples (or a supplied point set)."""
+             seed: int = 0, points=None) -> FidelityReport:
+    """Agreement fraction on uniform grid samples, or on ``points`` (kind "test")."""
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
     if points is not None:
-        n_samples, kind = len(points), "test"
+        n_samples = len(points)
     if n_samples < 1:
         raise ContractViolation("need at least one evaluation point")
     iv, cats = (points_to_arrays(schema, points) if points is not None
                 else uniform_points(schema, n_samples, seed))
-    pf = f.predict_arrays(iv, cats)
-    pg = g.predict_arrays(iv, cats)
-    agree = (pf == pg) & (pf != -1) & (pg != -1)
-    return FidelityReport(float(agree.mean()), n_samples, seed, kind)
+    return FidelityReport(_agreement(f.predict_arrays(iv, cats), g.predict_arrays(iv, cats)),
+                          n_samples, seed, "uniform" if points is None else "test")
 
 
 def _hits(ref: np.ndarray, label: int | None) -> int:
@@ -187,8 +191,7 @@ def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.nda
     replays: dict = {}  # TRA state -> indices of its snapshots
     for i, snap in enumerate(snapshots):
         if snap.state is None:
-            pred = snap.model.predict_arrays(iv, cats)
-            out[i] = float(((pred == ref) & (pred != UNKNOWN)).mean())
+            out[i] = _agreement(snap.model.predict_arrays(iv, cats), ref)
         else:
             replays.setdefault(snap.state, []).append(i)
     for state, idx in replays.items():
@@ -199,44 +202,42 @@ def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.nda
     return out
 
 
+def mean_curve(runs: Sequence[Sequence[tuple[int, float]]],
+               checkpoints: Sequence[int]) -> list[float]:
+    """The mean over ``runs`` at each checkpoint, by the anytime step rule: a
+    run, an ascending list of (queries, value) pairs, counts its latest value
+    at or before the checkpoint (a finished run its last), 0 before its first."""
+    if not runs:
+        raise ContractViolation("need at least one run")
+    totals = [0.0] * len(checkpoints)
+    for run in runs:
+        queries = [q for q, _ in run]
+        for j, checkpoint in enumerate(checkpoints):
+            i = bisect_right(queries, checkpoint)
+            totals[j] += run[i - 1][1] if i else 0.0
+    return [total / len(runs) for total in totals]
+
+
 def anytime_fidelity(runs, checkpoint: int = 20):
     """Mean-over-runs fidelity as a function of queries spent.
 
     ``runs`` is a sequence of (target, snapshots, eval_arrays) triples, where
-    ``eval_arrays`` is an (iv, cats) pair of evaluation points. Snapshots are
-    step functions: at each checkpoint the latest model at or before it
-    counts, and finished runs keep contributing their final model. Checkpoints
-    are multiples of ``checkpoint`` up to the longest run. One forward pass
-    over each run's sorted snapshots picks the ones some checkpoint uses, and
-    ``snapshot_fidelities`` scores them: a TRA run's by replaying its record,
-    without building its partial trees.
+    ``eval_arrays`` is an (iv, cats) pair of evaluation points. Checkpoints
+    are the multiples of ``checkpoint`` below the longest run's count, then
+    that count. ``snapshot_fidelities`` scores the snapshots (a TRA run's by
+    replaying its record), and ``mean_curve`` averages them by the step rule:
+    a run counts its latest snapshot at or before each checkpoint, 0 before.
     """
-    if not runs:
-        raise ContractViolation("need at least one run")
-    prepared = []
-    horizon = 0
-    for target, snapshots, eval_arrays in runs:
+    curves = []
+    for target, snapshots, (iv, cats) in runs:
         if not snapshots:
             raise ContractViolation("run without snapshots")
         snaps = sorted(snapshots, key=lambda s: s.queries)
-        horizon = max(horizon, snaps[-1].queries)
-        prepared.append((target, snaps, eval_arrays))
-    qs = list(range(checkpoint, horizon + 1, checkpoint))
-    if not qs or qs[-1] < horizon:
-        qs.append(horizon)
-    columns = []
-    for target, snaps, (iv, cats) in prepared:
-        chosen = []  # per checkpoint: the latest snapshot at or before it, or -1
-        i = -1
-        for q in qs:
-            while i + 1 < len(snaps) and snaps[i + 1].queries <= q:
-                i += 1
-            chosen.append(i)
-        used = sorted(set(chosen) - {-1})
-        fids = dict(zip(used, snapshot_fidelities(target, [snaps[i] for i in used],
-                                                  iv, cats)))
-        columns.append([fids[i] if i >= 0 else 0.0 for i in chosen])
-    return [(q, sum(col[j] for col in columns) / len(columns)) for j, q in enumerate(qs)]
+        fids = snapshot_fidelities(target, snaps, iv, cats)
+        curves.append([(s.queries, fid) for s, fid in zip(snaps, fids)])
+    horizon = max((curve[-1][0] for curve in curves), default=0)  # no runs: mean_curve refuses
+    qs = [*range(checkpoint, horizon, checkpoint), horizon]
+    return list(zip(qs, mean_curve(curves, qs)))
 
 
 def bound_report(arg) -> BoundReport:

@@ -260,32 +260,6 @@ def heuristic_cf(target: Model, x: Point, region: Region,
     return None
 
 
-def verify_local_optimality(target: Model, x: Point, x_cf: Point,
-                            dist: Distance) -> bool:
-    """Check every single-axis one-grid-step perturbation of the counterfactual.
-
-    True iff each such neighbor either restores the query's label, does not
-    get closer to the query, or leaves the domain.
-    """
-    schema = target.schema
-    y = target.predict(x)
-    if target.predict(x_cf) == y:
-        raise ContractViolation("not a counterfactual of x")
-    base = dist.scaled(x, x_cf)
-    ivals = list(x_cf.ivals)
-    for i, axis in enumerate(schema.interval_axes):
-        for d in (-1, 1):
-            v = ivals[i] + d
-            if not 0 <= v < axis.size:
-                continue
-            probe = Point(tuple(ivals[:i] + [v] + ivals[i + 1:]), x_cf.cats)
-            if target.predict(probe) == y:
-                continue
-            if dist.scaled(x, probe) < base:
-                return False
-    return True
-
-
 class CounterfactualOracle:
     """Serves one fixed target model; every ``query`` call bills the meter.
 

@@ -271,21 +271,3 @@ def region_json(region: Region, schema: FeatureSchema) -> list:
             else:
                 out.append([0, 0])
     return out
-
-
-def region_from_json(data, schema: FeatureSchema) -> Region:
-    if len(data) != schema.m:
-        raise ContractViolation(f"expected {schema.m} axis bounds, got {len(data)}")
-    intervals = [None] * len(schema.interval_axes)
-    allowed = [set() for _ in schema.groups]
-    for entry, bounds in zip(schema.axis_table, data):
-        lo, hi = bounds
-        if entry[0] == "i":
-            iv = entry[1]
-            axis = schema.interval_axes[iv]
-            intervals[iv] = (axis.index(lo), axis.index(hi))
-        else:
-            _, gi, c = entry
-            if int(hi) == 1:
-                allowed[gi].add(c)
-    return Region(tuple(intervals), tuple(frozenset(s) for s in allowed))

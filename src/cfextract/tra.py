@@ -74,6 +74,16 @@ class Snapshot:
                 f"certified_fraction={self.certified_fraction})")
 
 
+def take_snapshot(snapshots: list[Snapshot], queries: int, every: int, take) -> None:
+    """Append ``take()`` once the billed count ``queries`` has passed a
+    multiple of ``every`` (if not 0) since the last snapshot. Every attack
+    snapshots by this rule, and at its end by it with ``every`` 1: a final
+    snapshot unless the last is already at the final count."""
+    last = snapshots[-1].queries if snapshots else 0
+    if every and queries // every > last // every:
+        snapshots.append(take())
+
+
 @dataclass
 class AttackResult:
     model: TreeModel
@@ -176,8 +186,8 @@ def tra_extract(
     """Run the extraction until the queue drains (or ``stop_certified`` hits).
 
     Returns the reconstructed tree, the billed query log, and lazy snapshots
-    taken every ``snapshot_every`` queries plus one at termination; the last
-    snapshot's model is the returned tree.
+    taken by ``take_snapshot`` every ``snapshot_every`` queries and at
+    termination; the last snapshot's model is the returned tree.
     """
     if snapshot_every < 0:
         raise ContractViolation("snapshot_every must be >= 0")
@@ -213,14 +223,12 @@ def tra_extract(
                 state.push(piece, piece_slot)
                 cur = cont_slot
             state.push(pieces[-1], cur)
-        if snapshot_every and oracle.log.count % snapshot_every == 0:
-            snapshots.append(state.snapshot())
+        take_snapshot(snapshots, oracle.log.count, snapshot_every, state.snapshot)
         if stop_certified is not None and state.certified_fraction >= stop_certified:
             stopped_early = True
             break
 
-    if not snapshots or snapshots[-1].queries != oracle.log.count:
-        snapshots.append(state.snapshot())
+    take_snapshot(snapshots, oracle.log.count, 1, state.snapshot)  # the final one
     completed = not stopped_early
     if completed and state.certified_fraction != 1:
         raise ContractViolation(

@@ -2,7 +2,9 @@
 
 The brute-force counterfactual search below enumerates every grid point of a
 region and is deliberately independent of the projection-based oracle it
-checks against. ``reference_best_split`` is the per-cut CART split search
+checks against, and ``verify_local_optimality`` checks a counterfactual
+against its one-step neighbours. ``region_from_json`` reads back the regions
+a query trace records. ``reference_best_split`` is the per-cut CART split search
 that the vectorised one in ``cfextract.cart`` must reproduce exactly;
 ``reference_cost_complexity_prune`` re-derives the weakest links for one
 penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
@@ -116,6 +118,50 @@ def brute_force_cf(model, x: cx.Point, region: cx.Region, dist: cx.Distance):
     pts = [cx.Point(tuple(int(v) for v in iv[i]), tuple(int(c) for c in cats[i]))
            for i in ties]
     return best, min(pts, key=schema.lex_key)
+
+
+def verify_local_optimality(target, x: cx.Point, x_cf: cx.Point, dist: cx.Distance) -> bool:
+    """Check every single-axis one-grid-step perturbation of the counterfactual.
+
+    True iff each such neighbor either restores the query's label, does not
+    get closer to the query, or leaves the domain.
+    """
+    schema = target.schema
+    y = target.predict(x)
+    if target.predict(x_cf) == y:
+        raise cx.ContractViolation("not a counterfactual of x")
+    base = dist.scaled(x, x_cf)
+    ivals = list(x_cf.ivals)
+    for i, axis in enumerate(schema.interval_axes):
+        for d in (-1, 1):
+            v = ivals[i] + d
+            if not 0 <= v < axis.size:
+                continue
+            probe = cx.Point(tuple(ivals[:i] + [v] + ivals[i + 1:]), x_cf.cats)
+            if target.predict(probe) == y:
+                continue
+            if dist.scaled(x, probe) < base:
+                return False
+    return True
+
+
+def region_from_json(data, schema: cx.FeatureSchema) -> cx.Region:
+    """The region ``cx.region_json`` wrote, read back."""
+    if len(data) != schema.m:
+        raise cx.ContractViolation(f"expected {schema.m} axis bounds, got {len(data)}")
+    intervals = [None] * len(schema.interval_axes)
+    allowed = [set() for _ in schema.groups]
+    for entry, bounds in zip(schema.axis_table, data):
+        lo, hi = bounds
+        if entry[0] == "i":
+            iv = entry[1]
+            axis = schema.interval_axes[iv]
+            intervals[iv] = (axis.index(lo), axis.index(hi))
+        else:
+            _, gi, c = entry
+            if int(hi) == 1:
+                allowed[gi].add(c)
+    return cx.Region(tuple(intervals), tuple(frozenset(s) for s in allowed))
 
 
 def random_subregion(schema: cx.FeatureSchema, rng) -> cx.Region:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfextract as cx
 from tests.conftest import make_schema
@@ -167,10 +168,37 @@ def test_final_surrogate_is_trained_once(schema_mixed, monkeypatch, attack):
     target = cx.gen_random_tree(schema_mixed, depth=4, seed=7)
     res = attack(cx.CounterfactualOracle(target), cx.AttackBudget(300), seed=1,
                  snapshot_every=20)
-    # the last bucket snapshot lands on the budget, so the final model is that snapshot's
-    assert [s.queries for s in res.snapshots[-2:]] == [300, 300]
-    assert res.model is res.snapshots[-2].model is res.snapshots[-1].model
-    assert len(calls) == len({s.queries for s in res.snapshots})
+    # the snapshot due at the budget is the final one: taken, and trained, once
+    assert [s.queries for s in res.snapshots].count(300) == 1
+    assert res.snapshots[-1].queries == 300
+    assert res.model is res.snapshots[-1].model
+    assert len(calls) == len(res.snapshots)
+
+
+@given(method=st.sampled_from(["tra", "cf", "dualcf"]), seed=st.integers(0, 2**16),
+       classes=st.sampled_from([2, 3]), snapshot_every=st.sampled_from([0, 1, 3, 20]),
+       rounds=st.integers(1, 3), extra=st.sampled_from([0, 0, 1, 2]))
+def test_every_attack_takes_snapshots_by_one_rule(method, seed, classes, snapshot_every,
+                                                  rounds, extra):
+    target = cx.gen_random_tree(make_schema("mixed"), 3, seed, classes)
+    oracle = cx.CounterfactualOracle(target)
+    calls = []
+    train = cx.baselines.train_tree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.baselines, "train_tree", lambda *args: calls.append(1) or train(*args))
+        if method == "tra":
+            res = cx.tra_extract(oracle, snapshot_every=snapshot_every)
+        else:
+            # budgets at, and just past, multiples of snapshot_every
+            budget = cx.AttackBudget((snapshot_every or 7) * rounds + extra)
+            attack = cx.cf_attack if method == "cf" else cx.dualcf_attack
+            res = attack(oracle, budget, seed=seed, snapshot_every=snapshot_every)
+    qs = [s.queries for s in res.snapshots]
+    assert all(a < b for a, b in zip(qs, qs[1:]))
+    assert qs[-1] == res.log.count
+    assert res.model is res.snapshots[-1].model
+    if method != "tra":
+        assert len(calls) == len(res.snapshots)
 
 
 @pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])

@@ -217,6 +217,74 @@ def test_report_aggregates_curves(workdir, tmp_path):
     assert [float(r["mean_fidelity"]) for r in rows] == [0.5, 0.9]
 
 
+def write_curve(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["attack", "queries", "certified_fraction", "fidelity_uniform"])
+        w.writerows(rows)
+
+
+def report_rows(*curves, out) -> list[dict]:
+    assert run_cli("report", *curves, "--out", out) == 0
+    with open(out) as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_report_counts_each_run_once_by_the_step_rule(workdir):
+    # c1 repeats its last row; c3 starts after the others' first row
+    c1, c2, c3 = (workdir / f"c{i}.csv" for i in (1, 2, 3))
+    write_curve(c1, [["cf", 20, 0.5, 0.4], ["cf", 40, 1.0, 0.8], ["cf", 40, 1.0, 0.8]])
+    write_curve(c2, [["cf", 20, 0.5, 0.6], ["cf", 40, 1.0, 1.0]])
+    write_curve(c3, [["cf", 40, 1.0, 0.6]])
+    rows = report_rows(c1, c2, out=workdir / "mean12.csv")
+    assert [(int(r["queries"]), float(r["mean_fidelity"])) for r in rows] == [(20, 0.5), (40, 0.9)]
+    rows = report_rows(c2, c3, out=workdir / "mean23.csv")
+    assert [(int(r["queries"]), float(r["mean_certified_fraction"]), float(r["mean_fidelity"]))
+            for r in rows] == [(20, 0.25, 0.3), (40, 1.0, 0.8)]
+
+
+def adversarial_curves(workdir, snapshot_every=20) -> list:
+    """``attack --curve`` files of TRA on the adversarial (3, 2) and (4, 3)
+    targets, 23 and 39 queries, with the targets they were taken on; the
+    defaults score them on 3000 uniform points of seed 0."""
+    runs = []
+    for s in ("3,2", "4,3"):
+        target, curve = workdir / f"adv{s[0]}.json", workdir / f"adv{s[0]}.csv"
+        assert run_cli("gen", "--kind", "adversarial", "--s", s, "--out", target) == 0
+        assert run_cli("attack", "--method", "tra", "--target", target, "--snapshot-every",
+                       snapshot_every, "--out", workdir / f"ex{s[0]}.json",
+                       "--curve", curve) == 0
+        runs.append((target, curve))
+    return runs
+
+
+def test_report_steps_a_run_still_going_to_its_latest_row(workdir):
+    (_, short), (_, long) = adversarial_curves(workdir)
+    with open(long) as fh:
+        at = {int(r["queries"]): float(r["fidelity_uniform"]) for r in csv.DictReader(fh)}
+    assert sorted(at) == [20, 39]
+    rows = {int(r["queries"]): float(r["mean_fidelity"])
+            for r in report_rows(short, long, out=workdir / "mean.csv")}
+    assert sorted(rows) == [20, 23, 39]
+    assert rows[23] == (1.0 + at[20]) / 2 == pytest.approx(0.886, abs=5e-4)
+
+
+def test_report_equals_anytime_fidelity_where_both_print(workdir):
+    runs = adversarial_curves(workdir, snapshot_every=5)
+    curves = [c for _, c in runs]
+    rows = {int(r["queries"]): float(r["mean_fidelity"])
+            for r in report_rows(*curves, out=workdir / "mean.csv")}
+    anytime = []
+    for target_path, _ in runs:
+        target = cx.load_model(target_path)
+        res = cx.tra_extract(cx.CounterfactualOracle(target), snapshot_every=5)
+        anytime.append((target, res.snapshots, cx.uniform_points(target.schema, 3000, 0)))
+    curve = dict(cx.anytime_fidelity(anytime, checkpoint=5))
+    both = sorted(set(rows) & set(curve))
+    assert both == [5, 10, 15, 20, 25, 30, 35, 39]  # past 23, the short run counts its last row
+    assert [rows[q] for q in both] == [curve[q] for q in both]
+
+
 def test_malformed_model_file_exits_2_without_a_traceback(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({"schema_ref": "schema.json", "kind": "tree",
@@ -276,13 +344,29 @@ CURVE_HEADER = "attack,queries,certified_fraction,fidelity_uniform\n"
 @pytest.mark.parametrize("text, where, problem", [
     (CURVE_HEADER.replace("attack", "method") + "cf,20,0.0,0.5\n", "line 2", "'attack'"),
     (CURVE_HEADER + "cf,20,0.0,0.4\ncf,x,0.0,0.5\n", "line 3", "'x'"),
-], ids=["missing-column", "bad-queries"])
+    (CURVE_HEADER + "cf,40,0.0,0.4\ntra,20,0.0,0.5\ncf,20,0.0,0.5\n", "line 4",
+     "queries go back from 40 to 20"),
+], ids=["missing-column", "bad-queries", "queries-go-back"])
 def test_malformed_curve_is_a_data_format_error(workdir, capsys, text, where, problem):
     curve = workdir / "bad.csv"
     curve.write_text(text)
     assert run_cli("report", curve, "--out", workdir / "mean.csv") == 2
     err = capsys.readouterr().err
     assert f"bad.csv, {where}" in err and problem in err and "Traceback" not in err
+
+
+def test_broken_stdout_pipe_ends_the_output_quietly(workdir, capsys, monkeypatch):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "adversarial", "--s", "2,2", "--out", target) == 0
+    capsys.readouterr()
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", buffering=1) as stdout:  # line-buffered: print meets the pipe
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli("eval", "--bounds", target) == 0
+        monkeypatch.undo()
+    # closing flushed what the pipe refused without raising, as at interpreter exit
+    assert capsys.readouterr().err == ""
 
 
 def test_train_negative_max_depth_exits_2(workdir, capsys):

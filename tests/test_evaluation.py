@@ -84,6 +84,13 @@ def test_fidelity_on_supplied_test_points(schema_mixed):
     assert rep.fidelity == 1.0 and rep.kind == "test" and rep.sample_count == 64
 
 
+def test_fidelity_kind_follows_the_points(schema_grid10):
+    t = single_split_tree(schema_grid10, 0, 5)
+    assert cx.fidelity(t, t, schema_grid10, 10).kind == "uniform"
+    with pytest.raises(TypeError):
+        cx.fidelity(t, t, schema_grid10, 10, kind="test")
+
+
 # -- anytime fidelity -----------------------------------------------------------------
 
 
@@ -146,6 +153,11 @@ def test_fidelity_requires_evaluation_points(schema_grid10, n_samples, points):
     t = single_split_tree(schema_grid10, 0, 5)
     with pytest.raises(cx.ContractViolation, match="evaluation point"):
         cx.fidelity(t, t, schema_grid10, n_samples, points=points)
+
+
+def test_anytime_requires_a_run():
+    with pytest.raises(cx.ContractViolation, match="at least one run"):
+        cx.anytime_fidelity([])
 
 
 def test_anytime_requires_evaluation_points(schema_grid10):

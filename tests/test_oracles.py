@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import brute_force_cf, make_schema, random_subregion, run_optimized
+from tests.conftest import (brute_force_cf, make_schema, random_subregion, run_optimized,
+                            verify_local_optimality)
 from tests.test_models import single_split_tree, two_split_target
 
 
@@ -246,7 +247,7 @@ def test_line_search_moves_free_axis_home(schema_grid10):
     cand = schema_grid10.point_of("0.9", "0.9")
     out = cx.line_search(t, x, cand)
     assert schema_grid10.axis_values(out) == [Fraction(6, 10), Fraction(2, 10)]
-    assert cx.verify_local_optimality(t, x, out, cx.Distance(schema_grid10))
+    assert verify_local_optimality(t, x, out, cx.Distance(schema_grid10))
 
 
 def test_line_search_precondition(schema_grid10):
@@ -261,9 +262,9 @@ def test_verify_rejects_interior_point(schema_grid10):
     d = cx.Distance(schema_grid10)
     x = schema_grid10.point_of("0.2", "0.2")
     deep = schema_grid10.point_of("0.9", "0.2")  # far inside the flip region
-    assert not cx.verify_local_optimality(t, x, deep, d)
+    assert not verify_local_optimality(t, x, deep, d)
     edge = schema_grid10.point_of("0.6", "0.2")
-    assert cx.verify_local_optimality(t, x, edge, d)
+    assert verify_local_optimality(t, x, edge, d)
 
 
 def test_exact_outputs_verify_locally_optimal(schema_mixed):
@@ -276,7 +277,7 @@ def test_exact_outputs_verify_locally_optimal(schema_mixed):
             x = cx.sample_point(region, rng)
             cf = cx.exact_tree_cf(t, x, region, d)
             if cf is not None:
-                assert cx.verify_local_optimality(t, x, cf, d)
+                assert verify_local_optimality(t, x, cf, d)
 
 
 def test_line_search_outputs_verify_locally_optimal(schema_mixed):
@@ -292,7 +293,7 @@ def test_line_search_outputs_verify_locally_optimal(schema_mixed):
                 continue
             out = cx.line_search(t, x, cand)
             assert t.predict(out) != t.predict(x)
-            assert cx.verify_local_optimality(t, x, out, d)
+            assert verify_local_optimality(t, x, out, d)
 
 
 # -- heuristic oracle ---------------------------------------------------------------
@@ -306,7 +307,7 @@ def test_heuristic_uses_training_point(schema_grid10):
     x = schema_grid10.point_of("0.2", "0.5")
     resp = oracle.query(x, cx.full_region(schema_grid10))
     assert resp.counterfactual is not None
-    assert cx.verify_local_optimality(t, x, resp.counterfactual, oracle.distance)
+    assert verify_local_optimality(t, x, resp.counterfactual, oracle.distance)
 
 
 def test_heuristic_region_inside_leaf_none(schema_grid10):

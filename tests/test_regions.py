@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import make_schema, random_subregion
+from tests.conftest import make_schema, random_subregion, region_from_json
 
 import numpy as np
 
@@ -185,4 +185,4 @@ def test_region_json_roundtrip():
     for _ in range(25):
         r = random_subregion(sch, rng)
         data = cx.region_json(r, sch)
-        assert cx.region_from_json(data, sch) == r
+        assert region_from_json(data, sch) == r
