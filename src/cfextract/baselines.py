@@ -120,24 +120,25 @@ def pathfinding_extract(
         return Region(tuple(intervals), tuple(allowed))
 
     worklist: list[Region] = [full_region(schema)]
-    covered: list[tuple[Region, int]] = []
+    covered: dict[int, list[tuple[Region, int]]] = {}  # by leaf id
     while worklist:
         piece = worklist.pop()
         seed = center(piece)
         seed_id, label = leaf_oracle.query(seed)
         box = discover_box(seed, seed_id)
-        # keep the covered set disjoint even when coarse precision re-finds a leaf
+        # keep the covered set disjoint even when coarse precision re-finds a
+        # leaf; boxes of different leaves lie in disjoint leaf regions
+        mine = covered.setdefault(seed_id, [])
         fresh = [box]
-        for done, _ in covered:
+        for done, _ in mine:
             fresh = [q for r in fresh for q in subtract(r, done)]
-        for r in fresh:
-            covered.append((r, label))
+        mine += ((r, label) for r in fresh)
         remaining: list[Region] = []
         for w in [piece] + worklist:
             remaining.extend(subtract(w, box))
         worklist = remaining
 
-    model = boxes_to_tree(schema, covered)
+    model = boxes_to_tree(schema, [b for mine in covered.values() for b in mine])
     return model, leaf_oracle.log
 
 

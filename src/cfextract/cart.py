@@ -2,11 +2,12 @@
 
 Gini impurity, candidate thresholds at floor midpoints between consecutive
 distinct grid values, and a deterministic tie-break toward the lowest global
-axis then lowest threshold. Each interval axis is scanned in one vectorised
-pass (stable sort, cumulative class counts); its float scores are only a
-pre-filter, and the cuts within a relative 1e-9 of the axis maximum are
-re-checked by exact cross-multiplication in Python ints (no float ties, no
-int64 overflow). Trees grow through ``models.grow``.
+axis then lowest threshold. A node scores every interval axis of its pool in
+one vectorised pass: one stable sort of its n x a block of values, one cumsum
+of one-hot class counts, one score matrix. The float scores are only a
+pre-filter: the cuts within a relative 1e-9 of the node's best float score
+are re-checked by exact cross-multiplication in Python ints (no float ties,
+no int64 overflow). Trees grow through ``models.grow``.
 
 Cost-complexity pruning computes a tree's weakest-link path once: the nested
 sequence of subtrees that collapsing the cheapest links in turn produces
@@ -84,7 +85,6 @@ class _Builder:
         n = len(idx)
         classes, y = np.unique(self.labels[idx], return_inverse=True)
         k = len(classes)
-        class_ids = np.arange(k)
         total = np.bincount(y, minlength=k)
         s_parent = _square_sum(total)
         best = None  # (num, den, global_axis, tie_t, test)
@@ -105,33 +105,35 @@ class _Builder:
                     return
             best = (num, den, g_axis, tie_t, test)
 
-        for g_axis in self._axis_pool():
-            entry = self.schema.axis_table[g_axis]
-            if entry[0] == "i":
-                ivx = entry[1]
-                col = self.iv[idx, ivx]
-                order = np.argsort(col, kind="stable")
-                sv = col[order]
-                # cut after sorted position j wherever the value changes
-                cuts = (sv[1:] != sv[:-1]).nonzero()[0]
-                if not cuts.size:
-                    continue
-                left = np.cumsum(y[order][:, None] == class_ids, axis=0)[cuts]
-                # the float scores are within a few ulps of the exact ones, so
-                # the relative 1e-9 band keeps every cut that can reach the
-                # axis maximum; consider() then decides among them exactly
-                lf = left.astype(np.float64)
-                rf = total - lf
-                n_l = cuts + 1.0
-                score = (np.einsum("ij,ij->i", lf, lf) / n_l
-                         + np.einsum("ij,ij->i", rf, rf) / (n - n_l))
-                top = score.max()
-                for j in (score >= top - 1e-9 * top).nonzero()[0].tolist():
-                    pos = int(cuts[j])
-                    t = (int(sv[pos]) + int(sv[pos + 1])) // 2
-                    consider(_square_sum(left[j]), pos + 1, _square_sum(total - left[j]),
-                             n - pos - 1, g_axis, t, SplitNode(ivx, t))
-            else:
+        pool = self._axis_pool()
+        table = self.schema.axis_table
+        axes = [g for g in pool if table[g][0] == "i"]
+        if axes:
+            ivxs = [table[g][1] for g in axes]
+            block = self.iv[idx][:, ivxs]  # n x a
+            order = np.argsort(block, axis=0, kind="stable")
+            sv = np.take_along_axis(block, order, axis=0)
+            # left[j, a]: class counts of sorted positions <= j in column a
+            left = np.cumsum(y[order][:, :, None] == np.arange(k), axis=0)[:-1]
+            lf = left.astype(np.float64)
+            rf = total - lf
+            n_l = np.arange(1.0, n)[:, None]
+            score = (np.einsum("jac,jac->ja", lf, lf) / n_l
+                     + np.einsum("jac,jac->ja", rf, rf) / (n - n_l))
+            # a cut after sorted position j exists only where the value changes
+            score[sv[1:] == sv[:-1]] = -np.inf
+            top = score.max()
+            # the float scores are within a few ulps of the exact ones, so the
+            # relative 1e-9 band below the node's maximum holds every cut that
+            # can win; consider() then decides among them exactly
+            if top > -np.inf:
+                for j, a in np.argwhere(score >= top - 1e-9 * top).tolist():
+                    t = (int(sv[j, a]) + int(sv[j + 1, a])) // 2
+                    consider(_square_sum(left[j, a]), j + 1, _square_sum(total - left[j, a]),
+                             n - j - 1, axes[a], t, SplitNode(ivxs[a], t))
+        for g_axis in pool:
+            entry = table[g_axis]
+            if entry[0] == "g":
                 _, gi, c = entry
                 mask = self.cats[idx, gi] == c
                 n_l = int(mask.sum())

@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -487,60 +489,56 @@ def cells_within(model: Model, region: Region, cap: int) -> BoxSet:
 def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) -> TreeModel:
     """Greedy tree agreeing with a disjoint, covering box labeling.
 
-    Splits on any box edge (lowest global axis, lowest threshold first) until
-    one label remains; raises on overlapping or non-covering input.
+    Each node splits on the box edge strictly inside its region that cuts the
+    fewest of the boxes clipped to it; ties go to interval axes before groups,
+    then the lowest axis, then the lowest threshold or category. A test
+    ``index <= t`` cuts the boxes with low <= t < high, so each axis counts its
+    cuts by bisecting its sorted box lows and highs. Splitting stops when one
+    label remains. The input is checked leaf by leaf: a leaf's clipped boxes
+    must be pairwise disjoint and fill its volume. A point held by two boxes
+    lies in one leaf, which both boxes reach, so every overlap is found (a
+    volume sum alone misses an overlap offset by a gap in the same leaf).
+    Overlaps, gaps and differing labels with no edge between them raise
+    ContractViolation.
     """
     if not boxes:
         raise ContractViolation("no boxes given")
-    total = sum(r.volume for r, _ in boxes)
     domain = full_region(schema)
-    if total != domain.volume:
+    if sum(r.volume for r, _ in boxes) != domain.volume:
         raise ContractViolation("boxes do not cover the domain exactly")
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if intersect(boxes[i][0], boxes[j][0]) is not None:
-                raise ContractViolation("boxes overlap")
 
-    def clip(items, region):
-        out = []
-        for box, label in items:
-            inter = intersect(box, region)
-            if inter is not None:
-                out.append((inter, label))
-        return out
-
-    def lowest_edge(region, items):
-        # lowest interval edge strictly inside the region, then lowest category
-        for iv in range(len(schema.iv_sizes)):
-            a, b = region.intervals[iv]
-            if a == b:
-                continue
-            cand = set()
-            for box, _ in items:
-                bl, bh = box.intervals[iv]
-                if bl > a:
-                    cand.add(bl - 1)
-                if bh < b:
-                    cand.add(bh)
-            if cand:
-                return SplitNode(iv, min(cand))
-        for g in range(len(schema.group_sizes)):
-            s = region.allowed[g]
-            if len(s) < 2:
-                continue
-            cand = {c for c in s for box, _ in items if c not in box.allowed[g]}
-            if cand:
-                return CatNode(g, min(cand))
-        raise ContractViolation("conflicting labels with no separating edge")
+    def fewest_cut(region, items):
+        keys = []  # (boxes cut, 0 for an interval axis or 1 for a group, axis, edge)
+        for iv, (a, b) in enumerate(region.intervals):
+            lows = sorted(box.intervals[iv][0] for box, _ in items)
+            highs = sorted(box.intervals[iv][1] for box, _ in items)
+            edges = {lo - 1 for lo in lows if lo > a} | {hi for hi in highs if hi < b}
+            keys += ((bisect_right(lows, t) - bisect_right(highs, t), 0, iv, t) for t in edges)
+        for g, s in enumerate(region.allowed):
+            # a category test cuts the boxes holding its category and another
+            held = Counter(c for box, _ in items for c in box.allowed[g])
+            cut = Counter(c for box, _ in items if len(box.allowed[g]) > 1 for c in box.allowed[g])
+            keys += ((cut[c], 1, g, c) for c in s if held[c] < len(items))
+        if not keys:
+            raise ContractViolation("conflicting labels with no separating edge")
+        _, kind, axis, edge = min(keys)
+        return SplitNode(axis, edge) if kind == 0 else CatNode(axis, edge)
 
     def expand(item):
         region, items = item
-        labels = {label for _, label in items}
-        if len(labels) == 1:
-            return Leaf(next(iter(labels)))
-        test = lowest_edge(region, items)
+        labels = {lab for _, lab in items}
+        if len(labels) <= 1:  # no label where a gap fills a whole side
+            for (p, _), (q, _) in itertools.combinations(items, 2):
+                if intersect(p, q) is not None:
+                    raise ContractViolation("boxes overlap")
+            if sum(box.volume for box, _ in items) != region.volume:
+                raise ContractViolation("boxes do not cover the domain exactly")
+            return Leaf(labels.pop())
+        test = fewest_cut(region, items)
         left, right = test.split_region(region)  # both sides hold a box edge
-        return test, (left, clip(items, left)), (right, clip(items, right))
+        sides = [test.split_region(box) + (lab,) for box, lab in items]  # each box clipped
+        return (test, (left, [(l, lab) for l, _, lab in sides if l is not None]),
+                (right, [(r, lab) for _, r, lab in sides if r is not None]))
 
     return TreeModel(schema, *grow((domain, list(boxes)), expand))
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
+from cfextract import baselines
 from tests.conftest import make_schema
 from tests.test_models import single_split_tree
 
@@ -71,6 +73,28 @@ def test_pathfinding_coarse_epsilon_still_terminates():
     assert model.leaf_count >= 2
     fid = cx.fidelity(target, model, sch, n_samples=1000, seed=0)
     assert fid.fidelity >= 0.9  # boundary located only to the coarse precision
+
+
+def test_pathfinding_coarse_epsilon_keeps_the_covered_boxes_disjoint(monkeypatch):
+    # at 1/16 on a 1/256 grid, bisection stops short of most boundaries, so
+    # later seeds re-find leaves and each new box is cut against that leaf's
+    # earlier ones
+    sch = make_schema("2num")
+    target = cx.gen_random_tree(sch, 4, seed=0)
+    compiled = []
+    compile_boxes = baselines.boxes_to_tree
+    monkeypatch.setattr(baselines, "boxes_to_tree", lambda schema, boxes:
+                        compiled.append(boxes) or compile_boxes(schema, boxes))
+    model, _ = cx.pathfinding_extract(cx.LeafIdOracle(target), sch, epsilon=Fraction(1, 16))
+    (boxes,) = compiled
+    assert target.leaf_count > 1 and len(boxes) > 5 * target.leaf_count
+    for (p, _), (q, _) in itertools.combinations(boxes, 2):
+        assert cx.intersect(p, q) is None
+    # each box lies inside one leaf of the target and carries its label
+    for box, label in boxes:
+        ((leaf, _),) = target.leaves_within(box)
+        assert target.nodes[leaf].label == label
+    assert cx.functional_equivalence(target, model, sch) == (True, None)
 
 
 # -- budgets -----------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Every tree builder against models written before they shared ``grow``, and
-on inputs deep enough to exhaust Python's recursion limit."""
+on inputs deep enough to exhaust Python's recursion limit.
+
+The ``boxes_to_tree/*`` goldens pin the fewest-cut rule, which replaced the
+lowest-edge rule the other goldens were written beside; every other entry is
+byte for byte the recursive builders' output."""
 
 import json
 import os
@@ -96,7 +100,8 @@ def _board_601():
 
 
 def test_boxes_to_tree_on_601_boxes_in_a_row():
-    # the lowest-edge rule peels one box per level: a chain 600 levels deep
+    # no edge cuts a box, so the lowest edge wins and peels one box per
+    # level: a chain 600 levels deep
     sch, board = _board_601()
     tree = cx.boxes_to_tree(sch, board.leaf_regions())
     assert tree.depth == 600
@@ -108,3 +113,31 @@ def test_pathfinding_on_601_boxes_in_a_row():
     model, _ = cx.pathfinding_extract(cx.LeafIdOracle(board), sch, Fraction(1, 1024))
     assert model.leaf_count == 601
     assert cx.functional_equivalence(board, model, sch) == (True, None)
+
+
+# -- a deep trained target -----------------------------------------------------
+
+def _alternating_tree(n):
+    """An unpruned CART tree on ``n`` uniform points of a 1/1024 square whose
+    labels alternate row by row: no pattern, so about 0.4 n leaves."""
+    sch = cx.FeatureSchema([cx.NumericFeature(f"x{i}", 0, 1, Fraction(1, 1024))
+                            for i in range(2)])
+    rng = np.random.default_rng(0)
+    pts = [cx.Point(tuple(int(v) for v in rng.integers(0, 1025, 2)), ()) for _ in range(n)]
+    return sch, cx.train_tree(sch, pts, [i % 2 for i in range(n)])
+
+
+def test_boxes_to_tree_on_a_thousand_trained_leaves():
+    sch, target = _alternating_tree(2500)
+    assert target.leaf_count > 950
+    tree = cx.boxes_to_tree(sch, target.leaf_regions())
+    assert tree.leaf_count <= target.leaf_count
+    assert cx.functional_equivalence(target, tree, sch) == (True, None)
+
+
+def test_pathfinding_on_three_hundred_trained_leaves():
+    sch, target = _alternating_tree(800)
+    assert target.leaf_count > 280
+    model, _ = cx.pathfinding_extract(cx.LeafIdOracle(target), sch, Fraction(1, 1024))
+    assert model.leaf_count <= target.leaf_count
+    assert cx.functional_equivalence(target, model, sch) == (True, None)

@@ -232,14 +232,26 @@ SPLIT_SCHEMAS = (
         cx.CategoricalFeature("h", ("u", "v")),
     ]),
 )
+# seven interval axes around a one-hot group; drawn with 1-2-value spreads,
+# many axes tie for the node's best cut at once
+WIDE_SCHEMA = cx.FeatureSchema([
+    cx.NumericFeature("x0", 0, 1, Fraction(1, 16)),
+    cx.BinaryFeature("b0"),
+    cx.OrdinalFeature("o0", 6),
+    cx.CategoricalFeature("g", ("a", "b", "c")),
+    cx.NumericFeature("x1", 0, 1, Fraction(1, 4)),
+    cx.OrdinalFeature("o1", 3),
+    cx.NumericFeature("x2", 0, 1, Fraction(1, 8)),
+    cx.BinaryFeature("b1"),
+])
 
 
 @st.composite
 def training_sets(draw):
-    schema = draw(st.sampled_from(SPLIT_SCHEMAS))
+    schema = draw(st.sampled_from(SPLIT_SCHEMAS + (WIDE_SCHEMA,)))
     n = draw(st.integers(2, 60))
     # few distinct values per axis make many exactly tied cuts
-    spread = draw(st.sampled_from([1, 2, 4, None]))
+    spread = draw(st.sampled_from([1, 2] if schema is WIDE_SCHEMA else [1, 2, 4, None]))
     ivals = st.tuples(*(st.integers(0, size - 1 if spread is None else min(size - 1, spread))
                         for size in schema.iv_sizes))
     cats = st.tuples(*(st.integers(0, k - 1) for k in schema.group_sizes))
@@ -297,3 +309,14 @@ def test_tied_cuts_lowest_threshold_wins():
 def test_square_sum_is_exact_past_int64():
     big = np.array([2**40, 3], dtype=np.int64)
     assert _square_sum(big) == 2**80 + 9
+
+
+def test_exact_ties_that_round_apart_reach_the_exact_check():
+    # both cuts score exactly 16/3: x's {0, 1} | {1, 5} class counts and z's
+    # {0, 2} | {2, 4}; in floats, x's rounds to 5.333333333333333 and z's to
+    # 5.333333333333334, so only the band below the maximum keeps x's cut,
+    # which wins the tie as the lower axis
+    sch = cx.FeatureSchema([cx.OrdinalFeature("x", 2), cx.OrdinalFeature("z", 2)])
+    rows = [(0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)] + [(1, 1, 1)] * 4
+    t = cx.train_tree(sch, [cx.Point((x, z), ()) for x, z, _ in rows], [y for *_, y in rows])
+    assert t.nodes[t.root].iv_axis == 0

@@ -257,6 +257,43 @@ def test_boxes_to_tree_rejects_overlap_and_gaps(schema_grid10):
         cx.boxes_to_tree(schema_grid10, [(cx.Region(((0, 4), (0, 10)), ()), 0)])
 
 
+def _box(x, y):
+    return cx.Region((x, y), ())
+
+
+# each case but the plain gap has the grid10 domain's volume, 121, and the
+# check that rejects it
+BAD_BOXES = {
+    # the column x = 5 is held by both labels, and x = 10 by neither
+    "overlap of two labels": (
+        [(_box((0, 5), (0, 10)), 0), (_box((5, 9), (0, 10)), 1)], "no separating edge"),
+    # the leaf y <= 4 holds 55 cells of label 0: x = 5 twice, x = 10 never,
+    # so its volumes sum up right and only the disjointness check sees it
+    "same-label overlap and a gap in one leaf": (
+        [(_box((0, 5), (0, 4)), 0), (_box((5, 9), (0, 4)), 0), (_box((0, 10), (5, 10)), 1)],
+        "overlap"),
+    "gap": ([(_box((0, 4), (0, 10)), 0), (_box((6, 10), (0, 10)), 1)], "cover"),
+    "no boxes": ([], "no boxes"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_BOXES))
+def test_boxes_to_tree_rejects(case, schema_grid10):
+    boxes, message = BAD_BOXES[case]
+    with pytest.raises(cx.ContractViolation, match=message):
+        cx.boxes_to_tree(schema_grid10, boxes)
+
+
+@given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 6), st.integers(0, 2**16),
+       st.integers(2, 4))
+def test_boxes_to_tree_rebuilds_any_tree_with_no_more_leaves(kind, depth, seed, classes):
+    sch = make_schema(kind)
+    t = cx.gen_random_tree(sch, depth, seed, classes)
+    rebuilt = cx.boxes_to_tree(sch, t.leaf_regions())
+    assert cx.functional_equivalence(t, rebuilt, sch) == (True, None)
+    assert rebuilt.leaf_count <= t.leaf_count
+
+
 def test_boxes_roundtrip_equivalence(schema_mixed):
     for seed in range(5):
         t = cx.gen_random_tree(schema_mixed, depth=4, seed=seed)
