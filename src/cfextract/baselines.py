@@ -62,11 +62,12 @@ class LeafIdOracle:
         self.target = target
         self.schema = target.schema
         self.log = QueryLog()
+        self._domain = full_region(self.schema)  # frozen, so every record may share it
 
     def query(self, x: Point) -> tuple[int, int]:
         i = self.target.leaf_index(x)
         label = self.target.nodes[i].label
-        self.log.bill(x, full_region(self.schema), label, None)
+        self.log.bill(x, self._domain, label, None)
         return i, label
 
 

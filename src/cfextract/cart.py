@@ -7,7 +7,9 @@ one vectorised pass: one stable sort of its n x a block of values, one cumsum
 of one-hot class counts, one score matrix. The float scores are only a
 pre-filter: the cuts within a relative 1e-9 of the node's best float score
 are re-checked by exact cross-multiplication in Python ints (no float ties,
-no int64 overflow). Trees grow through ``models.grow``.
+no int64 overflow). The labels are encoded as 0..k-1 once per training, with
+one one-hot table that every node reads its class counts from. Trees grow
+through ``models.grow``.
 
 Cost-complexity pruning computes a tree's weakest-link path once: the nested
 sequence of subtrees that collapsing the cheapest links in turn produces
@@ -44,11 +46,6 @@ class TrainConfig:
     seed: int = 0
 
 
-def _majority(labels: np.ndarray) -> int:
-    vals, counts = np.unique(labels, return_counts=True)
-    return int(vals[np.argmax(counts)])  # unique() sorts, argmax keeps lowest id
-
-
 def _square_sum(counts: np.ndarray) -> int:
     """Exact sum of squared class counts, in Python ints."""
     return sum(c * c for c in counts.tolist())
@@ -61,6 +58,10 @@ class _Builder:
         self.iv = iv
         self.cats = cats
         self.labels = labels
+        # labels encoded once as 0..k-1 (ascending ids) with a one-hot table;
+        # a class absent from a node adds zero columns, which change no score
+        self.classes, self.codes = np.unique(labels, return_inverse=True)
+        self.onehot = self.codes[:, None] == np.arange(len(self.classes))
         self.config = config
         self.rng = rng
         m = schema.m
@@ -83,8 +84,8 @@ class _Builder:
         good as the unsplit parent qualify.
         """
         n = len(idx)
-        classes, y = np.unique(self.labels[idx], return_inverse=True)
-        k = len(classes)
+        y = self.codes[idx]
+        k = len(self.classes)
         total = np.bincount(y, minlength=k)
         s_parent = _square_sum(total)
         best = None  # (num, den, global_axis, tie_t, test)
@@ -114,7 +115,7 @@ class _Builder:
             order = np.argsort(block, axis=0, kind="stable")
             sv = np.take_along_axis(block, order, axis=0)
             # left[j, a]: class counts of sorted positions <= j in column a
-            left = np.cumsum(y[order][:, :, None] == np.arange(k), axis=0)[:-1]
+            left = np.cumsum(self.onehot[idx[order]], axis=0)[:-1]
             lf = left.astype(np.float64)
             rf = total - lf
             n_l = np.arange(1.0, n)[:, None]
@@ -147,14 +148,14 @@ class _Builder:
     def expand(self, item):
         """``grow``'s step on (sample indices, depth): a leaf, or a split."""
         idx, depth = item
-        labels = self.labels[idx]
-        pure = labels.min() == labels.max()
+        codes = self.codes[idx]
         max_depth = self.config.max_depth
-        if pure or (max_depth is not None and depth >= max_depth):
-            return Leaf(_majority(labels))
-        best = self._best_split(idx)
+        best = None
+        if codes.min() < codes.max() and (max_depth is None or depth < max_depth):
+            best = self._best_split(idx)
         if best is None:
-            return Leaf(_majority(labels))
+            # the majority class, the lowest id on ties
+            return Leaf(int(self.classes[np.bincount(codes).argmax()]))
         test = best[-1]
         mask = test.left_mask(self.iv, self.cats, idx)
         return test, (idx[mask], depth + 1), (idx[~mask], depth + 1)

@@ -87,7 +87,9 @@ def functional_equivalence(
 
 
 def uniform_points(schema: FeatureSchema, n: int, seed: int):
-    """Uniform grid sample as index arrays (iv, cats)."""
+    """Uniform grid sample of ``n`` >= 0 points as index arrays (iv, cats)."""
+    if n < 0:
+        raise ContractViolation(f"cannot draw {n} evaluation points")
     rng = np.random.default_rng(seed)
     n_iv = len(schema.iv_sizes)
     iv = np.empty((n, n_iv), dtype=np.int64)
@@ -184,9 +186,9 @@ def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.nda
     of a TRA run are not built: the points are replayed once through the
     run's record, in query order.
     """
-    ref = target.predict_arrays(iv, cats)
-    if not ref.size:
+    if not (iv.shape[0] if iv.ndim == 2 else cats.shape[0]):
         raise ContractViolation("need at least one evaluation point")
+    ref = target.predict_arrays(iv, cats)
     out = [0.0] * len(snapshots)
     replays: dict = {}  # TRA state -> indices of its snapshots
     for i, snap in enumerate(snapshots):

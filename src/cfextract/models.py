@@ -27,7 +27,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -152,6 +152,49 @@ class TreeModel:
             node = nodes[i]
         return i
 
+    def line_segments(self, ivals: Sequence[int], cats: Sequence[int], axis: int,
+                      lo: int, hi: int) -> tuple[list[int], list[int | None]]:
+        """The labels along interval axis ``axis`` over ``[lo, hi]``, every
+        other coordinate fixed at ``ivals``/``cats``: the ascending starts of
+        the segments the leaves cut the line into, and each segment's label.
+
+        One integer walk: a test on ``axis`` follows both non-empty sides,
+        clipping the span; every other test follows the point's side. The
+        right side is pushed and the left followed, so segments come out in
+        ascending order. No ``Region`` is built."""
+        nodes = self.nodes
+        starts: list[int] = []
+        labels: list[int | None] = []
+        stack = [(self.root, lo, hi)]
+        while stack:
+            i, a, b = stack.pop()
+            node = nodes[i]
+            while type(node) is not Leaf:
+                if type(node) is SplitNode:
+                    t = node.threshold
+                    if node.iv_axis != axis:
+                        i = node.left if ivals[node.iv_axis] <= t else node.right
+                    elif t >= b:
+                        i = node.left
+                    elif t < a:
+                        i = node.right
+                    else:
+                        stack.append((node.right, t + 1, b))
+                        i, b = node.left, t
+                else:
+                    i = node.left if cats[node.group] == node.category else node.right
+                node = nodes[i]
+            starts.append(a)
+            labels.append(node.label)
+        return starts, labels
+
+    def line(self, ivals: Sequence[int], cats: Sequence[int], axis: int, lo: int,
+             hi: int) -> Callable[[int], int | None]:
+        """The label at index ``v`` of ``[lo, hi]`` on ``axis``, others fixed
+        as in ``line_segments``: one walk, then a bisection per lookup."""
+        starts, labels = self.line_segments(ivals, cats, axis, lo, hi)
+        return lambda v: labels[bisect_right(starts, v) - 1]
+
     # -- evaluation ---------------------------------------------------------
     def predict(self, p: Point) -> int | None:
         return self.nodes[self.leaf_index(p)].label
@@ -262,10 +305,28 @@ class ForestModel:
             counts[self._class_of[t.predict(p)]] += 1
         return self.labels[_vote(counts)]
 
+    def line(self, ivals: Sequence[int], cats: Sequence[int], axis: int, lo: int,
+             hi: int) -> Callable[[int], int]:
+        """``TreeModel.line`` for the vote: one segment table per tree, and a
+        lookup votes over the trees' labels at the index, as ``predict`` does.
+        (One merged breakpoint list would cost O(T^2) per line on T trees.)"""
+        tables = [t.line_segments(ivals, cats, axis, lo, hi) for t in self.trees]
+        class_of, labels = self._class_of, self.labels
+
+        def label_at(v: int) -> int:
+            counts = [0] * len(labels)
+            for starts, leaf_labels in tables:
+                counts[class_of[leaf_labels[bisect_right(starts, v) - 1]]] += 1
+            return labels[_vote(counts)]
+
+        return label_at
+
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
         votes = np.stack([t.predict_arrays(iv, cats) for t in self.trees])
-        k = int(votes.max()) + 1
         n = votes.shape[1]
+        if not n:
+            return np.empty(0, dtype=np.int64)
+        k = int(votes.max()) + 1
         counts = np.zeros((k, n), dtype=np.int32)
         idx = np.arange(n)
         for row in votes:

@@ -5,8 +5,12 @@ requested region, a counterfactual point. The exact mode returns a global
 distance minimizer among label-flipping grid points of the region (absence is
 then a certificate); the heuristic mode scans server-side training data and
 uniform samples, refining hits with a per-axis line search, and its absences
-are only a search failure. Server-side computation (including every predict
-issued internally) is not billed; only ``query`` calls count.
+are only a search failure. The line search reads each interval probe from a
+table of the target's labels along the axis it is sweeping, built by one walk
+of each tree and rebuilt each time the sweep turns to an axis; the sampling
+generator is built only when the training-data scan misses. Server-side
+computation (including every predict issued internally) is not billed; only
+``query`` calls count.
 
 The exact mode is deterministic: among all minimizers it returns the
 lexicographically smallest point (``FeatureSchema.lex_key``), so the answer,
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -207,6 +212,12 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
     back to the query's category when that keeps the flip. At the fixpoint no
     single-axis one-step move toward ``x`` preserves the flip, which makes the
     result locally optimal.
+
+    An interval probe reads the target's label table along the axis being
+    swept (``target.line``): the labels between the current coordinate and
+    the query's, every other coordinate fixed. The table is built once each
+    time the sweep turns to an axis, since the other coordinates may have
+    moved since its last visit. Category probes call ``predict``.
     """
     y = target.predict(x)
     if target.predict(x_cand) == y:
@@ -216,21 +227,22 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
     moved = True
     while moved:
         moved = False
-        for i in range(len(ivals)):
-            gap = x.ivals[i] - ivals[i]
-            if gap == 0:
+        for i, home in enumerate(x.ivals):
+            v = ivals[i]
+            if v == home:
                 continue
-            direction = 1 if gap > 0 else -1
-            step = 1 << (abs(gap).bit_length() - 1)
+            label_at = target.line(ivals, cats, i, min(v, home), max(v, home))
+            direction = 1 if home > v else -1
+            step = 1 << (abs(home - v).bit_length() - 1)
             while step:
-                if step <= abs(x.ivals[i] - ivals[i]):
-                    trial = ivals[i] + direction * step
-                    probe = Point(tuple(ivals[:i] + [trial] + ivals[i + 1:]), tuple(cats))
-                    if target.predict(probe) != y:
-                        ivals[i] = trial
+                if step <= abs(home - v):
+                    trial = v + direction * step
+                    if label_at(trial) != y:
+                        v = trial
                         moved = True
                         continue
                 step >>= 1
+            ivals[i] = v
         for g in range(len(cats)):
             if cats[g] != x.cats[g]:
                 probe = Point(tuple(ivals), tuple(cats[:g] + [x.cats[g]] + cats[g + 1:]))
@@ -240,19 +252,23 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
     return Point(tuple(ivals), tuple(cats))
 
 
-def heuristic_cf(target: Model, x: Point, region: Region,
+def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
                  training_data: Sequence[Point] | None, sample_budget: int,
-                 rng) -> Point | None:
+                 make_rng: Callable[[], np.random.Generator]) -> Point | None:
     """Training-data scan, then uniform sampling, then line-search refinement.
+
+    ``y`` is the query's label, ``target.predict(x)``. ``make_rng()`` gives
+    the sampling generator; it is called only when the scan finds no flip
+    and sampling starts.
 
     Returns a locally optimal counterfactual when the search hits one;
     ``None`` only means the search failed, not that none exists.
     """
-    y = target.predict(x)
     if training_data:
         for p in training_data:
             if contains(region, p) and target.predict(p) != y:
                 return line_search(target, x, p)
+    rng = make_rng()
     for _ in range(sample_budget):
         p = sample_point(region, rng)
         if target.predict(p) != y:
@@ -299,8 +315,8 @@ class CounterfactualOracle:
         if self.config.mode == "exact":
             cf = self._exact(x, region)
         else:
-            cf = heuristic_cf(self.target, x, region, self.training_data,
-                              self.config.sample_budget, self._rng_for(region))
+            cf = heuristic_cf(self.target, x, y, region, self.training_data,
+                              self.config.sample_budget, partial(self._rng_for, region))
             if cf is None and self.config.audit_absences:
                 if self._exact(x, region) is not None:
                     self.false_absences.append(self.log.count)

@@ -8,6 +8,8 @@ a query trace records. ``reference_best_split`` is the per-cut CART split search
 that the vectorised one in ``cfextract.cart`` must reproduce exactly;
 ``reference_cost_complexity_prune`` re-derives the weakest links for one
 penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
+``reference_line_search`` is the line search with one ``predict`` per probe,
+which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -249,6 +251,41 @@ def reference_best_split(builder, idx: np.ndarray):
             s_r = int((rc.astype(object) ** 2).sum())
             consider(s_l, n_l, s_r, n - n_l, g_axis, 0, cx.CatNode(gi, c))
     return best
+
+
+def reference_line_search(target, x: cx.Point, x_cand: cx.Point) -> cx.Point:
+    """``cx.line_search`` with every probe a full ``predict`` of a fresh point:
+    the same sweep, the same steps, the same result."""
+    y = target.predict(x)
+    if target.predict(x_cand) == y:
+        raise cx.ContractViolation("line_search needs a label-flipped start point")
+    ivals = list(x_cand.ivals)
+    cats = list(x_cand.cats)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(len(ivals)):
+            gap = x.ivals[i] - ivals[i]
+            if gap == 0:
+                continue
+            direction = 1 if gap > 0 else -1
+            step = 1 << (abs(gap).bit_length() - 1)
+            while step:
+                if step <= abs(x.ivals[i] - ivals[i]):
+                    trial = ivals[i] + direction * step
+                    probe = cx.Point(tuple(ivals[:i] + [trial] + ivals[i + 1:]), tuple(cats))
+                    if target.predict(probe) != y:
+                        ivals[i] = trial
+                        moved = True
+                        continue
+                step >>= 1
+        for g in range(len(cats)):
+            if cats[g] != x.cats[g]:
+                probe = cx.Point(tuple(ivals), tuple(cats[:g] + [x.cats[g]] + cats[g + 1:]))
+                if target.predict(probe) != y:
+                    cats[g] = x.cats[g]
+                    moved = True
+    return cx.Point(tuple(ivals), tuple(cats))
 
 
 def reference_cost_complexity_prune(tree, train_points, train_labels, alpha):

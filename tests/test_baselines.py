@@ -26,6 +26,17 @@ def test_pathfinding_single_leaf_costs_seed_plus_boundaries(schema_grid10):
     assert log.count == 1 + 2 * schema_grid10.m
 
 
+def test_leaf_id_records_share_one_full_region(schema_mixed):
+    target = cx.gen_random_tree(schema_mixed, 3, seed=1)
+    oracle = cx.LeafIdOracle(target)
+    rng = np.random.default_rng(0)
+    full = cx.full_region(schema_mixed)
+    for _ in range(5):
+        oracle.query(cx.sample_point(full, rng))
+    regions = [rec.region for rec in oracle.log.records]
+    assert all(r == full and r is regions[0] for r in regions)
+
+
 def test_pathfinding_single_split_exact_and_costlier_than_tra():
     sch = cx.FeatureSchema([
         cx.NumericFeature("x1", 0, 1, Fraction(1, 1024)),

@@ -152,6 +152,19 @@ def test_fidelity_without_samples_exit_code(workdir, capsys):
     assert "NaN" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, samples", [("random-forest", 0), ("random-forest", -3),
+                                           ("random-tree", -3)])
+def test_curve_with_no_evaluation_points_exits_2(workdir, capsys, kind, samples):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", kind, "--schema", workdir / "schema.json", "--classes", "3",
+                   "--trees", "3", "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                   "--curve", workdir / "c.csv", "--fidelity-samples", samples) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation:") and err.count("\n") == 1
+
+
 def test_capacity_exit_code(workdir, monkeypatch):
     target = workdir / "t.json"
     run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",

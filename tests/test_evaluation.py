@@ -155,6 +155,22 @@ def test_fidelity_requires_evaluation_points(schema_grid10, n_samples, points):
         cx.fidelity(t, t, schema_grid10, n_samples, points=points)
 
 
+def test_snapshot_fidelities_refuse_zero_points_before_predicting(schema_mixed):
+    # a forest target cannot even predict zero rows' votes: the check comes first
+    forest = cx.gen_random_forest(schema_mixed, n_trees=3, depth=3, seed=0, n_classes=3)
+    iv, cats = cx.uniform_points(schema_mixed, 0, seed=0)
+    snaps = [cx.Snapshot(1, forest.trees[0], Fraction(0))]
+    with pytest.raises(cx.ContractViolation, match="evaluation point"):
+        cx.snapshot_fidelities(forest, snaps, iv, cats)
+
+
+def test_uniform_points_refuse_a_negative_count(schema_mixed):
+    with pytest.raises(cx.ContractViolation, match="-3 evaluation points"):
+        cx.uniform_points(schema_mixed, -3, seed=0)
+    iv, cats = cx.uniform_points(schema_mixed, 0, seed=0)
+    assert iv.shape == (0, 3) and cats.shape == (0, 1)
+
+
 def test_anytime_requires_a_run():
     with pytest.raises(cx.ContractViolation, match="at least one run"):
         cx.anytime_fidelity([])

@@ -58,6 +58,14 @@ def test_forest_tie_breaks_to_lowest_label(schema_grid10):
     assert forest.predict_arrays(iv, cats)[0] == 0
 
 
+def test_forest_predict_arrays_on_zero_rows_is_empty_as_for_a_tree(schema_mixed):
+    forest = cx.gen_random_forest(schema_mixed, n_trees=3, depth=3, seed=2, n_classes=3)
+    iv, cats = cx.uniform_points(schema_mixed, 0, seed=0)
+    for model in (forest, forest.trees[0]):
+        out = model.predict_arrays(iv, cats)
+        assert out.shape == (0,) and out.dtype == np.int64
+
+
 def test_forest_order_invariance(schema_mixed):
     f = cx.gen_random_forest(schema_mixed, n_trees=5, depth=3, seed=11)
     g = cx.ForestModel(schema_mixed, f.trees[::-1])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import (brute_force_cf, make_schema, random_subregion, run_optimized,
-                            verify_local_optimality)
+from tests.conftest import (brute_force_cf, make_schema, random_subregion,
+                            reference_line_search, run_optimized, verify_local_optimality)
 from tests.test_models import single_split_tree, two_split_target
 
 
@@ -296,6 +296,58 @@ def test_line_search_outputs_verify_locally_optimal(schema_mixed):
             assert verify_local_optimality(t, x, out, d)
 
 
+def random_model(schema, forest_trees: int, depth: int, n_classes: int, seed: int):
+    """A random tree (``forest_trees`` 0) or forest of that many trees."""
+    if forest_trees:
+        return cx.gen_random_forest(schema, forest_trees, depth, seed, n_classes)
+    return cx.gen_random_tree(schema, depth, seed, n_classes)
+
+
+@given(kind=st.sampled_from(["mixed", "groups2", "small3"]),
+       forest_trees=st.integers(0, 5), depth=st.integers(0, 7),
+       n_classes=st.sampled_from([2, 3]), model_seed=st.integers(0, 2**16),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_line_search_matches_per_probe_reference_point_for_point(
+        kind, forest_trees, depth, n_classes, model_seed, rng_seed):
+    schema = make_schema(kind)
+    model = random_model(schema, forest_trees, depth, n_classes, model_seed)
+    full = cx.full_region(schema)
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(20):
+        x, start = cx.sample_point(full, rng), cx.sample_point(full, rng)
+        if model.predict(start) != model.predict(x):
+            assert cx.line_search(model, x, start) == reference_line_search(model, x, start)
+
+
+@given(kind=st.sampled_from(["grid10", "mixed", "groups2", "small3"]),
+       forest_trees=st.integers(0, 5), depth=st.integers(0, 6),
+       n_classes=st.sampled_from([2, 3]), model_seed=st.integers(0, 2**16),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_line_table_label_equals_predict_at_every_index(
+        kind, forest_trees, depth, n_classes, model_seed, rng_seed):
+    schema = make_schema(kind)
+    model = random_model(schema, forest_trees, depth, n_classes, model_seed)
+    rng = np.random.default_rng(rng_seed)
+    p = cx.sample_point(cx.full_region(schema), rng)
+    axis = int(rng.integers(len(schema.iv_sizes)))
+    lo = int(rng.integers(schema.iv_sizes[axis]))
+    hi = int(rng.integers(lo, schema.iv_sizes[axis]))
+    label_at = model.line(p.ivals, p.cats, axis, lo, hi)
+    for v in range(lo, hi + 1):
+        q = cx.Point(p.ivals[:axis] + (v,) + p.ivals[axis + 1:], p.cats)
+        assert label_at(v) == model.predict(q)
+
+
+def test_line_segments_ascend_and_cut_only_at_the_axis_thresholds(schema_grid10):
+    # x1 <= 2 | 2 < x1 <= 6 split again on x2 | x1 > 6
+    nodes = [cx.Leaf(0), cx.Leaf(1), cx.Leaf(0), cx.SplitNode(1, 4, 1, 2), cx.Leaf(1),
+             cx.SplitNode(0, 6, 3, 4), cx.SplitNode(0, 2, 0, 5)]
+    t = cx.TreeModel(schema_grid10, nodes, root=6)
+    assert t.line_segments((0, 3), (), 0, 0, 10) == ([0, 3, 7], [0, 1, 1])
+    assert t.line_segments((0, 8), (), 0, 1, 5) == ([1, 3], [0, 0])
+    assert t.line_segments((5, 0), (), 1, 0, 10) == ([0, 5], [1, 0])
+
+
 # -- heuristic oracle ---------------------------------------------------------------
 
 
@@ -308,6 +360,28 @@ def test_heuristic_uses_training_point(schema_grid10):
     resp = oracle.query(x, cx.full_region(schema_grid10))
     assert resp.counterfactual is not None
     assert verify_local_optimality(t, x, resp.counterfactual, oracle.distance)
+
+
+def test_heuristic_scan_hit_builds_no_generator(schema_grid10, monkeypatch):
+    built = []
+    rng_for = cx.CounterfactualOracle._rng_for
+
+    def counting(self, region):
+        built.append(region)
+        return rng_for(self, region)
+
+    monkeypatch.setattr(cx.CounterfactualOracle, "_rng_for", counting)
+    t = single_split_tree(schema_grid10, 0, 5)
+    oracle = cx.CounterfactualOracle(
+        t, cx.OracleConfig(mode="heuristic"),
+        training_data=[schema_grid10.point_of("0.9", "0.5")])
+    full = cx.full_region(schema_grid10)
+    # answered by the scan: the training point flips the label
+    assert oracle.query(schema_grid10.point_of("0.2", "0.5"), full).counterfactual is not None
+    assert built == []
+    # the scan misses (the training point has the query's label): sampling starts
+    assert oracle.query(schema_grid10.point_of("0.8", "0.5"), full).counterfactual is not None
+    assert built == [full]
 
 
 def test_heuristic_region_inside_leaf_none(schema_grid10):
