@@ -23,9 +23,9 @@ from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
 from .models import (CatNode, ForestModel, Leaf, ModelStats, SplitNode, TreeModel,
                      boxes_to_tree, load_model, model_from_json_dict, model_json_dict,
-                     predict, save_model, stats)
-from .oracles import (CounterfactualOracle, OracleConfig, OracleResponse, QueryLog,
-                      QueryRecord, exact_ensemble_cf, exact_tree_cf, heuristic_cf, line_search)
+                     save_model, stats)
+from .oracles import (CounterfactualOracle, OracleConfig, QueryLog, QueryRecord,
+                      exact_ensemble_cf, exact_tree_cf, heuristic_cf, line_search)
 from .regions import (Region, center, contains, full_region, grid_volume, intersect,
                       region_json, sample_point, split, subtract)
 from .schema import (BinaryFeature, CategoricalFeature, FeatureSchema, NumericFeature,

@@ -23,7 +23,7 @@ from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
 from .oracles import CounterfactualOracle, QueryLog
 from .regions import Region, center, full_region, sample_point, subtract
 from .schema import FeatureSchema, Point, exact_number
-from .tra import AttackResult, Snapshot, take_snapshot
+from .tra import AttackResult, Snapshot, other_label, take_snapshot
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,6 @@ def _train_surrogate(schema: FeatureSchema, points, labels,
     return train_tree(schema, points, labels, spec.train)
 
 
-def _other_label(labels: tuple[int, ...], y: int) -> int:
-    return labels[0] if y == labels[1] else labels[1]
-
-
 def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                       surrogate: SurrogateSpec, seed: int, snapshot_every: int,
                       dual: bool) -> AttackResult:
@@ -201,7 +197,7 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
         """Label of a returned counterfactual: free flip in binary tasks,
         one billed query otherwise."""
         if binary:
-            return _other_label(oracle.labels, flipped_from)
+            return other_label(oracle.labels, flipped_from)
         if oracle.log.count < budget.max_queries:
             return oracle.query(point, domain).label
         return None

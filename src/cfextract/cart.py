@@ -41,8 +41,6 @@ CCP_GRID: tuple[Fraction, ...] = tuple(
 class TrainConfig:
     max_depth: int | None = None
     n_trees: int = 10
-    bootstrap: bool = True
-    feature_subsampling: bool = True  # sqrt(m) axes per split, forests only
     seed: int = 0
 
 
@@ -64,9 +62,8 @@ class _Builder:
         self.onehot = self.codes[:, None] == np.arange(len(self.classes))
         self.config = config
         self.rng = rng
-        m = schema.m
-        self.n_sub = max(1, int(math.sqrt(m))) if (rng is not None and
-                                                   config.feature_subsampling) else m
+        # a forest's trees (the ones given an rng) see sqrt(m) axes per split
+        self.n_sub = max(1, int(math.sqrt(schema.m))) if rng is not None else schema.m
 
     def _axis_pool(self) -> list[int]:
         m = self.schema.m
@@ -189,10 +186,8 @@ def train_forest(schema: FeatureSchema, points: Sequence[Point],
     trees = []
     for _ in range(config.n_trees):
         tree_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        sub = tree_rng.integers(0, n, size=n) if config.bootstrap else None
-        trees.append(
-            train_tree(schema, points, labels, config, _rng=tree_rng, _subsample=sub)
-        )
+        trees.append(train_tree(schema, points, labels, config, _rng=tree_rng,
+                                _subsample=tree_rng.integers(0, n, size=n)))
     return ForestModel(schema, trees)
 
 

@@ -215,6 +215,8 @@ def _cmd_attack(args) -> int:
     if args.method == "pathfinding":
         if isinstance(target, ForestModel):
             raise _UsageError("pathfinding applies to single trees only")
+        if args.curve:
+            raise _UsageError("--curve needs snapshots, and pathfinding takes none")
         oracle = LeafIdOracle(target)
         eps = args.epsilon if args.epsilon is not None else min(
             ax.step for ax in schema.interval_axes
@@ -223,6 +225,8 @@ def _cmd_attack(args) -> int:
         snapshots = []
         result_method = "pathfinding"
     else:
+        if args.oracle_train_size < 0:  # as OracleConfig checks --oracle-samples
+            raise ContractViolation("--oracle-train-size must be >= 0")
         training = None
         if args.oracle == "heuristic":
             rng = np.random.default_rng(args.seed + 7_777_777)
@@ -251,7 +255,7 @@ def _cmd_attack(args) -> int:
     save_model(args.out, model, os.path.basename(schema_path))
     if args.trace:
         _write_trace(args.trace, schema, log)
-    if args.curve and snapshots:
+    if args.curve:
         _write_curve(args.curve, result_method, target, schema, snapshots,
                      args.fidelity_samples, args.seed)
     print(f"{result_method}: {log.count} queries, extracted -> {args.out}")

@@ -75,15 +75,13 @@ def grow(item, expand) -> tuple[list[Node], int]:
 
 
 class TreeModel:
-    def __init__(self, schema: FeatureSchema, nodes: Sequence[Node], root: int = 0,
-                 validate: bool = True):
+    def __init__(self, schema: FeatureSchema, nodes: Sequence[Node], root: int = 0):
         self.schema = schema
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.root = root
         self._leaf_regions: list[tuple[Region, int | None]] | None = None
         self._boxset: BoxSet | None = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         n = len(self.nodes)
@@ -469,12 +467,6 @@ def stats(model: Model) -> ModelStats:
         leaf_count=model.leaf_count,
         depth=model.depth,
     )
-
-
-def predict(model: Model, p: Point) -> int | None:
-    """Label of ``p`` under ``model`` (validating the point first)."""
-    model.schema.validate_point(p)
-    return model.predict(p)
 
 
 def points_to_arrays(schema: FeatureSchema, points: Sequence[Point]):

@@ -1,11 +1,14 @@
 """The metered prediction + counterfactual API.
 
-One billed call returns the query's label and, when one exists in the
-requested region, a counterfactual point. The exact mode returns a global
-distance minimizer among label-flipping grid points of the region (absence is
-then a certificate); the heuristic mode scans server-side training data and
-uniform samples, refining hits with a per-axis line search, and its absences
-are only a search failure. The line search reads each interval probe from a
+One billed call returns the ``QueryRecord`` it logs: the query's label and,
+when one exists in the requested region, a counterfactual point. The exact
+mode returns a global distance minimizer among label-flipping grid points of
+the region (absence is then a certificate); the heuristic mode scans
+server-side training data and uniform samples, refining hits with a per-axis
+line search, and its absences are only a search failure. Whether one was
+false is a question for an audit after the run: replay the log's records
+(``x``, ``region``, ``counterfactual``) through ``exact_tree_cf`` or
+``exact_ensemble_cf``. The line search reads each interval probe from a
 table of the target's labels along the axis it is sweeping, built by one walk
 of each tree and rebuilt each time the sweep turns to an axis; the sampling
 generator is built only when the training-data scan misses. Server-side
@@ -47,7 +50,6 @@ class OracleConfig:
     sample_budget: int = 1000  # uniform draws tried by the heuristic search
     cell_cap: int = 100_000  # max leaves of the tree a forest compiles to (exact mode)
     seed: int = 0
-    audit_absences: bool = False  # heuristic only: re-check every "no counterfactual"
 
     def __post_init__(self):
         if self.mode not in ("exact", "heuristic"):
@@ -56,13 +58,6 @@ class OracleConfig:
             raise ContractViolation("sample_budget must be >= 1")
         if self.cell_cap < 1:
             raise ContractViolation("cell_cap must be >= 1")
-
-
-@dataclass(frozen=True)
-class OracleResponse:
-    label: int
-    counterfactual: Point | None
-    query_index: int
 
 
 @dataclass(frozen=True)
@@ -85,10 +80,10 @@ class QueryLog:
         return len(self.records)
 
     def bill(self, x: Point, region: Region, label: int,
-             counterfactual: Point | None) -> OracleResponse:
-        index = len(self.records)
-        self.records.append(QueryRecord(index, x, region, label, counterfactual))
-        return OracleResponse(label, counterfactual, index)
+             counterfactual: Point | None) -> QueryRecord:
+        record = QueryRecord(len(self.records), x, region, label, counterfactual)
+        self.records.append(record)
+        return record
 
 
 def exact_tree_cf(target: TreeModel, x: Point, region: Region,
@@ -292,7 +287,6 @@ class CounterfactualOracle:
         self.training_data = tuple(training_data) if training_data else ()
         self.log = QueryLog()
         self.labels: tuple[int, ...] = target.labels
-        self.false_absences: list[int] = []
 
     def _rng_for(self, region: Region):
         fingerprint = zlib.crc32(repr(
@@ -308,7 +302,7 @@ class CounterfactualOracle:
                                      self.config.cell_cap)
         return exact_tree_cf(self.target, x, region, self.distance)
 
-    def query(self, x: Point, region: Region) -> OracleResponse:
+    def query(self, x: Point, region: Region) -> QueryRecord:
         if not contains(region, x):
             raise ContractViolation("query point outside the requested region")
         y = self.target.predict(x)
@@ -317,9 +311,6 @@ class CounterfactualOracle:
         else:
             cf = heuristic_cf(self.target, x, y, region, self.training_data,
                               self.config.sample_budget, partial(self._rng_for, region))
-            if cf is None and self.config.audit_absences:
-                if self._exact(x, region) is not None:
-                    self.false_absences.append(self.log.count)
         if cf is not None and not (contains(region, cf) and self.target.predict(cf) != y):
             raise ContractViolation(
                 "counterfactual search returned a point outside the region or with "

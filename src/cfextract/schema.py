@@ -5,9 +5,12 @@ finite grid. Everything downstream (membership, splitting, distances,
 equivalence) works on integer grid indices, which keeps the geometry exact.
 Exact rationals (and decimal strings) only appear at the file boundary.
 
-Axis accounting: a categorical feature with k categories contributes k
-one-hot axes, so the total axis count is
-``m = #numeric + #binary + #ordinal + sum(k_j)``.
+A numeric, ordinal or binary feature compiles to one ``IntervalAxis`` (a
+grid of ``size`` values ``lo + i*step``); a categorical feature with k
+categories compiles to one ``CategoryGroup`` of k one-hot axes, so the total
+axis count is ``m = #numeric + #binary + #ordinal + sum(k_j)``. A point holds
+one index per interval axis and one category per group: it is built from
+feature values by ``point_of`` and written out per axis by ``point_json``.
 """
 
 from __future__ import annotations
@@ -154,7 +157,6 @@ class IntervalAxis:
     lo: Fraction
     step: Fraction
     global_axis: int
-    feature_index: int
 
     def value(self, idx: int) -> Fraction:
         return self.lo + idx * self.step
@@ -188,7 +190,6 @@ class CategoryGroup:
     name: str
     categories: tuple[str, ...]
     global_axis0: int
-    feature_index: int
 
     @property
     def k(self) -> int:
@@ -218,49 +219,32 @@ class FeatureSchema:
         interval_axes: list[IntervalAxis] = []
         groups: list[CategoryGroup] = []
         layout: list[tuple[str, int]] = []  # per feature: ("i", idx) or ("g", idx)
-        axis_names: list[str] = []
         axis_table: list[tuple] = []  # per global axis: ("i", iv) or ("g", g, cat)
         g_axis = 0
-        for fi, f in enumerate(features):
-            if isinstance(f, NumericFeature):
-                interval_axes.append(
-                    IntervalAxis(f.name, "numeric", f.steps + 1, f.lo, f.delta, g_axis, fi)
-                )
-                layout.append(("i", len(interval_axes) - 1))
-                axis_table.append(("i", len(interval_axes) - 1))
-                axis_names.append(f.name)
-                g_axis += 1
-            elif isinstance(f, OrdinalFeature):
-                interval_axes.append(
-                    IntervalAxis(f.name, "ordinal", f.levels, Fraction(0), Fraction(1), g_axis, fi)
-                )
-                layout.append(("i", len(interval_axes) - 1))
-                axis_table.append(("i", len(interval_axes) - 1))
-                axis_names.append(f.name)
-                g_axis += 1
-            elif isinstance(f, BinaryFeature):
-                interval_axes.append(
-                    IntervalAxis(f.name, "binary", 2, Fraction(0), Fraction(1), g_axis, fi)
-                )
-                layout.append(("i", len(interval_axes) - 1))
-                axis_table.append(("i", len(interval_axes) - 1))
-                axis_names.append(f.name)
-                g_axis += 1
-            elif isinstance(f, CategoricalFeature):
+        for f in features:
+            if isinstance(f, CategoricalFeature):
                 gi = len(groups)
-                groups.append(CategoryGroup(f.name, f.categories, g_axis, fi))
+                groups.append(CategoryGroup(f.name, f.categories, g_axis))
                 layout.append(("g", gi))
-                for c, cname in enumerate(f.categories):
-                    axis_table.append(("g", gi, c))
-                    axis_names.append(f"{f.name}={cname}")
+                axis_table += [("g", gi, c) for c in range(f.k)]
                 g_axis += f.k
+                continue
+            if isinstance(f, NumericFeature):
+                size, lo, step = f.steps + 1, f.lo, f.delta
+            elif isinstance(f, OrdinalFeature):
+                size, lo, step = f.levels, Fraction(0), Fraction(1)
+            elif isinstance(f, BinaryFeature):
+                size, lo, step = 2, Fraction(0), Fraction(1)
             else:  # pragma: no cover - guarded by typing
                 raise DataFormatError(f"unknown feature spec {f!r}")
+            layout.append(("i", len(interval_axes)))
+            axis_table.append(("i", len(interval_axes)))
+            interval_axes.append(IntervalAxis(f.name, f.kind, size, lo, step, g_axis))
+            g_axis += 1
 
         self.interval_axes: tuple[IntervalAxis, ...] = tuple(interval_axes)
         self.groups: tuple[CategoryGroup, ...] = tuple(groups)
         self.layout: tuple[tuple[str, int], ...] = tuple(layout)
-        self.axis_names: tuple[str, ...] = tuple(axis_names)
         self.axis_table: tuple[tuple, ...] = tuple(axis_table)
         self.m: int = g_axis
         self.iv_sizes: tuple[int, ...] = tuple(a.size for a in self.interval_axes)
@@ -277,16 +261,6 @@ class FeatureSchema:
         return f"FeatureSchema({len(self.features)} features, m={self.m})"
 
     # -- points -----------------------------------------------------------
-    def validate_point(self, p: Point) -> None:
-        if len(p.ivals) != len(self.interval_axes) or len(p.cats) != len(self.groups):
-            raise ContractViolation("point has wrong arity for this schema")
-        for axis, v in zip(self.interval_axes, p.ivals):
-            if not 0 <= v < axis.size:
-                raise ContractViolation(f"axis {axis.name}: index {v} out of range")
-        for grp, c in zip(self.groups, p.cats):
-            if not 0 <= c < grp.k:
-                raise ContractViolation(f"group {grp.name}: category {c} out of range")
-
     def point_of(self, *feature_values) -> Point:
         """Build a point from one value per feature (categories by index or name)."""
         if len(feature_values) != len(self.features):
@@ -306,41 +280,6 @@ class FeatureSchema:
                     if not 0 <= int(v) < grp.k:
                         raise ContractViolation(f"group {grp.name}: category {v} out of range")
                     cats.append(int(v))
-        return Point(tuple(ivals), tuple(cats))
-
-    def axis_values(self, p: Point) -> list:
-        """Expand a point to its m-axis value vector (one-hot groups expanded)."""
-        out: list = []
-        for entry in self.axis_table:
-            if entry[0] == "i":
-                out.append(self.interval_axes[entry[1]].value(p.ivals[entry[1]]))
-            else:
-                _, gi, c = entry
-                out.append(1 if p.cats[gi] == c else 0)
-        return out
-
-    def point_from_axis_values(self, values: Sequence) -> Point:
-        if len(values) != self.m:
-            raise ContractViolation(f"expected {self.m} axis values, got {len(values)}")
-        ivals: list[int] = [0] * len(self.interval_axes)
-        cats: list[int] = [-1] * len(self.groups)
-        for entry, v in zip(self.axis_table, values):
-            if entry[0] == "i":
-                ivals[entry[1]] = self.interval_axes[entry[1]].index(v)
-            else:
-                _, gi, c = entry
-                bit = int(exact_number(v))
-                if bit not in (0, 1):
-                    raise ContractViolation("one-hot axis value must be 0 or 1")
-                if bit == 1:
-                    if cats[gi] != -1:
-                        raise ContractViolation(
-                            f"group {self.groups[gi].name}: more than one active category"
-                        )
-                    cats[gi] = c
-        for gi, c in enumerate(cats):
-            if c == -1:
-                raise ContractViolation(f"group {self.groups[gi].name}: no active category")
         return Point(tuple(ivals), tuple(cats))
 
     def point_json(self, p: Point) -> list:

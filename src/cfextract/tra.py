@@ -84,6 +84,12 @@ def take_snapshot(snapshots: list[Snapshot], queries: int, every: int, take) -> 
         snapshots.append(take())
 
 
+def other_label(labels: tuple[int, ...], y: int) -> int:
+    """The label of a binary task that is not ``y``: a counterfactual's label,
+    known without a query."""
+    return labels[0] if y == labels[1] else labels[1]
+
+
 @dataclass
 class AttackResult:
     model: TreeModel
@@ -207,10 +213,7 @@ def tra_extract(
             state.finalized_volume += grid_volume(region, schema)
         else:
             pieces, steps = split(region, x, resp.counterfactual, schema)
-            if binary:
-                cf_label = oracle.labels[0] if y == oracle.labels[1] else oracle.labels[1]
-            else:
-                cf_label = None
+            cf_label = other_label(oracle.labels, y) if binary else None
             cur = slot
             for piece, (test, x_left) in zip(pieces[:-1], steps):
                 piece_slot = state.add_slot(y)

@@ -10,6 +10,7 @@ that the vectorised one in ``cfextract.cart`` must reproduce exactly;
 penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``reference_line_search`` is the line search with one ``predict`` per probe,
 which the per-axis label tables of ``cfextract.line_search`` must reproduce.
+``false_absences`` audits a heuristic run's log against the exact oracle.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -145,6 +146,13 @@ def verify_local_optimality(target, x: cx.Point, x_cf: cx.Point, dist: cx.Distan
             if dist.scaled(x, probe) < base:
                 return False
     return True
+
+
+def false_absences(target: cx.TreeModel, log: cx.QueryLog, dist: cx.Distance) -> list[int]:
+    """Audit a heuristic run after it ends: the indices of the logged queries
+    that answered "no counterfactual" where the exact search finds one."""
+    return [rec.index for rec in log.records if rec.counterfactual is None
+            and cx.exact_tree_cf(target, rec.x, rec.region, dist) is not None]
 
 
 def region_from_json(data, schema: cx.FeatureSchema) -> cx.Region:

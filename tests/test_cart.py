@@ -92,18 +92,6 @@ def test_reproducible_model_json(schema_mixed):
     assert a == b
 
 
-def test_forest_single_tree_no_bootstrap_equals_tree(schema_mixed):
-    rng = np.random.default_rng(2)
-    full = cx.full_region(schema_mixed)
-    pts = [cx.sample_point(full, rng) for _ in range(50)]
-    ys = [int(p.ivals[0] <= 32) for p in pts]
-    cfg = cx.TrainConfig(n_trees=1, bootstrap=False, feature_subsampling=False, seed=0)
-    forest = cx.train_forest(schema_mixed, pts, ys, cfg)
-    tree = cx.train_tree(schema_mixed, pts, ys, cfg)
-    ok, _ = cx.functional_equivalence(forest.trees[0], tree, schema_mixed)
-    assert ok
-
-
 def test_forest_separable_training_accuracy():
     # bootstrap resampling makes exact training accuracy seed-dependent;
     # this (data, train) seed pair was checked to recover the separator

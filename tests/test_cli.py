@@ -426,3 +426,31 @@ def test_cli_runs_as_a_module(workdir):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and "wrote" in proc.stdout
+
+
+def test_pathfinding_curve_is_a_usage_error_before_the_attack(workdir, capsys):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    # pathfinding takes no snapshots, so there is no curve to write
+    assert run_cli("attack", "--method", "pathfinding", "--target", target,
+                   "--out", workdir / "x.json", "--curve", workdir / "c.csv") == 1
+    assert "--curve" in capsys.readouterr().err
+    assert not (workdir / "c.csv").exists() and not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("oracle, size, code", [("heuristic", -5, 2), ("exact", -5, 2),
+                                                ("heuristic", 0, 0)])
+def test_oracle_train_size_must_not_be_negative(workdir, capsys, oracle, size, code):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    assert run_cli("attack", "--method", "tra", "--oracle", oracle,
+                   "--oracle-train-size", size, "--target", target,
+                   "--out", workdir / "x.json") == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("contract violation:") and err.count("\n") == 1
+        assert not (workdir / "x.json").exists()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import (brute_force_cf, make_schema, random_subregion,
+from tests.conftest import (brute_force_cf, false_absences, make_schema, random_subregion,
                             reference_line_search, run_optimized, verify_local_optimality)
 from tests.test_models import single_split_tree, two_split_target
 
@@ -15,7 +15,7 @@ def test_query_returns_nearest_counterfactual(schema_grid10):
     oracle = cx.CounterfactualOracle(target)
     x = schema_grid10.point_of("0.5", "0.5")
     resp = oracle.query(x, cx.full_region(schema_grid10))
-    assert schema_grid10.axis_values(resp.counterfactual) == [Fraction(1, 2), Fraction(2, 5)]
+    assert resp.counterfactual == schema_grid10.point_of("0.5", "0.4")
     assert resp.label != target.predict(resp.counterfactual)
 
 
@@ -41,7 +41,7 @@ def test_exact_single_split_example():
     t = single_split_tree(sch, 0, 5)
     d = cx.Distance(sch)
     cf = cx.exact_tree_cf(t, sch.point_of("0.2", "0.9"), cx.full_region(sch), d)
-    assert sch.axis_values(cf) == [Fraction(6, 10), Fraction(9, 10)]
+    assert cf == sch.point_of("0.6", "0.9")
 
 
 def test_exact_none_when_all_labels_match(schema_grid10):
@@ -59,7 +59,7 @@ def test_exact_picks_nearer_leaf(schema_grid10):
     t = cx.TreeModel(sch, nodes, root=4)
     d = cx.Distance(sch)
     cf = cx.exact_tree_cf(t, sch.point_of("0.4", "0.5"), cx.full_region(sch), d)
-    assert sch.axis_values(cf)[0] == Fraction(2, 10)  # distance 0.2 beats 0.4
+    assert cf == sch.point_of("0.2", "0.5")  # distance 0.2 beats 0.4
 
 
 def test_exact_tie_breaks_lexicographically():
@@ -70,7 +70,7 @@ def test_exact_tie_breaks_lexicographically():
     x = sch.point_of("0.25", "0.25")
     cf = cx.exact_tree_cf(board, x, cx.full_region(sch), d)
     # both (0.25, 0.5+delta) and (0.5+delta, 0.25) flip at equal distance
-    assert sch.axis_values(cf) == [Fraction(1, 4), Fraction(3, 4)]
+    assert cf == sch.point_of("0.25", "0.75")
     ref_d, ref_p = brute_force_cf(board, x, cx.full_region(sch), d)
     assert cf == ref_p and d.scaled(x, cf) == ref_d
 
@@ -237,7 +237,7 @@ def test_line_search_single_split():
     sch = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, Fraction(1, 10))])
     t = cx.TreeModel(sch, [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 5, 0, 1)], root=2)
     out = cx.line_search(t, sch.point_of("0.2"), sch.point_of("0.9"))
-    assert sch.axis_values(out) == [Fraction(6, 10)]
+    assert out == sch.point_of("0.6")
 
 
 def test_line_search_moves_free_axis_home(schema_grid10):
@@ -246,7 +246,7 @@ def test_line_search_moves_free_axis_home(schema_grid10):
     x = schema_grid10.point_of("0.2", "0.2")
     cand = schema_grid10.point_of("0.9", "0.9")
     out = cx.line_search(t, x, cand)
-    assert schema_grid10.axis_values(out) == [Fraction(6, 10), Fraction(2, 10)]
+    assert out == schema_grid10.point_of("0.6", "0.2")
     assert verify_local_optimality(t, x, out, cx.Distance(schema_grid10))
 
 
@@ -407,12 +407,11 @@ def test_heuristic_audit_flags_false_absence():
     nodes = [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 1022, 0, 1)]
     t = cx.TreeModel(sch, nodes, root=2)
     oracle = cx.CounterfactualOracle(
-        t, cx.OracleConfig(mode="heuristic", sample_budget=5, seed=0,
-                           audit_absences=True))
+        t, cx.OracleConfig(mode="heuristic", sample_budget=5, seed=0))
     x = sch.point_of("0.25")
     resp = oracle.query(x, cx.full_region(sch))
     assert resp.counterfactual is None
-    assert oracle.false_absences == [0]
+    assert false_absences(t, oracle.log, oracle.distance) == [0]
 
 
 def test_heuristic_deterministic_per_region(schema_mixed):
@@ -438,6 +437,17 @@ def test_metering_counts_api_calls_only(schema_mixed):
         assert oracle.log.count == i + 1
     for i, rec in enumerate(oracle.log.records):
         assert rec.index == i
+
+
+def test_query_returns_the_billed_record(schema_mixed):
+    t = cx.gen_random_tree(schema_mixed, depth=4, seed=3)
+    full = cx.full_region(schema_mixed)
+    for mode in ("exact", "heuristic"):
+        oracle = cx.CounterfactualOracle(t, cx.OracleConfig(mode=mode))
+        x = cx.center(full)
+        resp = oracle.query(x, full)
+        assert resp is oracle.log.records[-1]
+        assert (resp.index, resp.x, resp.region, resp.label) == (0, x, full, t.predict(x))
 
 
 FORGED_COUNTERFACTUAL = """
