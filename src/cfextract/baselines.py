@@ -2,7 +2,10 @@
 
 PathFinding assumes a stronger API than the counterfactual attacks: each
 query reveals a stable identifier of the tree leaf the point falls in (plus
-its label), so it applies to single trees only. Every probe is billed.
+its label), so it applies to single trees only. It bisects to the grid step
+only, which finds every boundary exactly. Every probe is billed, as a count:
+a leaf-id probe has no region and no counterfactual, so it leaves no query
+record.
 
 CF trains a surrogate on (query, label) pairs augmented with the returned
 counterfactuals; DualCF additionally queries the counterfactual of each
@@ -20,7 +23,7 @@ import numpy as np
 from .cart import TrainConfig, train_forest, train_tree
 from .errors import ContractViolation, UnsupportedModelError
 from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
-from .oracles import CounterfactualOracle, QueryLog
+from .oracles import CounterfactualOracle
 from .regions import Region, center, full_region, sample_point, subtract
 from .schema import FeatureSchema, Point, exact_number
 from .tra import AttackResult, Snapshot, other_label, take_snapshot
@@ -54,49 +57,43 @@ class SurrogateSpec:
 
 
 class LeafIdOracle:
-    """Billed access to (leaf id, label) of a single target tree."""
+    """Billed access to (leaf id, label) of a single target tree; ``count``
+    is the number of probes billed so far."""
 
     def __init__(self, target: TreeModel):
         if not isinstance(target, TreeModel):
             raise UnsupportedModelError("leaf-id oracle requires a single tree")
         self.target = target
         self.schema = target.schema
-        self.log = QueryLog()
-        self._domain = full_region(self.schema)  # frozen, so every record may share it
+        self.count = 0
 
     def query(self, x: Point) -> tuple[int, int]:
         i = self.target.leaf_index(x)
-        label = self.target.nodes[i].label
-        self.log.bill(x, self._domain, label, None)
-        return i, label
-
-
-def _axis_tolerances(schema: FeatureSchema, epsilon) -> list[int]:
-    eps = exact_number(epsilon)
-    tols = []
-    for axis in schema.interval_axes:
-        if axis.kind == "numeric" and eps < axis.step:
-            raise ContractViolation(
-                f"precision {epsilon} is finer than the grid step of axis {axis.name}"
-            )
-        tols.append(max(1, int(eps / axis.step)))
-    return tols
+        self.count += 1
+        return i, self.target.nodes[i].label
 
 
 def pathfinding_extract(
-    leaf_oracle: LeafIdOracle, schema: FeatureSchema, epsilon=Fraction(1, 100_000)
-) -> tuple[TreeModel, QueryLog]:
+    leaf_oracle: LeafIdOracle, schema: FeatureSchema, epsilon=None
+) -> tuple[TreeModel, LeafIdOracle]:
     """Recover each leaf's box by per-axis bisection probes, then rebuild.
 
     A worklist of still-uncovered regions seeds discoveries; every bisection
-    probe and category check is one billed leaf-id query. With ``epsilon``
-    equal to the grid step the boundaries are exact and the reconstruction is
-    functionally equivalent; coarser precision shrinks the discovered boxes
-    conservatively and re-seeds the remaining slivers.
+    probe and category check is one billed leaf-id query, counted in the
+    returned oracle's ``count``. Bisection runs to the grid step, so each
+    discovered box is a whole leaf of the target, no leaf is found twice and
+    the reconstruction is functionally equivalent. ``epsilon``, if given,
+    must be the step of every numeric axis.
     """
     if schema != leaf_oracle.schema:
         raise ContractViolation("oracle and schema disagree")
-    tols = _axis_tolerances(schema, epsilon)
+    if epsilon is not None:
+        eps = exact_number(epsilon)
+        for axis in schema.interval_axes:
+            if axis.kind == "numeric" and eps != axis.step:
+                raise ContractViolation(
+                    f"precision {epsilon} is not the grid step of axis {axis.name}"
+                )
 
     def probe(p: Point) -> int:
         return leaf_oracle.query(p)[0]
@@ -105,8 +102,8 @@ def pathfinding_extract(
         intervals = []
         for i, axis in enumerate(schema.interval_axes):
             s = seed.ivals[i]
-            lo = _boundary(seed, i, s, 0, -1, seed_id, probe, tols[i])
-            hi = _boundary(seed, i, s, axis.size - 1, 1, seed_id, probe, tols[i])
+            lo = _boundary(seed, i, s, 0, seed_id, probe)
+            hi = _boundary(seed, i, s, axis.size - 1, seed_id, probe)
             intervals.append((lo, hi))
         allowed = []
         for g, grp in enumerate(schema.groups):
@@ -121,31 +118,25 @@ def pathfinding_extract(
         return Region(tuple(intervals), tuple(allowed))
 
     worklist: list[Region] = [full_region(schema)]
-    covered: dict[int, list[tuple[Region, int]]] = {}  # by leaf id
+    boxes: list[tuple[Region, int]] = []  # one whole leaf each, in discovery order
     while worklist:
         piece = worklist.pop()
         seed = center(piece)
         seed_id, label = leaf_oracle.query(seed)
         box = discover_box(seed, seed_id)
-        # keep the covered set disjoint even when coarse precision re-finds a
-        # leaf; boxes of different leaves lie in disjoint leaf regions
-        mine = covered.setdefault(seed_id, [])
-        fresh = [box]
-        for done, _ in mine:
-            fresh = [q for r in fresh for q in subtract(r, done)]
-        mine += ((r, label) for r in fresh)
+        boxes.append((box, label))
         remaining: list[Region] = []
         for w in [piece] + worklist:
             remaining.extend(subtract(w, box))
         worklist = remaining
 
-    model = boxes_to_tree(schema, [b for mine in covered.values() for b in mine])
-    return model, leaf_oracle.log
+    return boxes_to_tree(schema, boxes), leaf_oracle
 
 
-def _boundary(seed: Point, axis: int, start: int, limit: int, direction: int,
-              seed_id: int, probe, tol: int) -> int:
-    """Furthest index in ``direction`` still inside the seed's box."""
+def _boundary(seed: Point, axis: int, start: int, limit: int, seed_id: int,
+              probe) -> int:
+    """Furthest index from ``start`` towards ``limit`` still inside the seed's
+    box: bisection stops when its inside and outside ends are adjacent."""
     if start == limit:
         return start
 
@@ -155,7 +146,7 @@ def _boundary(seed: Point, axis: int, start: int, limit: int, direction: int,
     if probe(at(limit)) == seed_id:
         return limit
     inside, outside = start, limit
-    while abs(outside - inside) > tol:
+    while abs(outside - inside) > 1:
         mid = (inside + outside) // 2
         if probe(at(mid)) == seed_id:
             inside = mid

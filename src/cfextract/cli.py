@@ -94,7 +94,6 @@ def build_parser() -> _Parser:
                    help="query budget for cf/dualcf (int or 'auto')")
     a.add_argument("--order", choices=["fifo", "lifo", "random"], default="fifo")
     a.add_argument("--snapshot-every", type=int, default=20)
-    a.add_argument("--epsilon", type=exact_number, help="pathfinding split precision")
     a.add_argument("--surrogate", choices=["tree", "forest"], default="tree")
     a.add_argument("--oracle-samples", type=int, default=1000,
                    help="heuristic oracle: uniform draws per query")
@@ -102,7 +101,7 @@ def build_parser() -> _Parser:
                    help="heuristic oracle: size of its server-side labeled sample")
     a.add_argument("--fidelity-samples", type=int, default=3000)
     a.add_argument("--out", required=True, help="extracted model JSON")
-    a.add_argument("--trace", help="JSON-lines query trace")
+    a.add_argument("--trace", help="JSON-lines query trace (not for pathfinding)")
     a.add_argument("--curve", help="anytime curve CSV")
 
     e = sub.add_parser("eval", help="equivalence / fidelity / bounds / ratio reports")
@@ -113,7 +112,8 @@ def build_parser() -> _Parser:
     e.add_argument("--target")
     e.add_argument("--extracted")
     e.add_argument("--trace")
-    e.add_argument("--schema")
+    e.add_argument("--schema", help="schema JSON for every model (defaults to each "
+                   "model's own schema_ref)")
     e.add_argument("--samples", type=int, default=3000)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out")
@@ -217,11 +217,10 @@ def _cmd_attack(args) -> int:
             raise _UsageError("pathfinding applies to single trees only")
         if args.curve:
             raise _UsageError("--curve needs snapshots, and pathfinding takes none")
-        oracle = LeafIdOracle(target)
-        eps = args.epsilon if args.epsilon is not None else min(
-            ax.step for ax in schema.interval_axes
-        )
-        model, log = pathfinding_extract(oracle, schema, eps)
+        if args.trace:
+            raise _UsageError("--trace records counterfactual queries, and pathfinding "
+                              "makes none")
+        model, log = pathfinding_extract(LeafIdOracle(target), schema)
         snapshots = []
         result_method = "pathfinding"
     else:
@@ -266,16 +265,14 @@ def _cmd_eval(args) -> int:
     report: dict = {}
     schema = load_schema(args.schema) if args.schema else None
     if args.equivalence:
-        a = load_model(args.equivalence[0], schema)
-        b = load_model(args.equivalence[1], a.schema)
+        a, b = (load_model(path, schema) for path in args.equivalence)
         ok, witness = functional_equivalence(a, b, a.schema)
         report["equivalence"] = {
             "equivalent": ok,
             "witness": None if witness is None else a.schema.point_json(witness),
         }
     if args.fidelity:
-        a = load_model(args.fidelity[0], schema)
-        b = load_model(args.fidelity[1], a.schema)
+        a, b = (load_model(path, schema) for path in args.fidelity)
         rep = fidelity(a, b, a.schema, n_samples=args.samples, seed=args.seed)
         report["fidelity"] = {
             "fidelity": rep.fidelity,
@@ -301,7 +298,7 @@ def _cmd_eval(args) -> int:
         if not (args.target and args.extracted and args.trace):
             raise _UsageError("--ratio needs --target, --extracted and --trace")
         target = load_model(args.target, schema)
-        extracted = load_model(args.extracted, target.schema)
+        extracted = load_model(args.extracted, schema)
         with open(args.trace, "r", encoding="utf-8") as fh:
             queries = sum(1 for line in fh if line.strip())
         ratio = measured_ratio(queries, target, extracted, target.schema)

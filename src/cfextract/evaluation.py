@@ -230,6 +230,8 @@ def anytime_fidelity(runs, checkpoint: int = 20):
     replaying its record), and ``mean_curve`` averages them by the step rule:
     a run counts its latest snapshot at or before each checkpoint, 0 before.
     """
+    if checkpoint < 1:
+        raise ContractViolation(f"checkpoint must be >= 1, got {checkpoint}")
     curves = []
     for target, snapshots, (iv, cats) in runs:
         if not snapshots:

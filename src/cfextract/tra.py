@@ -96,7 +96,7 @@ class AttackResult:
     log: QueryLog
     snapshots: list[Snapshot]
     method: str
-    certified: bool  # whether every region was finalized through the oracle
+    certified: bool  # equivalent by construction: TRA under the exact oracle
 
 
 class ExtractionState:
@@ -187,9 +187,8 @@ def tra_extract(
     order_seed: int = 0,
     snapshot_every: int = 20,
     max_regions: int = 10_000_000,
-    stop_certified: float | Fraction | None = None,
 ) -> AttackResult:
-    """Run the extraction until the queue drains (or ``stop_certified`` hits).
+    """Run the extraction until the queue drains.
 
     Returns the reconstructed tree, the billed query log, and lazy snapshots
     taken by ``take_snapshot`` every ``snapshot_every`` queries and at
@@ -201,7 +200,6 @@ def tra_extract(
     schema = oracle.schema
     binary = len(oracle.labels) == 2
     snapshots: list[Snapshot] = []
-    stopped_early = False
 
     while state.queue:
         region, slot = state.pop()
@@ -227,13 +225,9 @@ def tra_extract(
                 cur = cont_slot
             state.push(pieces[-1], cur)
         take_snapshot(snapshots, oracle.log.count, snapshot_every, state.snapshot)
-        if stop_certified is not None and state.certified_fraction >= stop_certified:
-            stopped_early = True
-            break
 
     take_snapshot(snapshots, oracle.log.count, 1, state.snapshot)  # the final one
-    completed = not stopped_early
-    if completed and state.certified_fraction != 1:
+    if state.certified_fraction != 1:
         raise ContractViolation(
             f"the queue drained with only {state.certified_fraction} of the grid "
             "volume in finalized leaves"
@@ -243,5 +237,5 @@ def tra_extract(
         log=oracle.log,
         snapshots=snapshots,
         method="tra",
-        certified=completed and oracle.config.mode == "exact",
+        certified=oracle.config.mode == "exact",
     )

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 from fractions import Fraction
@@ -24,17 +23,6 @@ def test_pathfinding_single_leaf_costs_seed_plus_boundaries(schema_grid10):
     assert model.node_count == 1
     # one seed query plus one confirmation probe per axis side
     assert log.count == 1 + 2 * schema_grid10.m
-
-
-def test_leaf_id_records_share_one_full_region(schema_mixed):
-    target = cx.gen_random_tree(schema_mixed, 3, seed=1)
-    oracle = cx.LeafIdOracle(target)
-    rng = np.random.default_rng(0)
-    full = cx.full_region(schema_mixed)
-    for _ in range(5):
-        oracle.query(cx.sample_point(full, rng))
-    regions = [rec.region for rec in oracle.log.records]
-    assert all(r == full and r is regions[0] for r in regions)
 
 
 def test_pathfinding_single_split_exact_and_costlier_than_tra():
@@ -76,36 +64,40 @@ def test_pathfinding_epsilon_below_grid_rejected(schema_grid10):
                                epsilon=Fraction(1, 100_000))
 
 
-def test_pathfinding_coarse_epsilon_still_terminates():
-    sch = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, Fraction(1, 64))])
-    target = cx.TreeModel(sch, [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 40, 0, 1)], root=2)
-    model, log = cx.pathfinding_extract(cx.LeafIdOracle(target), sch,
-                                        epsilon=Fraction(1, 8))
-    assert model.leaf_count >= 2
-    fid = cx.fidelity(target, model, sch, n_samples=1000, seed=0)
-    assert fid.fidelity >= 0.9  # boundary located only to the coarse precision
+@pytest.mark.parametrize("kind", ["small3", "mixed"])
+def test_pathfinding_without_epsilon_is_equivalent(kind):
+    # small3's numeric axes have different steps, so no single precision fits
+    sch = make_schema(kind)
+    target = cx.gen_random_tree(sch, 5, seed=3)
+    model, oracle = cx.pathfinding_extract(cx.LeafIdOracle(target), sch)
+    assert cx.functional_equivalence(target, model, sch) == (True, None)
+    assert oracle.count > target.leaf_count
 
 
-def test_pathfinding_coarse_epsilon_keeps_the_covered_boxes_disjoint(monkeypatch):
-    # at 1/16 on a 1/256 grid, bisection stops short of most boundaries, so
-    # later seeds re-find leaves and each new box is cut against that leaf's
-    # earlier ones
-    sch = make_schema("2num")
-    target = cx.gen_random_tree(sch, 4, seed=0)
+def test_pathfinding_epsilon_coarser_than_a_numeric_step_rejected():
+    sch = make_schema("small3")
+    target = cx.gen_random_tree(sch, 3, seed=0)
+    with pytest.raises(cx.ContractViolation, match="axis a"):
+        cx.pathfinding_extract(cx.LeafIdOracle(target), sch, epsilon=Fraction(1, 15))
+    with pytest.raises(cx.ContractViolation, match="axis c"):
+        cx.pathfinding_extract(cx.LeafIdOracle(target), sch, epsilon=Fraction(1, 31))
+
+
+@given(kind=st.sampled_from(["mixed", "groups2", "small3"]), depth=st.integers(0, 5),
+       classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_pathfinding_boxes_are_the_target_leaves(kind, depth, classes, seed):
+    # bisection to the grid step finds each leaf whole, so none is found twice
+    sch = make_schema(kind)
+    target = cx.gen_random_tree(sch, depth, seed, classes)
     compiled = []
     compile_boxes = baselines.boxes_to_tree
-    monkeypatch.setattr(baselines, "boxes_to_tree", lambda schema, boxes:
-                        compiled.append(boxes) or compile_boxes(schema, boxes))
-    model, _ = cx.pathfinding_extract(cx.LeafIdOracle(target), sch, epsilon=Fraction(1, 16))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "boxes_to_tree", lambda schema, boxes:
+                   compiled.append(boxes) or compile_boxes(schema, boxes))
+        cx.pathfinding_extract(cx.LeafIdOracle(target), sch)
     (boxes,) = compiled
-    assert target.leaf_count > 1 and len(boxes) > 5 * target.leaf_count
-    for (p, _), (q, _) in itertools.combinations(boxes, 2):
-        assert cx.intersect(p, q) is None
-    # each box lies inside one leaf of the target and carries its label
-    for box, label in boxes:
-        ((leaf, _),) = target.leaves_within(box)
-        assert target.nodes[leaf].label == label
-    assert cx.functional_equivalence(target, model, sch) == (True, None)
+    assert len(boxes) == target.leaf_count
+    assert set(boxes) == set(target.leaf_regions())
 
 
 # -- budgets -----------------------------------------------------------------------

@@ -339,7 +339,6 @@ def test_undecodable_schema_config_exits_2(workdir, capsys):
 @pytest.mark.parametrize("command, option", [
     ("gen", "--epsilon abc"),
     ("gen", "--delta 1/0"),
-    ("attack", "--epsilon zz"),
     ("attack", "--budget abc"),
 ])
 def test_malformed_number_option_is_a_usage_error(workdir, capsys, command, option):
@@ -438,6 +437,61 @@ def test_pathfinding_curve_is_a_usage_error_before_the_attack(workdir, capsys):
                    "--out", workdir / "x.json", "--curve", workdir / "c.csv") == 1
     assert "--curve" in capsys.readouterr().err
     assert not (workdir / "c.csv").exists() and not (workdir / "x.json").exists()
+
+
+def test_pathfinding_trace_is_a_usage_error_before_the_attack(workdir, capsys):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    # a leaf-id probe has no region and no counterfactual to record
+    assert run_cli("attack", "--method", "pathfinding", "--target", target,
+                   "--out", workdir / "x.json", "--trace", workdir / "t.jsonl") == 1
+    assert "--trace" in capsys.readouterr().err
+    assert not (workdir / "t.jsonl").exists() and not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("features", [
+    # numeric steps 1/31 and 1/15: no single precision fits both
+    [{"name": "a", "kind": "numeric", "lo": "0", "hi": "1", "delta": "1/31"},
+     {"name": "b", "kind": "ordinal", "levels": 16},
+     {"name": "c", "kind": "numeric", "lo": "0", "hi": "1", "delta": "1/15"}],
+    [{"name": "g", "kind": "categorical", "categories": ["u", "v", "w"]},
+     {"name": "h", "kind": "categorical", "categories": ["s", "t", "u", "v"]}],
+], ids=["mixed-steps", "categorical-only"])
+def test_pathfinding_extracts_an_equivalent_model_at_grid_precision(workdir, capsys,
+                                                                     features):
+    schema, target = workdir / "s.json", workdir / "t.json"
+    schema.write_text(json.dumps({"features": features}))
+    assert run_cli("gen", "--kind", "random-tree", "--schema", schema, "--depth", "5",
+                   "--seed", "1", "--out", target) == 0
+    assert run_cli("attack", "--method", "pathfinding", "--target", target,
+                   "--out", workdir / "x.json") == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = workdir / "r.json"
+    assert run_cli("eval", "--equivalence", target, workdir / "x.json", "--out", report) == 0
+    assert json.loads(report.read_text())["equivalence"]["equivalent"] is True
+
+
+@pytest.mark.parametrize("mode", ["--equivalence", "--fidelity", "--ratio"])
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_eval_reads_each_model_under_its_own_schema(workdir, capsys, mode, first):
+    # the same 5-point grid index on x in [0, 1] and on x in [0, 2]
+    models = {}
+    for name, hi, delta in [("a", "1", "0.25"), ("b", "2", "0.5")]:
+        schema, models[name] = workdir / f"{name}.schema.json", workdir / f"{name}.json"
+        schema.write_text(json.dumps({"features": [
+            {"name": "x", "kind": "numeric", "lo": "0", "hi": hi, "delta": delta}]}))
+        assert run_cli("gen", "--kind", "chessboard", "--schema", schema, "--s", "1",
+                       "--out", models[name]) == 0
+    one, other = models[first], models["b" if first == "a" else "a"]
+    trace = workdir / "t.jsonl"
+    trace.write_text("{}\n")
+    args = (["--ratio", "--target", one, "--extracted", other, "--trace", trace]
+            if mode == "--ratio" else [mode, one, other])
+    capsys.readouterr()
+    assert run_cli("eval", *args) == 2
+    assert "models must share the given schema" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("oracle, size, code", [("heuristic", -5, 2), ("exact", -5, 2),

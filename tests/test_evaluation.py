@@ -171,6 +171,14 @@ def test_uniform_points_refuse_a_negative_count(schema_mixed):
     assert iv.shape == (0, 3) and cats.shape == (0, 1)
 
 
+@pytest.mark.parametrize("checkpoint", [0, -5])
+def test_anytime_refuses_a_checkpoint_below_one(schema_grid10, checkpoint):
+    t = single_split_tree(schema_grid10, 0, 5)
+    runs = [(t, [cx.Snapshot(20, t, Fraction(1))], _eval_arrays(schema_grid10))]
+    with pytest.raises(cx.ContractViolation, match="checkpoint"):
+        cx.anytime_fidelity(runs, checkpoint=checkpoint)
+
+
 def test_anytime_requires_a_run():
     with pytest.raises(cx.ContractViolation, match="at least one run"):
         cx.anytime_fidelity([])
@@ -191,10 +199,9 @@ def _agreement(target, model, iv, cats) -> float:
 
 @given(seed=st.integers(0, 2**16), depth=st.integers(1, 5), classes=st.sampled_from([2, 3]),
        order=st.sampled_from(["fifo", "lifo", "random"]),
-       snapshot_every=st.sampled_from([1, 3, 20]),
-       stop_certified=st.sampled_from([None, Fraction(1, 3)]))
+       snapshot_every=st.sampled_from([1, 3, 20]))
 def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, order,
-                                                       snapshot_every, stop_certified):
+                                                       snapshot_every):
     sch = make_schema("mixed")
     target = cx.gen_random_tree(sch, depth, seed, classes)
     # the tree after each query, built when the next query starts
@@ -208,7 +215,7 @@ def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, orde
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cx.ExtractionState, "pop", recording_pop)
         res = cx.tra_extract(cx.CounterfactualOracle(target), order=order, order_seed=seed,
-                             snapshot_every=snapshot_every, stop_certified=stop_certified)
+                             snapshot_every=snapshot_every)
     eager[res.log.count] = res.model.nodes
     iv, cats = cx.uniform_points(sch, 300, seed)
     replayed = cx.snapshot_fidelities(target, res.snapshots, iv, cats)

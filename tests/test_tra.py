@@ -176,16 +176,6 @@ def test_queue_safety_bound(schema_mixed):
         cx.tra_extract(oracle, max_regions=3)
 
 
-def test_stop_certified_hook(schema_mixed):
-    target = cx.gen_random_tree(schema_mixed, depth=6, seed=8)
-    oracle = cx.CounterfactualOracle(target)
-    res = cx.tra_extract(oracle, stop_certified=Fraction(1, 4))
-    assert not res.certified
-    assert res.snapshots[-1].certified_fraction >= Fraction(1, 4)
-    full = run(target)
-    assert res.log.count <= full.log.count
-
-
 def test_heuristic_oracle_extraction(schema_mixed):
     target = cx.gen_random_tree(schema_mixed, depth=5, seed=2)
     rng = np.random.default_rng(0)
