@@ -1,9 +1,10 @@
 """Verification and measurement: exact equivalence, fidelity, bounds, ratios.
 
 The equivalence check never materializes the full product grid of split
-levels: it compiles each forest to one tree, walks one tree's leaves and
-checks the other tree for constancy on each, so comparisons stay
-near-linear in the leaves. All bound arithmetic is exact (Fractions).
+levels: it compiles each forest to one tree, walks one tree's leaf boxes and
+the other tree's leaves within each box, on plain integer bounds with no
+``Region`` per node, so comparisons stay near-linear in the leaves. All
+bound arithmetic is exact (Fractions).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import CapacityError, ContractViolation
 from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, TreeModel,
                      points_to_arrays, stats)
-from .regions import Region, center
+from .regions import Region, center, full_region
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
 
@@ -44,20 +45,6 @@ class FidelityReport:
     kind: str  # "uniform" | "test"
 
 
-def _constant_witness(tree: TreeModel, region: Region, label: int,
-                      budget: list[int]) -> Point | None:
-    """A point of ``region`` where ``tree`` != label, or None if constant."""
-    for i, part in tree.leaves_within(region):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityError(
-                "equivalence check exceeded its cell budget; use sampled fidelity"
-            )
-        if tree.nodes[i].label != label:
-            return center(part)
-    return None
-
-
 def functional_equivalence(
     f: Model, g: Model, schema: FeatureSchema, cell_budget: int = DEFAULT_CELL_BUDGET
 ) -> tuple[bool, Point | None]:
@@ -65,10 +52,11 @@ def functional_equivalence(
 
     A forest is first compiled to the one tree computing its function
     (``ForestModel.tree``, at most ``cell_budget`` leaves). Then the walk goes
-    through ``g``'s leaves and checks ``f`` for constancy on each. Returns
-    (True, None) on equivalence, else (False, witness point). Raises
-    CapacityError when a compiled tree, or the leaves the walk visits in
-    ``f``, exceed ``cell_budget``.
+    through ``g``'s leaf boxes and, within each, through ``f``'s, checking
+    ``f`` for constancy. Returns (True, None) on equivalence, else (False,
+    the center of the first box where they differ). Raises CapacityError
+    when a compiled tree, or the leaves the walk visits in ``f``, exceed
+    ``cell_budget``.
     """
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
@@ -76,13 +64,20 @@ def functional_equivalence(
         f = f.tree(cell_budget)
     if isinstance(g, ForestModel):
         g = g.tree(cell_budget)
-    budget = [cell_budget]
-    for region, label in g.leaf_regions():
+    f_nodes, g_nodes = f.nodes, g.nodes
+    budget = cell_budget
+    for j, lo, hi, allowed in g.leaf_boxes(*full_region(schema).box):
+        label = g_nodes[j].label
         if label is None:
-            return False, center(region)
-        w = _constant_witness(f, region, label, budget)
-        if w is not None:
-            return False, w
+            return False, center(Region(tuple(zip(lo, hi)), allowed))
+        for i, lo, hi, allowed in f.leaf_boxes(lo, hi, allowed):  # f's parts of g's box
+            budget -= 1
+            if budget < 0:
+                raise CapacityError(
+                    "equivalence check exceeded its cell budget; use sampled fidelity"
+                )
+            if f_nodes[i].label != label:
+                return False, center(Region(tuple(zip(lo, hi)), allowed))
     return True, None
 
 

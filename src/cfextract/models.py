@@ -5,11 +5,12 @@ point goes left iff its grid index on an interval axis is <= the threshold
 index) and ``CatNode`` (left iff its category in a one-hot group is the
 tested one). The node tests, defined next to ``Region``, route rows of index
 arrays (``left_mask``) and regions (``split_region``: the two sides, None for
-an empty one). A tree is walked through a region in one way,
-``leaves_within``, and a point in one way, ``leaf_index``. Trees are
-validated on construction so every root-to-leaf path carries a non-empty
-region (no dead branches). A tree is built one way, ``grow``: top-down on an
-explicit stack, so a tree may be as deep as its data makes it.
+an empty one). A tree is walked through a box of the grid in one way,
+``leaf_boxes``, on plain integer bounds and category sets, and a point in
+one way, ``leaf_index``. Trees are validated on construction so every
+root-to-leaf path carries a non-empty region (no dead branches). A tree is
+built one way, ``grow``: top-down on an explicit stack, so a tree may be as
+deep as its data makes it.
 
 A forest is served through the one tree it compiles to (``ForestModel.tree``),
 so the exact oracle and the equivalence check only ever walk trees.
@@ -89,15 +90,22 @@ class TreeModel:
             raise DataFormatError("tree has no nodes")
         if not 0 <= self.root < n:
             raise DataFormatError("root index out of range")
+        n_iv, n_groups = len(self.schema.iv_sizes), len(self.schema.group_sizes)
         children: list[int] = []
         leaves = 0
         for i, node in enumerate(self.nodes):
             kind = type(node)
             if kind is Leaf:
                 leaves += 1
-                if node.label is not None and (not isinstance(node.label, int) or node.label < 0):
+                if node.label is not None and (type(node.label) is not int or node.label < 0):
                     raise DataFormatError(f"leaf {i}: bad label {node.label!r}")
             elif kind is SplitNode or kind is CatNode:
+                axis, value, arity = ((node.iv_axis, node.threshold, n_iv) if kind is SplitNode
+                                      else (node.group, node.category, n_groups))
+                # the walks would misread a float, a bool or a negative axis, not refuse it
+                if not (type(axis) is type(value) is type(node.left) is type(node.right) is int
+                        and 0 <= axis < arity):
+                    raise DataFormatError(f"node {i}: bad field in {node!r}")
                 children += (node.left, node.right)
             else:
                 raise DataFormatError(f"node {i}: unknown node type")
@@ -112,28 +120,46 @@ class TreeModel:
         # no node has two parents and the root has none, so the descent from
         # the root meets no node twice; a dead branch, or a part cut off from
         # the root, holds a leaf that the descent never reaches
-        missed = leaves - len(self.leaf_regions())
+        missed = leaves - sum(1 for _ in self.leaf_boxes(*full_region(self.schema).box))
         if missed:
             raise DataFormatError(f"{missed} leaves lie on a dead branch or are unreachable")
+        self._leaf_count = leaves
 
     # -- descent ------------------------------------------------------------
-    def leaves_within(self, region: Region) -> Iterator[tuple[int, Region]]:
-        """Each leaf whose region meets ``region``, as (node index, the part
-        of ``region`` it holds), left subtrees first. The parts partition
-        ``region``."""
+    def leaf_boxes(self, lo: tuple[int, ...], hi: tuple[int, ...],
+                   allowed: tuple[frozenset[int], ...]) -> Iterator[tuple]:
+        """Each leaf meeting the box with per-axis bounds ``lo`` to ``hi`` and
+        category sets ``allowed``, as (node index, lo, hi, allowed) of its part
+        of the box, left subtrees first; the parts partition the box. A test
+        with one side empty is followed in place. No ``Region`` is built."""
         nodes = self.nodes
-        stack = [(self.root, region)]
+        stack = [(self.root, lo, hi, allowed)]
         while stack:
-            i, reg = stack.pop()
+            i, lo, hi, allowed = stack.pop()
             node = nodes[i]
-            if type(node) is Leaf:
-                yield i, reg
-                continue
-            left, right = node.split_region(reg)
-            if right is not None:
-                stack.append((node.right, right))
-            if left is not None:
-                stack.append((node.left, left))
+            while type(node) is not Leaf:
+                if type(node) is SplitNode:
+                    a, t = node.iv_axis, node.threshold
+                    if t >= hi[a]:
+                        i = node.left
+                    elif t < lo[a]:
+                        i = node.right
+                    else:
+                        stack.append((node.right, lo[:a] + (t + 1,) + lo[a + 1:], hi, allowed))
+                        i, hi = node.left, hi[:a] + (t,) + hi[a + 1:]
+                else:
+                    g, c = node.group, node.category
+                    s = allowed[g]
+                    if c not in s:
+                        i = node.right
+                    elif len(s) == 1:
+                        i = node.left
+                    else:
+                        head, tail = allowed[:g], allowed[g + 1:]
+                        stack.append((node.right, lo, hi, head + (s - {c},) + tail))
+                        i, allowed = node.left, head + (frozenset((c,)),) + tail
+                node = nodes[i]
+            yield i, lo, hi, allowed
 
     def leaf_index(self, p: Point) -> int:
         """Index of the leaf holding ``p``."""
@@ -217,11 +243,13 @@ class TreeModel:
     # -- structure ----------------------------------------------------------
     def leaf_regions(self) -> list[tuple[Region, int | None]]:
         """Disjoint regions covering the grid, paired with their leaf labels,
-        left subtrees first; validation builds and keeps them."""
+        left subtrees first; built from ``leaf_boxes`` on the first call and
+        kept."""
         if self._leaf_regions is None:
             nodes = self.nodes
-            self._leaf_regions = [(region, nodes[i].label) for i, region
-                                  in self.leaves_within(full_region(self.schema))]
+            self._leaf_regions = [(Region(tuple(zip(lo, hi)), allowed), nodes[i].label)
+                                  for i, lo, hi, allowed
+                                  in self.leaf_boxes(*full_region(self.schema).box)]
         return self._leaf_regions
 
     def box_set(self) -> "BoxSet":
@@ -237,7 +265,7 @@ class TreeModel:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if isinstance(n, Leaf))
+        return self._leaf_count
 
     @property
     def depth(self) -> int:
@@ -359,9 +387,9 @@ class ForestModel:
         exceeds ``cap``, including on later calls with a smaller cap."""
         if self._tree is None:
             self._tree = self._compile(cap)
-        elif len(self._tree.leaf_regions()) > cap:
+        elif self._tree.leaf_count > cap:
             raise CapacityError(
-                f"the forest compiles to {len(self._tree.leaf_regions())} leaves, "
+                f"the forest compiles to {self._tree.leaf_count} leaves, "
                 f"past the cap of {cap}; use sampled fidelity or the heuristic oracle"
             )
         return self._tree

@@ -115,8 +115,7 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     own_leaf_seen = False
     best = inf  # until a flip leaf is found; Python compares int and float exactly
     best_point = best_key = None
-    stack = [(target.root, tuple(a for a, _ in region.intervals),
-              tuple(b for _, b in region.intervals), region.allowed, 0)]
+    stack = [(target.root, *region.box, 0)]
     push = stack.append
     while stack:
         i, lo, hi, allowed, d = stack.pop()

@@ -32,6 +32,12 @@ class Region:
                 raise ContractViolation("empty allowed-category set")
 
     @property
+    def box(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset[int], ...]]:
+        """The region as plain tuples: per-axis lows, highs, allowed sets."""
+        return (tuple(a for a, _ in self.intervals), tuple(b for _, b in self.intervals),
+                self.allowed)
+
+    @property
     def volume(self) -> int:
         n = 1
         for a, b in self.intervals:

@@ -11,6 +11,10 @@ penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``reference_line_search`` is the line search with one ``predict`` per probe,
 which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 ``false_absences`` audits a heuristic run's log against the exact oracle.
+``reference_leaves_within`` walks a tree through a region one ``Region`` per
+node with ``split_region``, and ``reference_equivalence`` is the equivalence
+check built on it, which the integer-box walks of ``TreeModel.leaf_boxes``
+and ``cfextract.functional_equivalence`` must reproduce exactly.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -185,6 +189,48 @@ def random_subregion(schema: cx.FeatureSchema, rng) -> cx.Region:
         n_pick = int(rng.integers(1, k + 1))
         allowed.append(frozenset(int(c) for c in rng.choice(k, size=n_pick, replace=False)))
     return cx.Region(tuple(intervals), tuple(allowed))
+
+
+def reference_leaves_within(tree: cx.TreeModel, region: cx.Region):
+    """Each leaf of ``tree`` meeting ``region``, as (node index, the part of
+    ``region`` it holds), left subtrees first: one ``Region`` per node."""
+    stack = [(tree.root, region)]
+    while stack:
+        i, reg = stack.pop()
+        node = tree.nodes[i]
+        if isinstance(node, cx.Leaf):
+            yield i, reg
+            continue
+        left, right = node.split_region(reg)
+        if right is not None:
+            stack.append((node.right, right))
+        if left is not None:
+            stack.append((node.left, left))
+
+
+def reference_equivalence(f, g, schema: cx.FeatureSchema, cell_budget: int):
+    """``functional_equivalence`` on ``Region``s: the walk through ``g``'s
+    leaf regions, checking ``f`` for constancy on each within ``cell_budget``
+    leaves of ``f``; (True, None), or (False, the center of the first part
+    where they differ)."""
+    if isinstance(f, cx.ForestModel):
+        f = f.tree(cell_budget)
+    if isinstance(g, cx.ForestModel):
+        g = g.tree(cell_budget)
+    budget = cell_budget
+    for j, region in reference_leaves_within(g, cx.full_region(schema)):
+        label = g.nodes[j].label
+        if label is None:
+            return False, cx.center(region)
+        for i, part in reference_leaves_within(f, region):
+            budget -= 1
+            if budget < 0:
+                raise cx.CapacityError(
+                    "equivalence check exceeded its cell budget; use sampled fidelity"
+                )
+            if f.nodes[i].label != label:
+                return False, cx.center(part)
+    return True, None
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:

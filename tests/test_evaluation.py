@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import make_schema
+from tests.conftest import enumerate_region, make_schema, reference_equivalence
 from tests.test_models import single_split_tree
 
 
@@ -52,6 +52,49 @@ def test_equivalence_capacity_error():
     t = cx.gen_random_tree(sch, depth=6, seed=0)
     with pytest.raises(cx.CapacityError):
         cx.functional_equivalence(t, t, sch, cell_budget=2)
+
+
+def _second_model(kind, sch, f, seed, data):
+    """A model to compare with the tree ``f``: another random tree, ``f``
+    itself, ``f`` rebuilt from its boxes, a partial TRA snapshot of ``f``
+    (with unknown leaves) or a random forest."""
+    if kind == "tree":
+        return cx.gen_random_tree(sch, data.draw(st.integers(0, 5)), seed + 1, 3)
+    if kind == "same":
+        return f
+    if kind == "rebuilt":
+        return cx.boxes_to_tree(sch, f.leaf_regions())
+    if kind == "snapshot":
+        res = cx.tra_extract(cx.CounterfactualOracle(f), snapshot_every=1)
+        return data.draw(st.sampled_from(res.snapshots)).model
+    return cx.gen_random_forest(sch, data.draw(st.integers(1, 3)), 3, seed + 1, 3)
+
+
+@given(st.sampled_from(["mixed", "grid10"]), st.integers(0, 5), st.integers(0, 2**16),
+       st.sampled_from(["tree", "same", "rebuilt", "snapshot", "forest"]), st.booleans(),
+       st.data())
+def test_equivalence_matches_the_region_reference(kind, depth, seed, other, swap, data):
+    sch = make_schema(kind)
+    f = cx.gen_random_tree(sch, depth, seed, 3)
+    g = _second_model(other, sch, f, seed, data)
+    if swap:
+        f, g = g, f
+    budget = data.draw(st.integers(0, f.leaf_count + g.leaf_count))
+
+    def outcome(check):
+        try:
+            return check(f, g, sch, budget)
+        except cx.CapacityError as exc:
+            return "CapacityError", str(exc)
+
+    assert outcome(cx.functional_equivalence) == outcome(reference_equivalence)
+    # the grids are small enough to enumerate: check the verdict point by point
+    ok, witness = cx.functional_equivalence(f, g, sch)
+    iv, cats = enumerate_region(sch, cx.full_region(sch))
+    pred = f.predict_arrays(iv, cats)
+    assert ok == bool(((pred == g.predict_arrays(iv, cats)) & (pred != -1)).all())
+    if not ok:
+        assert g.predict(witness) is None or f.predict(witness) != g.predict(witness)
 
 
 def test_fidelity_identical_models(schema_mixed):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
-from tests.conftest import enumerate_region, make_schema, malformed, random_subregion
+from tests.conftest import (enumerate_region, make_schema, malformed, random_subregion,
+                            reference_leaves_within)
 
 
 def single_split_tree(sch, iv_axis=0, t=None, left=0, right=1):
@@ -174,23 +175,35 @@ def test_leaf_regions_match_predict(schema_mixed):
         assert (t.predict_arrays(iv[take], cats[take]) == label).all()
 
 
+def box_region(lo, hi, allowed) -> cx.Region:
+    return cx.Region(tuple(zip(lo, hi)), allowed)
+
+
 @given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 7), st.integers(2, 4),
-       st.integers(0, 2**32 - 1))
-def test_leaves_within_partitions_a_subregion(kind, depth, n_classes, seed):
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_leaf_boxes_partition_a_subregion(kind, depth, n_classes, seed, whole_grid):
     sch = make_schema(kind)
     rng = np.random.default_rng(seed)
     t = cx.gen_random_tree(sch, depth, seed, n_classes)
-    sub = random_subregion(sch, rng)
-    whole = dict(t.leaves_within(cx.full_region(sch)))
-    parts = dict(t.leaves_within(sub))
+    sub = cx.full_region(sch) if whole_grid else random_subregion(sch, rng)
+    whole = dict(reference_leaves_within(t, cx.full_region(sch)))
+    boxes = list(t.leaf_boxes(*sub.box))
+    # the same leaves and parts, in the same order, as the walk on Regions
+    assert [(i, box_region(*box)) for i, *box in boxes] == list(reference_leaves_within(t, sub))
+    parts = {i: box_region(*box) for i, *box in boxes}
+    assert len(parts) == len(boxes)
     assert sum(r.volume for r in parts.values()) == sub.volume
     regions = list(parts.values())
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
             assert cx.intersect(regions[i], regions[j]) is None
-    for i, part in parts.items():
-        assert part == cx.intersect(whole[i], sub)
-        assert (t.predict_arrays(*enumerate_region(sch, part)) == t.nodes[i].label).all()
+    for i, lo, hi, allowed in boxes:
+        assert parts[i] == cx.intersect(whole[i], sub)
+        for corner in (lo, hi):
+            p = cx.Point(corner, tuple(min(s) for s in allowed))
+            q = cx.Point(corner, tuple(max(s) for s in allowed))
+            assert t.leaf_index(p) == t.leaf_index(q) == i
+        assert (t.predict_arrays(*enumerate_region(sch, parts[i])) == t.nodes[i].label).all()
     oracle = cx.LeafIdOracle(t)
     iv, cats = enumerate_region(sch, sub)
     for r in rng.choice(len(iv), size=min(100, len(iv)), replace=False):
@@ -199,6 +212,32 @@ def test_leaves_within_partitions_a_subregion(kind, depth, n_classes, seed):
         assert cx.contains(parts[i], p)
         assert oracle.query(p)[0] == i
         assert t.predict(p) == t.nodes[i].label
+
+
+@given(st.sampled_from(["mixed", "groups2", "grid10"]), st.integers(0, 6),
+       st.integers(0, 2**16))
+def test_leaf_regions_are_built_on_first_read(kind, depth, seed):
+    sch = make_schema(kind)
+    built = []
+
+    class CountingRegion(cx.Region):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.models, "Region", CountingRegion)
+        t = cx.gen_random_tree(sch, depth, seed)
+        forest = cx.ForestModel(sch, [t, cx.gen_random_tree(sch, depth, seed + 1)])
+        compiled = forest.tree(100_000)
+        forest.tree(compiled.leaf_count)  # the cap check counts, it builds nothing
+        assert built == []
+        regions = t.leaf_regions()
+        assert len(built) == t.leaf_count == len(regions)
+        assert t.leaf_regions() is regions
+    assert [(r.intervals, r.allowed, lab) for r, lab in regions] == [
+        (r.intervals, r.allowed, t.nodes[i].label)
+        for i, r in reference_leaves_within(t, cx.full_region(sch))]
 
 
 def test_nested_split_on_the_same_axis_is_accepted(schema_grid10):
@@ -222,6 +261,20 @@ MALFORMED_TREES = {
     "root-out-of-range": ("grid10", [cx.Leaf(0)], 1),
     "no-nodes": ("grid10", [], 0),
     "negative-label": ("grid10", [cx.Leaf(-1)], 0),
+    # fields the walks would misread: each names its node
+    "bad-field-split-axis-out-of-range": ("grid10", [cx.Leaf(0), cx.Leaf(1),
+                                                     cx.SplitNode(7, 4, 0, 1)], 2),
+    "bad-field-split-axis-negative": ("grid10", [cx.Leaf(0), cx.Leaf(1),
+                                                 cx.SplitNode(-1, 4, 0, 1)], 2),
+    "bad-field-float-threshold": ("grid10", [cx.Leaf(0), cx.Leaf(1),
+                                             cx.SplitNode(0, 4.5, 0, 1)], 2),
+    "bad-field-group-out-of-range": ("mixed", [cx.Leaf(0), cx.Leaf(1),
+                                               cx.CatNode(5, 0, 0, 1)], 2),
+    "bad-field-group-negative": ("mixed", [cx.Leaf(0), cx.Leaf(1),
+                                           cx.CatNode(-1, 0, 0, 1)], 2),
+    "bad-field-float-child": ("grid10", [cx.Leaf(0), cx.Leaf(1),
+                                         cx.SplitNode(0, 4, 0, 1.0)], 2),
+    "bad-field-bool-label": ("grid10", [cx.Leaf(True)], 0),
 }
 
 
@@ -229,6 +282,13 @@ MALFORMED_TREES = {
 def test_dead_branch_rejected(case):
     kind, nodes, root = MALFORMED_TREES[case]
     with pytest.raises(cx.DataFormatError):
+        cx.TreeModel(make_schema(kind), nodes, root=root)
+
+
+@pytest.mark.parametrize("case", [c for c in MALFORMED_TREES if c.startswith("bad-field")])
+def test_a_bad_node_field_names_the_node(case):
+    kind, nodes, root = MALFORMED_TREES[case]
+    with pytest.raises(cx.DataFormatError, match=rf"^(node|leaf) {root}: "):
         cx.TreeModel(make_schema(kind), nodes, root=root)
 
 
