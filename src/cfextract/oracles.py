@@ -21,8 +21,10 @@ not only its distance, is a function of the query. For a tree,
 ``exact_tree_cf`` runs a branch-and-bound descent restricted to the region, in
 Python ints, visiting only subtrees whose box can still hold a point as near
 as the best found (the per-leaf search of Carreira-Perpiñán & Hada, AAAI 2021,
-run as one pruned descent). A forest is served by the same descent, on the
-one tree it compiles to (``ForestModel.tree``): that tree computes the
+run as one pruned descent). It follows the child on the query's side in place
+and stacks only the far child; a candidate's lexicographic key is computed
+only when its distance ties the best. A forest is served by the same descent,
+on the one tree it compiles to (``ForestModel.tree``): that tree computes the
 forest's function, and the answer depends on nothing else.
 """
 
@@ -95,13 +97,15 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     and allowed category sets, already clipped to the region) and the scaled
     distance from ``x`` to its projection on that box, which bounds every leaf
     below. A split changes one axis term, a category test one group term. The
-    nearer child is explored first, so the first leaf reached is the one that
+    descent follows the child on x's side in place, keeping the bound, and
+    pushes only the far child, with its grown bound, when that bound can still
+    tie the best distance found; so the first leaf reached is the one that
     holds ``x`` (distance 0) and gives the query's label. A subtree is dropped
     only when its bound is strictly greater than the best distance found, so
     every tied label-flipping leaf is seen; the answer is the
-    lexicographically smallest of their projections. Arithmetic is in Python
-    ints, so it is exact for any grid. ``None`` certifies that no flip point
-    exists in the region.
+    lexicographically smallest of their projections, whose keys are computed
+    only when two of them tie. Arithmetic is in Python ints, so it is exact
+    for any grid. ``None`` certifies that no flip point exists in the region.
     """
     if not contains(region, x):
         raise ContractViolation("query point outside region")
@@ -114,76 +118,83 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     y = None
     own_leaf_seen = False
     best = inf  # until a flip leaf is found; Python compares int and float exactly
-    best_point = best_key = None
+    best_point = best_key = None  # the key only once a tie needs it
     stack = [(target.root, *region.box, 0)]
-    push = stack.append
+    pop, push = stack.pop, stack.append
     while stack:
-        i, lo, hi, allowed, d = stack.pop()
+        i, lo, hi, allowed, d = pop()
         if d > best:
             continue
         node = nodes[i]
         kind = type(node)
-        if kind is Leaf:
-            if not own_leaf_seen:
-                own_leaf_seen = True
-                y = node.label
-                if y is not None:  # an unknown label agrees with nothing, even itself
-                    continue
-            elif y is not None and node.label == y:
+        # Follow x's side in place: its bound stays d, and best cannot change
+        # before a leaf, so it needs no check. The far child's bound can only
+        # grow; it is pushed, to be explored after this descent.
+        while kind is not Leaf:
+            if kind is SplitNode:
+                a, t = node.iv_axis, node.threshold
+                la, hb = lo[a], hi[a]
+                if t >= hb:
+                    i = node.left
+                elif t < la:
+                    i = node.right
+                else:
+                    v = xi[a]
+                    if v <= t:
+                        old = (la - v) * w[a] if v < la else 0
+                        new = (t + 1 - v) * w[a]
+                        d_far = d - old * old + new * new if l2 else d - old + new
+                        if d_far <= best:
+                            push((node.right, lo[:a] + (t + 1,) + lo[a + 1:], hi, allowed,
+                                  d_far))
+                        i, hi = node.left, hi[:a] + (t,) + hi[a + 1:]
+                    else:
+                        old = (v - hb) * w[a] if v > hb else 0
+                        new = (v - t) * w[a]
+                        d_far = d - old * old + new * new if l2 else d - old + new
+                        if d_far <= best:
+                            push((node.left, lo, hi[:a] + (t,) + hi[a + 1:], allowed, d_far))
+                        i, lo = node.right, lo[:a] + (t + 1,) + lo[a + 1:]
+            else:
+                g, c = node.group, node.category
+                s = allowed[g]
+                if c not in s:
+                    i = node.right
+                elif len(s) == 1:
+                    i = node.left
+                else:
+                    head, tail = allowed[:g], allowed[g + 1:]
+                    xg = xc[g]
+                    d_far = d + group_term if xg in s else d  # else both sides already pay it
+                    if xg == c:
+                        if d_far <= best:
+                            push((node.right, lo, hi, head + (s - {c},) + tail, d_far))
+                        i, allowed = node.left, head + (frozenset((c,)),) + tail
+                    else:
+                        if d_far <= best:
+                            push((node.left, lo, hi, head + (frozenset((c,)),) + tail, d_far))
+                        i, allowed = node.right, head + (s - {c},) + tail
+            node = nodes[i]
+            kind = type(node)
+        if not own_leaf_seen:
+            own_leaf_seen = True
+            y = node.label
+            if y is not None:  # an unknown label agrees with nothing, even itself
                 continue
-            point = Point(
-                tuple(a if v < a else b if v > b else v for v, a, b in zip(xi, lo, hi)),
-                tuple(c if c in s else min(s) for c, s in zip(xc, allowed)),
-            )
-            key = lex_key(point)
-            if d < best or key < best_key:
-                best, best_point, best_key = d, point, key
+        elif y is not None and node.label == y:
             continue
-        # The child on x's side keeps the bound d; the far child's bound can
-        # only grow, so it is pushed first and explored second.
-        if kind is SplitNode:
-            a, t = node.iv_axis, node.threshold
-            la, hb = lo[a], hi[a]
-            if t >= hb:
-                push((node.left, lo, hi, allowed, d))
-                continue
-            if t < la:
-                push((node.right, lo, hi, allowed, d))
-                continue
-            lo_right = lo[:a] + (t + 1,) + lo[a + 1:]
-            hi_left = hi[:a] + (t,) + hi[a + 1:]
-            v = xi[a]
-            if v <= t:
-                old = (la - v) * w[a] if v < la else 0
-                new = (t + 1 - v) * w[a]
-                far = (node.right, lo_right, hi, allowed)
-                near = (node.left, lo, hi_left, allowed, d)
-            else:
-                old = (v - hb) * w[a] if v > hb else 0
-                new = (v - t) * w[a]
-                far = (node.left, lo, hi_left, allowed)
-                near = (node.right, lo_right, hi, allowed, d)
-            d_far = d - old * old + new * new if l2 else d - old + new
-        else:
-            g, c = node.group, node.category
-            s = allowed[g]
-            if c not in s:
-                push((node.right, lo, hi, allowed, d))
-                continue
-            if len(s) == 1:
-                push((node.left, lo, hi, allowed, d))
-                continue
-            left = allowed[:g] + (frozenset((c,)),) + allowed[g + 1:]
-            right = allowed[:g] + (s - {c},) + allowed[g + 1:]
-            xg = xc[g]
-            if xg == c:
-                far, near = (node.right, lo, hi, right), (node.left, lo, hi, left, d)
-            else:
-                far, near = (node.left, lo, hi, left), (node.right, lo, hi, right, d)
-            d_far = d + group_term if xg in s else d  # else both sides already pay it
-        if d_far <= best:
-            push(far + (d_far,))
-        push(near)
+        point = Point(
+            tuple([a if v < a else b if v > b else v for v, a, b in zip(xi, lo, hi)]),
+            tuple([c if c in s else min(s) for c, s in zip(xc, allowed)]),
+        )
+        if d < best:
+            best, best_point, best_key = d, point, None
+        else:  # d == best: the descent never reaches a leaf past the bound
+            if best_key is None:
+                best_key = lex_key(best_point)
+            key = lex_key(point)
+            if key < best_key:
+                best_point, best_key = point, key
     return best_point
 
 

@@ -13,6 +13,7 @@ a region (``split_region``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ContractViolation
 from .schema import FeatureSchema, Point, number_str
@@ -34,8 +35,8 @@ class Region:
     @property
     def box(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset[int], ...]]:
         """The region as plain tuples: per-axis lows, highs, allowed sets."""
-        return (tuple(a for a, _ in self.intervals), tuple(b for _, b in self.intervals),
-                self.allowed)
+        ivs = self.intervals
+        return tuple([a for a, _ in ivs]), tuple([b for _, b in ivs]), self.allowed
 
     @property
     def volume(self) -> int:
@@ -146,9 +147,8 @@ def grid_volume(region: Region, schema: FeatureSchema) -> int:
 
 def center(region: Region) -> Point:
     """Center grid point: interval midpoints rounded down, lowest allowed category."""
-    ivals = tuple((a + b) // 2 for a, b in region.intervals)
-    cats = tuple(min(s) for s in region.allowed)
-    return Point(ivals, cats)
+    return Point(tuple([(a + b) // 2 for a, b in region.intervals]),
+                 tuple([min(s) for s in region.allowed]))
 
 
 def intersect(a: Region, b: Region) -> Region | None:
@@ -199,6 +199,9 @@ def subtract(a: Region, b: Region) -> list[Region]:
     return pieces
 
 
+_event_axis = itemgetter(0)  # the global axis a cut event of ``split`` sorts by
+
+
 def split(
     region: Region, x: Point, x_cf: Point, schema: FeatureSchema
 ) -> tuple[list[Region], list[tuple[SplitNode | CatNode, bool]]]:
@@ -215,23 +218,25 @@ def split(
         raise ContractViolation("query point outside region")
     if not contains(region, x_cf):
         raise ContractViolation("counterfactual outside region")
-    if x == x_cf:
+    x_iv, cf_iv, x_cats, cf_cats = x.ivals, x_cf.ivals, x.cats, x_cf.cats
+    if x_iv == cf_iv and x_cats == cf_cats:
         raise ContractViolation("query equals counterfactual")
 
     events: list[tuple[int, SplitNode | CatNode, bool]] = []
     for iv, axis in enumerate(schema.interval_axes):
-        v, vx = x_cf.ivals[iv], x.ivals[iv]
+        v, vx = cf_iv[iv], x_iv[iv]
         if v < vx:  # counterfactual below the query: x keeps values >= v+1
             events.append((axis.global_axis, SplitNode(iv, v), False))
         elif v > vx:  # counterfactual above: x keeps values <= v-1
             events.append((axis.global_axis, SplitNode(iv, v - 1), True))
     for gi, grp in enumerate(schema.groups):
-        cx, cv = x.cats[gi], x_cf.cats[gi]
+        cx, cv = x_cats[gi], cf_cats[gi]
         if cx != cv:
             # peel {category == cx}, then {category != cv}
             events.append((grp.global_axis0 + cx, CatNode(gi, cx), True))
             events.append((grp.global_axis0 + cv, CatNode(gi, cv), False))
-    events.sort(key=lambda e: e[0])
+    if len(events) > 1:
+        events.sort(key=_event_axis)
 
     pieces: list[Region] = []
     steps: list[tuple[SplitNode | CatNode, bool]] = []

@@ -15,6 +15,11 @@ on the entire grid. The queue order (FIFO, LIFO, random) shapes anytime
 behavior only; the regions created, the final model, and the total query
 count do not depend on it.
 
+Each answer is one call on the run's ``ExtractionState``: ``finalize`` turns
+the region's slot into a leaf and counts its volume (the domain is validated
+once, and ``split`` only cuts it), and ``expand`` applies a split, appending
+both slots of each peeled piece at once and resolving the split slot by index.
+
 Snapshots are lazy. The node store only appends slots and resolves pending
 ones, and it stamps each slot with the query that resolved it, so the partial
 tree at any earlier query can be rebuilt from it. A snapshot is therefore a
@@ -108,6 +113,8 @@ class ExtractionState:
     ``resolved_at[s]`` is the billed query count after the resolving query,
     ``math.inf`` before. Slots are only appended and resolved once, so the
     tree as it stood after any earlier query can be rebuilt from this record.
+    An answer changes the store in one call, ``finalize`` or ``expand``;
+    ``push``, which enforces ``max_regions``, is the only way onto the queue.
     """
 
     def __init__(self, oracle: CounterfactualOracle, order: str, order_seed: int,
@@ -119,7 +126,7 @@ class ExtractionState:
         self.order = order
         self.rng = np.random.default_rng(order_seed) if order == "random" else None
         self.max_regions = max_regions
-        self.total_volume = full_region(self.schema).volume
+        self.total_volume = grid_volume(full_region(self.schema), self.schema)
         self.finalized_volume = 0
         self.nodes: list[Node | None] = [None]
         self.provisional: list[int | None] = [None]
@@ -153,15 +160,37 @@ class ExtractionState:
                 "the target may be adversarial or the bound too small"
             )
 
-    def add_slot(self, provisional: int | None) -> int:
-        self.nodes.append(None)
-        self.provisional.append(provisional)
-        self.resolved_at.append(_PENDING)
-        return len(self.nodes) - 1
-
-    def resolve(self, slot: int, node: Node) -> None:
-        self.nodes[slot] = node
+    def finalize(self, slot: int, label: int, volume: int) -> None:
+        """Resolve ``slot`` to a leaf of ``label`` whose region holds
+        ``volume`` grid points: the answer held no counterfactual."""
+        self.nodes[slot] = Leaf(label)
         self.resolved_at[slot] = self.oracle.log.count
+        self.finalized_volume += volume
+
+    def expand(self, slot: int, pieces: list[Region], steps: list, label: int,
+               cf_label: int | None) -> None:
+        """Apply one split of the region at ``slot`` (``regions.split``'s
+        ``pieces`` and ``steps``) in one call.
+
+        Each peeled piece appends two slots at once, the piece (pending with
+        the query's ``label``) and the continuation (pending with
+        ``cf_label``), and the current slot resolves by index to the piece's
+        test over them; the piece is queued. The last continuation holds the
+        remainder, which is queued pending.
+        """
+        nodes, provisional, resolved_at = self.nodes, self.provisional, self.resolved_at
+        at = self.oracle.log.count
+        for piece, (test, x_left) in zip(pieces, steps):
+            piece_slot = len(nodes)
+            nodes += (None, None)
+            provisional += (label, cf_label)
+            resolved_at += (_PENDING, _PENDING)
+            nodes[slot] = (test.with_children(piece_slot, piece_slot + 1) if x_left
+                           else test.with_children(piece_slot + 1, piece_slot))
+            resolved_at[slot] = at
+            self.push(piece, piece_slot)
+            slot = piece_slot + 1
+        self.push(pieces[-1], slot)
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self.oracle.log.count, None, self.certified_fraction,
@@ -207,24 +236,14 @@ def tra_extract(
         resp = oracle.query(x, region)
         y = resp.label
         if resp.counterfactual is None:
-            state.resolve(slot, Leaf(y))
-            state.finalized_volume += grid_volume(region, schema)
+            # split cut this region from the validated domain: no re-validation
+            state.finalize(slot, y, region.volume)
         else:
             pieces, steps = split(region, x, resp.counterfactual, schema)
-            cf_label = other_label(oracle.labels, y) if binary else None
-            cur = slot
-            for piece, (test, x_left) in zip(pieces[:-1], steps):
-                piece_slot = state.add_slot(y)
-                # the continuation is resolved by this same query unless it is
-                # the remainder, which stays pending with the counterfactual's label
-                cont_slot = state.add_slot(cf_label)
-                left, right = ((piece_slot, cont_slot) if x_left
-                               else (cont_slot, piece_slot))
-                state.resolve(cur, test.with_children(left, right))
-                state.push(piece, piece_slot)
-                cur = cont_slot
-            state.push(pieces[-1], cur)
-        take_snapshot(snapshots, oracle.log.count, snapshot_every, state.snapshot)
+            state.expand(slot, pieces, steps, y,
+                         other_label(oracle.labels, y) if binary else None)
+        if snapshot_every:
+            take_snapshot(snapshots, oracle.log.count, snapshot_every, state.snapshot)
 
     take_snapshot(snapshots, oracle.log.count, 1, state.snapshot)  # the final one
     if state.certified_fraction != 1:

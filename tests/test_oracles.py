@@ -210,6 +210,34 @@ def test_exact_tree_cf_matches_brute_force_point_for_point(
         assert got == (None if ref is None else ref[1])
 
 
+# Five levels per axis and a three-way group: under L1 every term is a small
+# integer, so many label-flipping leaves tie at the best distance.
+TIE_SCHEMA = cx.FeatureSchema([cx.OrdinalFeature("a", 5), cx.OrdinalFeature("b", 5),
+                               cx.OrdinalFeature("c", 5),
+                               cx.CategoricalFeature("g", ("u", "v", "w"))])
+
+
+@given(metric=st.sampled_from(["l1", "l1", "l2"]), depth=st.integers(3, 7),
+       n_classes=st.sampled_from([2, 3]), tree_seed=st.integers(0, 2**16),
+       rng_seed=st.integers(0, 2**32 - 1))
+def test_exact_tree_cf_matches_brute_force_on_partial_trees_and_ties(
+        metric, depth, n_classes, tree_seed, rng_seed):
+    # partial trees from TRA snapshots: with three classes their pending
+    # counterfactual sides are unknown (None) leaves, which agree with nothing
+    target = cx.gen_random_tree(TIE_SCHEMA, depth, tree_seed, n_classes)
+    d = cx.Distance(TIE_SCHEMA, metric)
+    res = cx.tra_extract(cx.CounterfactualOracle(target, cx.OracleConfig(distance=metric)),
+                         snapshot_every=1)
+    rng = np.random.default_rng(rng_seed)
+    for pick in rng.integers(len(res.snapshots), size=4):
+        tree = res.snapshots[pick].model
+        for region in (cx.full_region(TIE_SCHEMA), random_subregion(TIE_SCHEMA, rng)):
+            for _ in range(10):
+                x = cx.sample_point(region, rng)
+                ref = brute_force_cf(tree, x, region, d)
+                assert cx.exact_tree_cf(tree, x, region, d) == (None if ref is None else ref[1])
+
+
 def test_exact_tree_cf_unknown_leaves_never_agree(schema_grid10):
     # as in brute force, an unknown label differs from every label, its own included
     nodes = [cx.Leaf(None), cx.Leaf(1), cx.Leaf(None),

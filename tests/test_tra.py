@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 from fractions import Fraction
 
@@ -152,15 +154,18 @@ def test_snapshot_needs_a_model_or_a_state(schema_grid10):
 
 UNCERTIFIED_DRAIN = """
 import cfextract as cx
-import cfextract.tra
-cfextract.tra.grid_volume = lambda region, schema: 0
+finalize = cx.ExtractionState.finalize
+cx.ExtractionState.finalize = lambda state, slot, label, volume: finalize(state, slot, label, 0)
 schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
 cx.tra_extract(cx.CounterfactualOracle(cx.TreeModel(schema, [cx.Leaf(0)])))
 """
 
 
 def test_drained_queue_without_full_volume_is_refused_even_under_optimize(monkeypatch):
-    monkeypatch.setattr(cx.tra, "grid_volume", lambda region, schema: 0)
+    # every finalized leaf counts no volume, so the drained queue covers none of the grid
+    finalize = cx.ExtractionState.finalize
+    monkeypatch.setattr(cx.ExtractionState, "finalize",
+                        lambda state, slot, label, volume: finalize(state, slot, label, 0))
     schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
     with pytest.raises(cx.ContractViolation, match="finalized leaves"):
         cx.tra_extract(cx.CounterfactualOracle(cx.TreeModel(schema, [cx.Leaf(0)])))
@@ -244,3 +249,59 @@ def test_extraction_matches_golden(case, tmp_path):
     cx.save_model(str(out), res.model, "schema.json")
     with open(golden_tra_path(case), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+# -- golden query traces --------------------------------------------------------
+
+
+def _mixed_tree():
+    """Depth-7 random tree (generator seed 0) on four numeric axes at 1/1024,
+    a 16-level ordinal and a four-way one-hot group."""
+    sch = cx.FeatureSchema(
+        [cx.NumericFeature(f"x{i}", 0, 1, Fraction(1, 1024)) for i in range(4)]
+        + [cx.OrdinalFeature("level", 16),
+           cx.CategoricalFeature("colour", ("red", "green", "blue", "grey"))])
+    return cx.gen_random_tree(sch, 7, 0)
+
+
+def _forest():
+    sch = cx.FeatureSchema([cx.NumericFeature(f"x{i}", 0, 1, Fraction(1, 256))
+                            for i in range(5)])
+    return cx.gen_random_forest(sch, 3, 3, seed=0)
+
+
+# run name -> (target, oracle distance, queue order)
+TRACE_RUNS = {
+    "tree-mixed/l2": (_mixed_tree, "l2", "fifo"),
+    "tree-mixed/l1": (_mixed_tree, "l1", "fifo"),
+    "tree-mixed/lifo": (_mixed_tree, "l2", "lifo"),
+    "adversarial/3,2": (lambda: cx.gen_adversarial(cx.AdversarialSpec((3, 2))), "l2", "fifo"),
+    "forest/3xd3": (_forest, "l2", "fifo"),
+}
+GOLDEN_TRACES = os.path.join(os.path.dirname(__file__), "golden_tra_traces.json")
+
+
+def trace_digest(log: cx.QueryLog) -> str:
+    """SHA-256 of the billed records (x, region, label, counterfactual) as
+    compact JSON in grid indices, allowed categories sorted."""
+    def point(p):
+        return None if p is None else [list(p.ivals), list(p.cats)]
+
+    records = [[point(r.x), [[list(iv) for iv in r.region.intervals],
+                             [sorted(s) for s in r.region.allowed]],
+                r.label, point(r.counterfactual)] for r in log.records]
+    return hashlib.sha256(json.dumps(records, separators=(",", ":")).encode()).hexdigest()
+
+
+def trace_summary(name: str) -> dict:
+    build, distance, order = TRACE_RUNS[name]
+    oracle = cx.CounterfactualOracle(build(), cx.OracleConfig(distance=distance))
+    res = cx.tra_extract(oracle, order=order, snapshot_every=0)
+    return {"queries": res.log.count, "sha256": trace_digest(res.log)}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUNS))
+def test_query_trace_matches_golden_digest(name):
+    # every billed record of the run, point for point, as the file pins it
+    with open(GOLDEN_TRACES) as fh:
+        assert trace_summary(name) == json.load(fh)[name]
