@@ -39,7 +39,7 @@ from .schema import FeatureSchema, Point, exact_number, json_int, number_str
 UNKNOWN = -1  # array sentinel for None labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int | None
 
@@ -400,12 +400,14 @@ class ForestModel:
         leaves = 0
 
         def expand(item):
-            # (region, tree, node of that tree, votes of the trees before it)
+            # (box, tree, node of that tree, votes of the trees before it), the
+            # box as per-axis lo, hi and allowed sets, as in ``leaf_boxes``
             nonlocal leaves
-            region, k, i, votes = item
+            lo, hi, allowed, k, i, votes = item
             while True:
                 node = trees[k].nodes[i]
-                if type(node) is Leaf:
+                kind = type(node)
+                if kind is Leaf:
                     c = class_of[node.label]
                     votes = votes[:c] + (votes[c] + 1,) + votes[c + 1:]
                     k += 1
@@ -420,15 +422,31 @@ class ForestModel:
                             "sampled fidelity or the heuristic oracle"
                         )
                     return Leaf(self.labels[lead])
-                left, right = node.split_region(region)
-                if right is None:
-                    i = node.left
-                elif left is None:
-                    i = node.right
+                if kind is SplitNode:
+                    a, t = node.iv_axis, node.threshold
+                    if t >= hi[a]:
+                        i = node.left
+                    elif t < lo[a]:
+                        i = node.right
+                    else:
+                        left_hi = hi[:a] + (t,) + hi[a + 1:]
+                        right_lo = lo[:a] + (t + 1,) + lo[a + 1:]
+                        return (node, (lo, left_hi, allowed, k, node.left, votes),
+                                (right_lo, hi, allowed, k, node.right, votes))
                 else:
-                    return node, (left, k, node.left, votes), (right, k, node.right, votes)
+                    g, c = node.group, node.category
+                    s = allowed[g]
+                    if c not in s:
+                        i = node.right
+                    elif len(s) == 1:
+                        i = node.left
+                    else:
+                        head, tail = allowed[:g], allowed[g + 1:]
+                        one, rest = head + (frozenset((c,)),) + tail, head + (s - {c},) + tail
+                        return (node, (lo, hi, one, k, node.left, votes),
+                                (lo, hi, rest, k, node.right, votes))
 
-        root_item = (full_region(self.schema), 0, trees[0].root, (0,) * len(self.labels))
+        root_item = (*full_region(self.schema).box, 0, trees[0].root, (0,) * len(self.labels))
         return TreeModel(self.schema, *grow(root_item, expand))
 
     def cell_box_set(self, cap: int) -> "BoxSet":

@@ -26,6 +26,14 @@ and stacks only the far child; a candidate's lexicographic key is computed
 only when its distance ties the best. A forest is served by the same descent,
 on the one tree it compiles to (``ForestModel.tree``): that tree computes the
 forest's function, and the answer depends on nothing else.
+
+Where the checks of a query live: ``query`` refuses a point or region whose
+arity is not the schema's. In exact mode ``exact_tree_cf`` checks that the
+point lies in the region, in the loop that reads the region into its root
+box; in heuristic mode ``query`` checks it with ``contains``. Either way,
+``query`` checks every answer before billing it: the counterfactual lies in
+the region (``contains``) and ``predict`` gives it another label than the
+query's.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class OracleConfig:
             raise ContractViolation("cell_cap must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     index: int
     x: Point
@@ -106,10 +114,23 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     lexicographically smallest of their projections, whose keys are computed
     only when two of them tie. Arithmetic is in Python ints, so it is exact
     for any grid. ``None`` certifies that no flip point exists in the region.
+
+    The loop that reads the region's bounds into the root box also checks
+    that ``x`` lies in the region, arity included.
     """
-    if not contains(region, x):
-        raise ContractViolation("query point outside region")
     xi, xc = x.ivals, x.cats
+    intervals, allowed = region.intervals, region.allowed
+    if len(xi) != len(intervals) or len(xc) != len(allowed):
+        raise ContractViolation("query point outside region")
+    lo, hi = [], []
+    for v, (a, b) in zip(xi, intervals):
+        if not a <= v <= b:
+            raise ContractViolation("query point outside region")
+        lo.append(a)
+        hi.append(b)
+    for c, s in zip(xc, allowed):
+        if c not in s:
+            raise ContractViolation("query point outside region")
     w = dist.weights
     l2 = dist.kind == "l2"
     group_term = dist.group_term
@@ -119,7 +140,7 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     own_leaf_seen = False
     best = inf  # until a flip leaf is found; Python compares int and float exactly
     best_point = best_key = None  # the key only once a tie needs it
-    stack = [(target.root, *region.box, 0)]
+    stack = [(target.root, tuple(lo), tuple(hi), allowed, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         i, lo, hi, allowed, d = pop()
@@ -297,6 +318,7 @@ class CounterfactualOracle:
         self.training_data = tuple(training_data) if training_data else ()
         self.log = QueryLog()
         self.labels: tuple[int, ...] = target.labels
+        self._arity = (len(self.schema.iv_sizes), len(self.schema.group_sizes))
 
     def _rng_for(self, region: Region):
         fingerprint = zlib.crc32(repr(
@@ -313,12 +335,16 @@ class CounterfactualOracle:
         return exact_tree_cf(self.target, x, region, self.distance)
 
     def query(self, x: Point, region: Region) -> QueryRecord:
-        if not contains(region, x):
-            raise ContractViolation("query point outside the requested region")
+        n_iv, n_groups = self._arity
+        if (len(x.ivals) != n_iv or len(x.cats) != n_groups
+                or len(region.intervals) != n_iv or len(region.allowed) != n_groups):
+            raise ContractViolation("query point or region has the wrong arity for the schema")
         y = self.target.predict(x)
         if self.config.mode == "exact":
-            cf = self._exact(x, region)
+            cf = self._exact(x, region)  # the descent checks that x lies in the region
         else:
+            if not contains(region, x):
+                raise ContractViolation("query point outside the requested region")
             cf = heuristic_cf(self.target, x, y, region, self.training_data,
                               self.config.sample_budget, partial(self._rng_for, region))
         if cf is not None and not (contains(region, cf) and self.target.predict(cf) != y):

@@ -8,6 +8,12 @@ here are pure and deterministic.
 The two tree node tests live here too, since each is a cut of a region:
 ``SplitNode`` and ``CatNode`` route rows of index arrays (``left_mask``) and
 a region (``split_region``).
+
+Where the checks on TRA's query path live: ``contains`` is the one membership
+test (a point of another arity is never inside). ``split`` checks the query
+point and the counterfactual against the region in the same pass over the
+axes that finds their differences, and ``Region.__post_init__`` validates
+every piece it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import ContractViolation
 from .schema import FeatureSchema, Point, number_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     intervals: tuple[tuple[int, int], ...]
     allowed: tuple[frozenset[int], ...]
@@ -48,7 +54,7 @@ class Region:
         return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitNode:
     """Interval test: a point goes left iff its index on ``iv_axis`` is
     <= ``threshold``. ``left`` and ``right`` are node indices, -1 while the
@@ -81,7 +87,7 @@ class SplitNode:
                 Region(head + ((t + 1, b),) + tail, region.allowed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatNode:
     """Category test: a point goes left iff its category in ``group`` is
     ``category``. Children as for ``SplitNode``."""
@@ -121,6 +127,8 @@ def full_region(schema: FeatureSchema) -> Region:
 
 
 def contains(region: Region, p: Point) -> bool:
+    if len(p.ivals) != len(region.intervals) or len(p.cats) != len(region.allowed):
+        return False
     for (a, b), v in zip(region.intervals, p.ivals):
         if not a <= v <= b:
             return False
@@ -202,6 +210,14 @@ def subtract(a: Region, b: Region) -> list[Region]:
 _event_axis = itemgetter(0)  # the global axis a cut event of ``split`` sorts by
 
 
+def _outside(region: Region, x: Point) -> ContractViolation:
+    """The refusal of a ``split`` whose query point or counterfactual is not
+    in ``region``: the query point's if it is outside, else the
+    counterfactual's."""
+    return ContractViolation("query point outside region" if not contains(region, x)
+                             else "counterfactual outside region")
+
+
 def split(
     region: Region, x: Point, x_cf: Point, schema: FeatureSchema
 ) -> tuple[list[Region], list[tuple[SplitNode | CatNode, bool]]]:
@@ -213,42 +229,67 @@ def split(
     peel order (remainder last) and, per peeled piece, its node test and
     ``x_left``: whether the piece is the test's left side. A test that leaves
     one side empty (possible within a one-hot group) peels nothing.
+
+    The one pass over the axes that finds the cuts also checks that ``x`` and
+    ``x_cf`` lie in ``region`` and that they differ. The remainder between
+    cuts is carried as plain tuples; a ``Region`` is built, and validated,
+    only for each piece returned.
     """
-    if not contains(region, x):
-        raise ContractViolation("query point outside region")
-    if not contains(region, x_cf):
-        raise ContractViolation("counterfactual outside region")
+    ivs, al = region.intervals, region.allowed
     x_iv, cf_iv, x_cats, cf_cats = x.ivals, x_cf.ivals, x.cats, x_cf.cats
-    if x_iv == cf_iv and x_cats == cf_cats:
-        raise ContractViolation("query equals counterfactual")
+    n_iv, n_groups = len(schema.interval_axes), len(schema.groups)
+    if len(ivs) != n_iv or len(al) != n_groups:
+        raise ContractViolation("region has wrong arity for this schema")
+    if not (len(x_iv) == len(cf_iv) == n_iv and len(x_cats) == len(cf_cats) == n_groups):
+        raise _outside(region, x)
 
     events: list[tuple[int, SplitNode | CatNode, bool]] = []
     for iv, axis in enumerate(schema.interval_axes):
+        a, b = ivs[iv]
         v, vx = cf_iv[iv], x_iv[iv]
+        if not (a <= vx <= b and a <= v <= b):
+            raise _outside(region, x)
         if v < vx:  # counterfactual below the query: x keeps values >= v+1
             events.append((axis.global_axis, SplitNode(iv, v), False))
         elif v > vx:  # counterfactual above: x keeps values <= v-1
             events.append((axis.global_axis, SplitNode(iv, v - 1), True))
     for gi, grp in enumerate(schema.groups):
+        s = al[gi]
         cx, cv = x_cats[gi], cf_cats[gi]
+        if cx not in s or cv not in s:
+            raise _outside(region, x)
         if cx != cv:
             # peel {category == cx}, then {category != cv}
             events.append((grp.global_axis0 + cx, CatNode(gi, cx), True))
             events.append((grp.global_axis0 + cv, CatNode(gi, cv), False))
+    if not events:
+        raise ContractViolation("query equals counterfactual")
     if len(events) > 1:
         events.sort(key=_event_axis)
 
     pieces: list[Region] = []
     steps: list[tuple[SplitNode | CatNode, bool]] = []
-    rem = region
     for _, test, x_left in events:
-        left, right = test.split_region(rem)
-        if left is None or right is None:
-            continue
-        piece, rem = (left, right) if x_left else (right, left)
-        pieces.append(piece)
+        if type(test) is SplitNode:
+            # both sides are non-empty: x and x_cf lie in [a, b] on either side
+            # of the cut, and no earlier cut touched this axis
+            k, t = test.iv_axis, test.threshold
+            a, b = ivs[k]
+            head, tail = ivs[:k], ivs[k + 1:]
+            left, right = head + ((a, t),) + tail, head + ((t + 1, b),) + tail
+            piece, ivs = (left, right) if x_left else (right, left)
+            pieces.append(Region(piece, al))
+        else:
+            g, c = test.group, test.category
+            s = al[g]
+            if c not in s or len(s) == 1:
+                continue
+            head, tail = al[:g], al[g + 1:]
+            left, right = head + (frozenset((c,)),) + tail, head + (s - {c},) + tail
+            piece, al = (left, right) if x_left else (right, left)
+            pieces.append(Region(ivs, piece))
         steps.append((test, x_left))
-    pieces.append(rem)
+    pieces.append(Region(ivs, al))
     return pieces, steps
 
 

@@ -196,7 +196,7 @@ class CategoryGroup:
         return len(self.categories)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A grid point: one index per interval axis, one category per group."""
 

@@ -19,6 +19,10 @@ Each answer is one call on the run's ``ExtractionState``: ``finalize`` turns
 the region's slot into a leaf and counts its volume (the domain is validated
 once, and ``split`` only cuts it), and ``expand`` applies a split, appending
 both slots of each peeled piece at once and resolving the split slot by index.
+TRA adds no check of its own on the query path. ``query`` checks that the
+center lies in the region and that the counterfactual lies in it with another
+label; ``split`` checks both points against the region in the pass that finds
+their differing axes, and validates each piece it returns.
 
 Snapshots are lazy. The node store only appends slots and resolves pending
 ones, and it stamps each slot with the query that resolved it, so the partial

@@ -15,6 +15,9 @@ which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 node with ``split_region``, and ``reference_equivalence`` is the equivalence
 check built on it, which the integer-box walks of ``TreeModel.leaf_boxes``
 and ``cfextract.functional_equivalence`` must reproduce exactly.
+``reference_forest_compile`` grafts a forest into one tree on ``Region``s, cut
+with ``split_region``, which ``ForestModel.tree``'s walk on integer boxes must
+reproduce node for node.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -231,6 +234,39 @@ def reference_equivalence(f, g, schema: cx.FeatureSchema, cell_budget: int):
             if f.nodes[i].label != label:
                 return False, cx.center(part)
     return True, None
+
+
+def reference_forest_compile(forest: cx.ForestModel) -> cx.TreeModel:
+    """The tree ``forest.tree`` compiles to (with no cap), grafted one
+    ``Region`` per item: each tree onto every leaf of the trees before it,
+    following only the non-empty sides of its tests, with a leaf as soon as
+    the trees still to come cannot change the vote."""
+    trees, labels = forest.trees, forest.labels
+    class_of = {lab: c for c, lab in enumerate(labels)}
+
+    def expand(item):
+        region, k, i, votes = item
+        while True:
+            node = trees[k].nodes[i]
+            if isinstance(node, cx.Leaf):
+                votes = list(votes)
+                votes[class_of[node.label]] += 1
+                k += 1
+                lead = cx.models._vote(votes, len(trees) - k)
+                if lead is None:
+                    i = trees[k].root
+                    continue
+                return cx.Leaf(labels[lead])
+            left, right = node.split_region(region)
+            if right is None:
+                i = node.left
+            elif left is None:
+                i = node.right
+            else:
+                return node, (left, k, node.left, votes), (right, k, node.right, votes)
+
+    root_item = (cx.full_region(forest.schema), 0, trees[0].root, [0] * len(labels))
+    return cx.TreeModel(forest.schema, *cx.models.grow(root_item, expand))
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:

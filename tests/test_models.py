@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
 from tests.conftest import (enumerate_region, make_schema, malformed, random_subregion,
-                            reference_leaves_within)
+                            reference_forest_compile, reference_leaves_within)
 
 
 def single_split_tree(sch, iv_axis=0, t=None, left=0, right=1):
@@ -98,6 +98,15 @@ def test_forest_compiles_to_a_tree_with_the_same_vote(kind, n_trees, depth, n_cl
                 for a, c in zip(iv, cats)]
     assert tree.predict_arrays(iv, cats).tolist() == expected
     assert tree.leaf_count <= len(forest.cell_box_set(100_000))
+
+
+@given(st.sampled_from(["mixed", "groups2", "small3"]), st.integers(1, 5), st.integers(0, 4),
+       st.integers(2, 3), st.integers(0, 2**16))
+def test_forest_compile_on_integer_boxes_matches_the_region_reference(
+        kind, n_trees, depth, n_classes, seed):
+    forest = cx.gen_random_forest(make_schema(kind), n_trees, depth, seed, n_classes)
+    tree, reference = forest.tree(100_000), reference_forest_compile(forest)
+    assert (tree.root, tree.nodes) == (reference.root, reference.nodes)
 
 
 def test_forest_tree_stops_at_a_decided_vote(schema_grid10):

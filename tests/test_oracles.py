@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
 from tests.conftest import (brute_force_cf, false_absences, make_schema, random_subregion,
@@ -33,6 +33,85 @@ def test_query_precondition(schema_grid10):
     with pytest.raises(cx.ContractViolation):
         oracle.query(schema_grid10.point_of("0.9", "0.9"), region)
     assert oracle.log.count == 0  # rejected calls are not billed
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("x, region", [
+    (cx.Point((3, 4, 5), ()), None),  # one index too many
+    (cx.Point((3,), ()), None),  # one too few
+    (cx.Point((3, 4), (0,)), None),  # a category for a group the schema lacks
+    (cx.Point((3, 4), ()), cx.Region(((0, 9), (0, 9), (0, 9)), ())),
+    (cx.Point((3,), ()), cx.Region(((0, 9),), ())),  # both one short, alike
+])
+def test_query_refuses_a_point_or_region_of_the_wrong_arity(schema_grid10, mode, x, region):
+    oracle = cx.CounterfactualOracle(two_split_target(schema_grid10), cx.OracleConfig(mode=mode))
+    with pytest.raises(cx.ContractViolation, match="arity"):
+        oracle.query(x, region or cx.full_region(schema_grid10))
+    assert oracle.log.count == 0
+
+
+def test_contains_is_false_for_a_point_of_another_arity():
+    region = cx.Region(((0, 9), (0, 9)), (frozenset({0, 1}),))
+    assert cx.contains(region, cx.Point((3, 4), (1,)))
+    for p in (cx.Point((3, 4, 5), (1,)), cx.Point((3,), (1,)), cx.Point((3, 4), ()),
+              cx.Point((3, 4), (1, 0))):
+        assert not cx.contains(region, p)
+
+
+def _maybe_outside(draw, region: cx.Region, how: str) -> cx.Point:
+    """A point of ``region``, then moved out of it as ``how`` says: below or
+    above one interval, to a category its group does not allow, or to
+    another arity. Where the region leaves no room for a move, the point
+    stays inside."""
+    ivals = [draw(st.integers(a, b)) for a, b in region.intervals]
+    cats = [draw(st.sampled_from(sorted(s))) for s in region.allowed]
+    ivs = region.intervals
+    if how == "below" and any(a > 0 for a, _ in ivs):
+        i = draw(st.sampled_from([i for i, (a, _) in enumerate(ivs) if a > 0]))
+        ivals[i] = draw(st.integers(0, ivs[i][0] - 1))
+    elif how == "above":
+        i = draw(st.integers(0, len(ivs) - 1))
+        ivals[i] = draw(st.integers(ivs[i][1] + 1, ivs[i][1] + 3))
+    elif how == "category" and any(len(s) < 3 for s in region.allowed):
+        g = draw(st.sampled_from([g for g, s in enumerate(region.allowed) if len(s) < 3]))
+        cats[g] = draw(st.sampled_from(sorted({0, 1, 2} - region.allowed[g])))
+    elif how == "longer":
+        ivals.append(0)
+    elif how == "shorter":
+        ivals.pop()
+    return cx.Point(tuple(ivals), tuple(cats))
+
+
+def _refusal(call) -> str | None:
+    """The message of the ContractViolation ``call()`` raises; None if none."""
+    try:
+        call()
+    except cx.ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["x", "cf"]),
+       st.sampled_from(["inside", "below", "above", "category", "longer", "shorter"]),
+       st.data())
+def test_fused_checks_refuse_exactly_the_points_contains_puts_outside(kind, seed, moved, how,
+                                                                      data):
+    # split and exact_tree_cf check containment in the pass that reads the
+    # coordinates; each must still refuse exactly what contains rejects, and
+    # say which point is out (a piece's own validation would refuse some of
+    # them too, as an empty interval)
+    sch = make_schema(kind)
+    region = random_subregion(sch, np.random.default_rng(seed))
+    x = _maybe_outside(data.draw, region, how if moved == "x" else "inside")
+    cf = _maybe_outside(data.draw, region, how if moved == "cf" else "inside")
+    tree = cx.gen_random_tree(sch, depth=4, seed=seed % 1000)
+    x_out = None if cx.contains(region, x) else "query point outside region"
+    assert _refusal(lambda: cx.split(region, x, cf, sch)) == (
+        x_out or (None if cx.contains(region, cf) else "counterfactual outside region")
+        or ("query equals counterfactual" if x == cf else None))
+    assert _refusal(lambda: cx.exact_tree_cf(tree, x, region, cx.Distance(sch, "l2"))) == x_out
 
 
 def test_exact_single_split_example():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -186,3 +187,30 @@ def test_region_json_roundtrip():
         r = random_subregion(sch, rng)
         data = cx.region_json(r, sch)
         assert region_from_json(data, sch) == r
+
+
+# -- value types -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cx.Point((1, 2), (0,)),
+    lambda: cx.Region(((0, 3), (2, 2)), (frozenset({0, 2}),)),
+    lambda: cx.SplitNode(0, 5),
+    lambda: cx.CatNode(0, 5, 1, 2),
+    lambda: cx.Leaf(1),
+    lambda: cx.QueryRecord(0, cx.Point((1,), ()), cx.Region(((0, 3),), ()), 1, None),
+])
+def test_value_types_stay_frozen_and_hash_by_value(make):
+    value = make()
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, 0)
+    assert not hasattr(value, "__dict__")  # slotted: no attribute beyond the fields
+    twin = make()
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+
+
+def test_node_tests_of_different_kinds_are_never_equal():
+    assert cx.SplitNode(0, 5) != cx.CatNode(0, 5)
+    assert cx.SplitNode(0, 5, 1, 2) != cx.CatNode(0, 5, 1, 2)
+    assert len({cx.SplitNode(0, 5), cx.CatNode(0, 5)}) == 2
