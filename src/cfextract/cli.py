@@ -211,6 +211,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    if args.fidelity_samples < 1:  # refused before the attack writes anything
+        raise ContractViolation("--fidelity-samples must be >= 1")
     target, schema = _load_target(args)
     if args.method == "pathfinding":
         if isinstance(target, ForestModel):
@@ -362,6 +364,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # numpy's generators refuse it, after some work
+            raise ContractViolation("--seed must be >= 0")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

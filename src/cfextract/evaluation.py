@@ -2,7 +2,7 @@
 
 The equivalence check never materializes the full product grid of split
 levels: it compiles each forest to one tree, walks one tree's leaf boxes and
-the other tree's leaves within each box, on plain integer bounds with no
+the other tree's leaves within each box, on a ``Region``'s own fields with no
 ``Region`` per node, so comparisons stay near-linear in the leaves. All
 bound arithmetic is exact (Fractions).
 """
@@ -66,18 +66,19 @@ def functional_equivalence(
         g = g.tree(cell_budget)
     f_nodes, g_nodes = f.nodes, g.nodes
     budget = cell_budget
-    for j, lo, hi, allowed in g.leaf_boxes(*full_region(schema).box):
+    domain = full_region(schema)
+    for j, ivs, allowed in g.leaf_boxes(domain.intervals, domain.allowed):
         label = g_nodes[j].label
         if label is None:
-            return False, center(Region(tuple(zip(lo, hi)), allowed))
-        for i, lo, hi, allowed in f.leaf_boxes(lo, hi, allowed):  # f's parts of g's box
+            return False, center(Region(ivs, allowed))
+        for i, ivs, allowed in f.leaf_boxes(ivs, allowed):  # f's parts of g's box
             budget -= 1
             if budget < 0:
                 raise CapacityError(
                     "equivalence check exceeded its cell budget; use sampled fidelity"
                 )
             if f_nodes[i].label != label:
-                return False, center(Region(tuple(zip(lo, hi)), allowed))
+                return False, center(Region(ivs, allowed))
     return True, None
 
 
@@ -250,6 +251,8 @@ def bound_report(arg) -> BoundReport:
         s = tuple(int(v) for v in arg)
         if any(v < 0 for v in s):
             raise ContractViolation("split-level counts must be non-negative")
+    if not s:
+        raise ContractViolation("need split-level counts for at least one axis")
     n = sum(s)
     m = len(s)
     prod = 1

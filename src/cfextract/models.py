@@ -6,11 +6,11 @@ index) and ``CatNode`` (left iff its category in a one-hot group is the
 tested one). The node tests, defined next to ``Region``, route rows of index
 arrays (``left_mask``) and regions (``split_region``: the two sides, None for
 an empty one). A tree is walked through a box of the grid in one way,
-``leaf_boxes``, on plain integer bounds and category sets, and a point in
-one way, ``leaf_index``. Trees are validated on construction so every
-root-to-leaf path carries a non-empty region (no dead branches). A tree is
-built one way, ``grow``: top-down on an explicit stack, so a tree may be as
-deep as its data makes it.
+``leaf_boxes``, on a ``Region``'s own fields (its ``(lo, hi)`` pairs and
+allowed sets), and a point in one way, ``leaf_index``. Trees are validated
+on construction so every root-to-leaf path carries a non-empty region (no
+dead branches). A tree is built one way, ``grow``: top-down on an explicit
+stack, so a tree may be as deep as its data makes it.
 
 A forest is served through the one tree it compiles to (``ForestModel.tree``),
 so the exact oracle and the equivalence check only ever walk trees.
@@ -120,33 +120,37 @@ class TreeModel:
         # no node has two parents and the root has none, so the descent from
         # the root meets no node twice; a dead branch, or a part cut off from
         # the root, holds a leaf that the descent never reaches
-        missed = leaves - sum(1 for _ in self.leaf_boxes(*full_region(self.schema).box))
+        domain = full_region(self.schema)
+        missed = leaves - sum(1 for _ in self.leaf_boxes(domain.intervals, domain.allowed))
         if missed:
             raise DataFormatError(f"{missed} leaves lie on a dead branch or are unreachable")
         self._leaf_count = leaves
 
     # -- descent ------------------------------------------------------------
-    def leaf_boxes(self, lo: tuple[int, ...], hi: tuple[int, ...],
+    def leaf_boxes(self, intervals: tuple[tuple[int, int], ...],
                    allowed: tuple[frozenset[int], ...]) -> Iterator[tuple]:
-        """Each leaf meeting the box with per-axis bounds ``lo`` to ``hi`` and
-        category sets ``allowed``, as (node index, lo, hi, allowed) of its part
-        of the box, left subtrees first; the parts partition the box. A test
-        with one side empty is followed in place. No ``Region`` is built."""
+        """Each leaf meeting the box with per-axis ``(lo, hi)`` ``intervals``
+        and category sets ``allowed`` (a ``Region``'s fields), as (node index,
+        intervals, allowed) of its part of the box, left subtrees first; the
+        parts partition the box. A test with one side empty is followed in
+        place. No ``Region`` is built."""
         nodes = self.nodes
-        stack = [(self.root, lo, hi, allowed)]
+        stack = [(self.root, intervals, allowed)]
         while stack:
-            i, lo, hi, allowed = stack.pop()
+            i, ivs, allowed = stack.pop()
             node = nodes[i]
             while type(node) is not Leaf:
                 if type(node) is SplitNode:
                     a, t = node.iv_axis, node.threshold
-                    if t >= hi[a]:
+                    lo, hi = ivs[a]
+                    if t >= hi:
                         i = node.left
-                    elif t < lo[a]:
+                    elif t < lo:
                         i = node.right
                     else:
-                        stack.append((node.right, lo[:a] + (t + 1,) + lo[a + 1:], hi, allowed))
-                        i, hi = node.left, hi[:a] + (t,) + hi[a + 1:]
+                        head, tail = ivs[:a], ivs[a + 1:]
+                        stack.append((node.right, head + ((t + 1, hi),) + tail, allowed))
+                        i, ivs = node.left, head + ((lo, t),) + tail
                 else:
                     g, c = node.group, node.category
                     s = allowed[g]
@@ -156,10 +160,10 @@ class TreeModel:
                         i = node.left
                     else:
                         head, tail = allowed[:g], allowed[g + 1:]
-                        stack.append((node.right, lo, hi, head + (s - {c},) + tail))
+                        stack.append((node.right, ivs, head + (s - {c},) + tail))
                         i, allowed = node.left, head + (frozenset((c,)),) + tail
                 node = nodes[i]
-            yield i, lo, hi, allowed
+            yield i, ivs, allowed
 
     def leaf_index(self, p: Point) -> int:
         """Index of the leaf holding ``p``."""
@@ -246,10 +250,9 @@ class TreeModel:
         left subtrees first; built from ``leaf_boxes`` on the first call and
         kept."""
         if self._leaf_regions is None:
-            nodes = self.nodes
-            self._leaf_regions = [(Region(tuple(zip(lo, hi)), allowed), nodes[i].label)
-                                  for i, lo, hi, allowed
-                                  in self.leaf_boxes(*full_region(self.schema).box)]
+            nodes, domain = self.nodes, full_region(self.schema)
+            self._leaf_regions = [(Region(ivs, allowed), nodes[i].label) for i, ivs, allowed
+                                  in self.leaf_boxes(domain.intervals, domain.allowed)]
         return self._leaf_regions
 
     def box_set(self) -> "BoxSet":
@@ -395,15 +398,17 @@ class ForestModel:
         return self._tree
 
     def _compile(self, cap: int) -> TreeModel:
+        """The tree ``tree`` keeps, grown from the whole grid. An item is a box
+        (a ``Region``'s ``(lo, hi)`` pairs and allowed sets, cut as in
+        ``leaf_boxes``), a tree, a node of that tree, and the votes of the
+        trees before it."""
         trees = self.trees
         class_of = self._class_of
         leaves = 0
 
         def expand(item):
-            # (box, tree, node of that tree, votes of the trees before it), the
-            # box as per-axis lo, hi and allowed sets, as in ``leaf_boxes``
             nonlocal leaves
-            lo, hi, allowed, k, i, votes = item
+            ivs, allowed, k, i, votes = item
             while True:
                 node = trees[k].nodes[i]
                 kind = type(node)
@@ -424,15 +429,15 @@ class ForestModel:
                     return Leaf(self.labels[lead])
                 if kind is SplitNode:
                     a, t = node.iv_axis, node.threshold
-                    if t >= hi[a]:
+                    lo, hi = ivs[a]
+                    if t >= hi:
                         i = node.left
-                    elif t < lo[a]:
+                    elif t < lo:
                         i = node.right
                     else:
-                        left_hi = hi[:a] + (t,) + hi[a + 1:]
-                        right_lo = lo[:a] + (t + 1,) + lo[a + 1:]
-                        return (node, (lo, left_hi, allowed, k, node.left, votes),
-                                (right_lo, hi, allowed, k, node.right, votes))
+                        head, tail = ivs[:a], ivs[a + 1:]
+                        return (node, (head + ((lo, t),) + tail, allowed, k, node.left, votes),
+                                (head + ((t + 1, hi),) + tail, allowed, k, node.right, votes))
                 else:
                     g, c = node.group, node.category
                     s = allowed[g]
@@ -443,10 +448,11 @@ class ForestModel:
                     else:
                         head, tail = allowed[:g], allowed[g + 1:]
                         one, rest = head + (frozenset((c,)),) + tail, head + (s - {c},) + tail
-                        return (node, (lo, hi, one, k, node.left, votes),
-                                (lo, hi, rest, k, node.right, votes))
+                        return (node, (ivs, one, k, node.left, votes),
+                                (ivs, rest, k, node.right, votes))
 
-        root_item = (*full_region(self.schema).box, 0, trees[0].root, (0,) * len(self.labels))
+        domain = full_region(self.schema)
+        root_item = (domain.intervals, domain.allowed, 0, trees[0].root, (0,) * len(self.labels))
         return TreeModel(self.schema, *grow(root_item, expand))
 
     def cell_box_set(self, cap: int) -> "BoxSet":

@@ -28,12 +28,11 @@ on the one tree it compiles to (``ForestModel.tree``): that tree computes the
 forest's function, and the answer depends on nothing else.
 
 Where the checks of a query live: ``query`` refuses a point or region whose
-arity is not the schema's. In exact mode ``exact_tree_cf`` checks that the
-point lies in the region, in the loop that reads the region into its root
-box; in heuristic mode ``query`` checks it with ``contains``. Either way,
-``query`` checks every answer before billing it: the counterfactual lies in
-the region (``contains``) and ``predict`` gives it another label than the
-query's.
+arity is not the schema's. ``contains`` is the one membership test: in exact
+mode ``exact_tree_cf`` checks with it that the point lies in the region, in
+heuristic mode ``query`` does. Either way, ``query`` checks every answer
+before billing it: the counterfactual lies in the region (``contains``) and
+``predict`` gives it another label than the query's.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     """Globally nearest label flip inside ``region`` for a single tree.
 
     A depth-first branch-and-bound descent of the tree, restricted to
-    ``region``. Each stack entry is a node with its box (per-axis ``lo``/``hi``
-    and allowed category sets, already clipped to the region) and the scaled
+    ``region``. Each stack entry is a node with its box (a ``Region``'s
+    ``(lo, hi)`` pairs and allowed sets, cut from the region's) and the scaled
     distance from ``x`` to its projection on that box, which bounds every leaf
     below. A split changes one axis term, a category test one group term. The
     descent follows the child on x's side in place, keeping the bound, and
@@ -114,23 +113,10 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     lexicographically smallest of their projections, whose keys are computed
     only when two of them tie. Arithmetic is in Python ints, so it is exact
     for any grid. ``None`` certifies that no flip point exists in the region.
-
-    The loop that reads the region's bounds into the root box also checks
-    that ``x`` lies in the region, arity included.
     """
-    xi, xc = x.ivals, x.cats
-    intervals, allowed = region.intervals, region.allowed
-    if len(xi) != len(intervals) or len(xc) != len(allowed):
+    if not contains(region, x):
         raise ContractViolation("query point outside region")
-    lo, hi = [], []
-    for v, (a, b) in zip(xi, intervals):
-        if not a <= v <= b:
-            raise ContractViolation("query point outside region")
-        lo.append(a)
-        hi.append(b)
-    for c, s in zip(xc, allowed):
-        if c not in s:
-            raise ContractViolation("query point outside region")
+    xi, xc = x.ivals, x.cats
     w = dist.weights
     l2 = dist.kind == "l2"
     group_term = dist.group_term
@@ -140,10 +126,10 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     own_leaf_seen = False
     best = inf  # until a flip leaf is found; Python compares int and float exactly
     best_point = best_key = None  # the key only once a tie needs it
-    stack = [(target.root, tuple(lo), tuple(hi), allowed, 0)]
+    stack = [(target.root, region.intervals, region.allowed, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        i, lo, hi, allowed, d = pop()
+        i, ivs, allowed, d = pop()
         if d > best:
             continue
         node = nodes[i]
@@ -154,7 +140,7 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
         while kind is not Leaf:
             if kind is SplitNode:
                 a, t = node.iv_axis, node.threshold
-                la, hb = lo[a], hi[a]
+                la, hb = ivs[a]
                 if t >= hb:
                     i = node.left
                 elif t < la:
@@ -166,16 +152,16 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
                         new = (t + 1 - v) * w[a]
                         d_far = d - old * old + new * new if l2 else d - old + new
                         if d_far <= best:
-                            push((node.right, lo[:a] + (t + 1,) + lo[a + 1:], hi, allowed,
+                            push((node.right, ivs[:a] + ((t + 1, hb),) + ivs[a + 1:], allowed,
                                   d_far))
-                        i, hi = node.left, hi[:a] + (t,) + hi[a + 1:]
+                        i, ivs = node.left, ivs[:a] + ((la, t),) + ivs[a + 1:]
                     else:
                         old = (v - hb) * w[a] if v > hb else 0
                         new = (v - t) * w[a]
                         d_far = d - old * old + new * new if l2 else d - old + new
                         if d_far <= best:
-                            push((node.left, lo, hi[:a] + (t,) + hi[a + 1:], allowed, d_far))
-                        i, lo = node.right, lo[:a] + (t + 1,) + lo[a + 1:]
+                            push((node.left, ivs[:a] + ((la, t),) + ivs[a + 1:], allowed, d_far))
+                        i, ivs = node.right, ivs[:a] + ((t + 1, hb),) + ivs[a + 1:]
             else:
                 g, c = node.group, node.category
                 s = allowed[g]
@@ -189,11 +175,11 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
                     d_far = d + group_term if xg in s else d  # else both sides already pay it
                     if xg == c:
                         if d_far <= best:
-                            push((node.right, lo, hi, head + (s - {c},) + tail, d_far))
+                            push((node.right, ivs, head + (s - {c},) + tail, d_far))
                         i, allowed = node.left, head + (frozenset((c,)),) + tail
                     else:
                         if d_far <= best:
-                            push((node.left, lo, hi, head + (frozenset((c,)),) + tail, d_far))
+                            push((node.left, ivs, head + (frozenset((c,)),) + tail, d_far))
                         i, allowed = node.right, head + (s - {c},) + tail
             node = nodes[i]
             kind = type(node)
@@ -205,7 +191,7 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
         elif y is not None and node.label == y:
             continue
         point = Point(
-            tuple([a if v < a else b if v > b else v for v, a, b in zip(xi, lo, hi)]),
+            tuple([a if v < a else b if v > b else v for v, (a, b) in zip(xi, ivs)]),
             tuple([c if c in s else min(s) for c, s in zip(xc, allowed)]),
         )
         if d < best:

@@ -5,15 +5,20 @@ numeric/ordinal/binary axis) and non-empty allowed-category sets (one per
 one-hot group). Regions are always non-empty by construction. All operations
 here are pure and deterministic.
 
+Its two fields are the one box format: the walks that cut a box at every
+node (``split``, ``TreeModel.leaf_boxes``, the exact oracle's descent, the
+forest compiler) carry its tuple of ``(lo, hi)`` pairs and its tuple of
+allowed sets, rebuilding one entry per cut, and build no ``Region`` per node.
+
 The two tree node tests live here too, since each is a cut of a region:
 ``SplitNode`` and ``CatNode`` route rows of index arrays (``left_mask``) and
 a region (``split_region``).
 
 Where the checks on TRA's query path live: ``contains`` is the one membership
-test (a point of another arity is never inside). ``split`` checks the query
-point and the counterfactual against the region in the same pass over the
-axes that finds their differences, and ``Region.__post_init__`` validates
-every piece it returns.
+test (a point of another arity is never inside), which the oracle calls.
+``split`` checks the query point and the counterfactual against the region in
+the same pass over the axes that finds their differences, and
+``Region.__post_init__`` validates every piece it returns.
 """
 
 from __future__ import annotations
@@ -37,12 +42,6 @@ class Region:
         for s in self.allowed:
             if not s:
                 raise ContractViolation("empty allowed-category set")
-
-    @property
-    def box(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset[int], ...]]:
-        """The region as plain tuples: per-axis lows, highs, allowed sets."""
-        ivs = self.intervals
-        return tuple([a for a, _ in ivs]), tuple([b for _, b in ivs]), self.allowed
 
     @property
     def volume(self) -> int:

@@ -13,11 +13,12 @@ which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 ``false_absences`` audits a heuristic run's log against the exact oracle.
 ``reference_leaves_within`` walks a tree through a region one ``Region`` per
 node with ``split_region``, and ``reference_equivalence`` is the equivalence
-check built on it, which the integer-box walks of ``TreeModel.leaf_boxes``
-and ``cfextract.functional_equivalence`` must reproduce exactly.
+check built on it, which the box walks of ``TreeModel.leaf_boxes`` and
+``cfextract.functional_equivalence`` (on a ``Region``'s fields, no ``Region``
+per node) must reproduce exactly.
 ``reference_forest_compile`` grafts a forest into one tree on ``Region``s, cut
-with ``split_region``, which ``ForestModel.tree``'s walk on integer boxes must
-reproduce node for node.
+with ``split_region``, which ``ForestModel.tree``'s box walk must reproduce
+node for node.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 

@@ -159,10 +159,12 @@ def test_curve_with_no_evaluation_points_exits_2(workdir, capsys, kind, samples)
     assert run_cli("gen", "--kind", kind, "--schema", workdir / "schema.json", "--classes", "3",
                    "--trees", "3", "--depth", "3", "--out", target) == 0
     capsys.readouterr()
+    before = sorted(workdir.iterdir())
     assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
                    "--curve", workdir / "c.csv", "--fidelity-samples", samples) == 2
     err = capsys.readouterr().err
     assert err.startswith("contract violation:") and err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before  # refused before the attack writes anything
 
 
 def test_capacity_exit_code(workdir, monkeypatch):
@@ -508,3 +510,38 @@ def test_oracle_train_size_must_not_be_negative(workdir, capsys, oracle, size, c
     if code:
         assert err.startswith("contract violation:") and err.count("\n") == 1
         assert not (workdir / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "attack", "eval"])
+def test_negative_seed_exits_2_before_any_work(workdir, capsys, command):
+    target, data, cfg = workdir / "t.json", workdir / "d.csv", workdir / "cfg.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    data.write_text("a,y\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+    cfg.write_text(json.dumps({"features": [{"name": "a", "kind": "numeric", "delta": "0.1"}]}))
+    capsys.readouterr()
+    out = workdir / "out.json"
+    args = {
+        "gen": ("--kind", "random-tree", "--schema", workdir / "schema.json", "--out", out),
+        "train": ("--data", data, "--schema-config", cfg, "--label", "y", "--out", out),
+        "attack": ("--method", "tra", "--target", target, "--out", out,
+                   "--curve", workdir / "c.csv", "--trace", workdir / "q.jsonl"),
+        "eval": ("--fidelity", target, target, "--out", out),
+    }[command]
+    before = sorted(workdir.iterdir())
+    assert run_cli(command, *args, "--seed", "-1") == 2
+    assert capsys.readouterr().err == "contract violation: --seed must be >= 0\n"
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_fidelity_samples_below_one_exits_2_without_a_curve(workdir, capsys, samples):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    before = sorted(workdir.iterdir())
+    assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                   "--fidelity-samples", samples) == 2
+    assert capsys.readouterr().err == "contract violation: --fidelity-samples must be >= 1\n"
+    assert sorted(workdir.iterdir()) == before

@@ -307,6 +307,11 @@ def test_bound_report_base_cases():
     assert r.worst_case_queries == 3 and r.c_tra == Fraction(3, 2)
 
 
+def test_bound_report_of_no_axes_is_refused():
+    with pytest.raises(cx.ContractViolation):
+        cx.bound_report(())
+
+
 def test_bound_report_exact_identity():
     r = cx.bound_report((3, 2, 0, 5))
     assert r.c_tra * (r.n + 1) == r.worst_case_queries

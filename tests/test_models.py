@@ -184,10 +184,6 @@ def test_leaf_regions_match_predict(schema_mixed):
         assert (t.predict_arrays(iv[take], cats[take]) == label).all()
 
 
-def box_region(lo, hi, allowed) -> cx.Region:
-    return cx.Region(tuple(zip(lo, hi)), allowed)
-
-
 @given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 7), st.integers(2, 4),
        st.integers(0, 2**32 - 1), st.booleans())
 def test_leaf_boxes_partition_a_subregion(kind, depth, n_classes, seed, whole_grid):
@@ -196,19 +192,19 @@ def test_leaf_boxes_partition_a_subregion(kind, depth, n_classes, seed, whole_gr
     t = cx.gen_random_tree(sch, depth, seed, n_classes)
     sub = cx.full_region(sch) if whole_grid else random_subregion(sch, rng)
     whole = dict(reference_leaves_within(t, cx.full_region(sch)))
-    boxes = list(t.leaf_boxes(*sub.box))
+    boxes = list(t.leaf_boxes(sub.intervals, sub.allowed))
     # the same leaves and parts, in the same order, as the walk on Regions
-    assert [(i, box_region(*box)) for i, *box in boxes] == list(reference_leaves_within(t, sub))
-    parts = {i: box_region(*box) for i, *box in boxes}
+    assert [(i, cx.Region(*box)) for i, *box in boxes] == list(reference_leaves_within(t, sub))
+    parts = {i: cx.Region(*box) for i, *box in boxes}
     assert len(parts) == len(boxes)
     assert sum(r.volume for r in parts.values()) == sub.volume
     regions = list(parts.values())
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
             assert cx.intersect(regions[i], regions[j]) is None
-    for i, lo, hi, allowed in boxes:
+    for i, ivs, allowed in boxes:
         assert parts[i] == cx.intersect(whole[i], sub)
-        for corner in (lo, hi):
+        for corner in (tuple(a for a, _ in ivs), tuple(b for _, b in ivs)):
             p = cx.Point(corner, tuple(min(s) for s in allowed))
             q = cx.Point(corner, tuple(max(s) for s in allowed))
             assert t.leaf_index(p) == t.leaf_index(q) == i
