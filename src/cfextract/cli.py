@@ -8,6 +8,7 @@ output ends there), 1 usage error (including a missing or unreadable file),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -25,7 +26,7 @@ from .evaluation import (bound_report, fidelity, functional_equivalence, mean_cu
                          measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
-from .models import ForestModel, load_model, save_model, stats
+from .models import ForestModel, check_int64_grid, load_model, save_model, stats
 from .oracles import CounterfactualOracle, OracleConfig
 from .regions import full_region, region_json, sample_point
 from .schema import exact_number, load_schema, save_schema
@@ -131,10 +132,20 @@ def _load_target(args):
     return model, model.schema
 
 
-def _write_trace(path, schema, log):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in log.records:
-            fh.write(json.dumps({
+@contextlib.contextmanager
+def _trace_sink(path, schema):
+    """A record sink that writes each billed query as one JSON line of the
+    trace ``path`` (no sink when ``path`` is None). The lines go to a sibling
+    temporary file, moved onto ``path`` only when the block completes, so a
+    failed attack leaves no trace."""
+    if path is None:
+        yield None
+        return
+    tmp = f"{path}.part"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield lambda rec: fh.write(json.dumps({
                 "index": rec.index,
                 "x": schema.point_json(rec.x),
                 "region": region_json(rec.region, schema),
@@ -142,6 +153,16 @@ def _write_trace(path, schema, log):
                 "counterfactual": None if rec.counterfactual is None
                 else schema.point_json(rec.counterfactual),
             }) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _save_extracted(path, model, schema):
+    schema_path = path + ".schema.json"
+    save_schema(schema_path, schema)
+    save_model(path, model, os.path.basename(schema_path))
 
 
 def _write_curve(path, method, target, schema, snapshots, samples, seed):
@@ -214,6 +235,8 @@ def _cmd_attack(args) -> int:
     if args.fidelity_samples < 1:  # refused before the attack writes anything
         raise ContractViolation("--fidelity-samples must be >= 1")
     target, schema = _load_target(args)
+    if args.curve:  # the curve's sample is int64 arrays
+        check_int64_grid(schema)
     if args.method == "pathfinding":
         if isinstance(target, ForestModel):
             raise _UsageError("pathfinding applies to single trees only")
@@ -225,6 +248,7 @@ def _cmd_attack(args) -> int:
         model, log = pathfinding_extract(LeafIdOracle(target), schema)
         snapshots = []
         result_method = "pathfinding"
+        _save_extracted(args.out, model, schema)
     else:
         if args.oracle_train_size < 0:  # as OracleConfig checks --oracle-samples
             raise ContractViolation("--oracle-train-size must be >= 0")
@@ -233,29 +257,27 @@ def _cmd_attack(args) -> int:
             rng = np.random.default_rng(args.seed + 7_777_777)
             domain = full_region(schema)
             training = [sample_point(domain, rng) for _ in range(args.oracle_train_size)]
-        oracle = CounterfactualOracle(
-            target,
-            OracleConfig(distance=args.distance, mode=args.oracle,
-                         sample_budget=args.oracle_samples, seed=args.seed),
-            training_data=training,
-        )
-        if args.method == "tra":
-            res = tra_extract(oracle, order=args.order, order_seed=args.seed,
-                              snapshot_every=args.snapshot_every)
-        else:
-            budget = (default_budget(target) if args.budget == "auto"
-                      else AttackBudget(args.budget))
-            attack = cf_attack if args.method == "cf" else dualcf_attack
-            res = attack(oracle, budget, SurrogateSpec(kind=args.surrogate,
-                                                       train=TrainConfig(seed=args.seed)),
-                         seed=args.seed, snapshot_every=args.snapshot_every)
-        model, log, snapshots = res.model, res.log, res.snapshots
-        result_method = res.method
-    schema_path = args.out + ".schema.json"
-    save_schema(schema_path, schema)
-    save_model(args.out, model, os.path.basename(schema_path))
-    if args.trace:
-        _write_trace(args.trace, schema, log)
+        with _trace_sink(args.trace, schema) as sink:
+            oracle = CounterfactualOracle(
+                target,
+                OracleConfig(distance=args.distance, mode=args.oracle,
+                             sample_budget=args.oracle_samples, seed=args.seed),
+                training_data=training, sink=sink,
+            )
+            if args.method == "tra":
+                res = tra_extract(oracle, order=args.order, order_seed=args.seed,
+                                  snapshot_every=args.snapshot_every)
+            else:
+                budget = (default_budget(target) if args.budget == "auto"
+                          else AttackBudget(args.budget))
+                attack = cf_attack if args.method == "cf" else dualcf_attack
+                res = attack(oracle, budget,
+                             SurrogateSpec(kind=args.surrogate,
+                                           train=TrainConfig(seed=args.seed)),
+                             seed=args.seed, snapshot_every=args.snapshot_every)
+            model, log, snapshots = res.model, res.log, res.snapshots
+            result_method = res.method
+            _save_extracted(args.out, model, schema)
     if args.curve:
         _write_curve(args.curve, result_method, target, schema, snapshots,
                      args.fidelity_samples, args.seed)
@@ -264,6 +286,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.samples < 1:  # refused before any work, whichever report is asked for
+        raise ContractViolation("--samples must be >= 1")
     report: dict = {}
     schema = load_schema(args.schema) if args.schema else None
     if args.equivalence:

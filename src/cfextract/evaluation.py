@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation
 from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, TreeModel,
-                     points_to_arrays, stats)
+                     check_int64_grid, points_to_arrays, stats)
 from .regions import Region, center, full_region
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
@@ -83,9 +83,11 @@ def functional_equivalence(
 
 
 def uniform_points(schema: FeatureSchema, n: int, seed: int):
-    """Uniform grid sample of ``n`` >= 0 points as index arrays (iv, cats)."""
+    """Uniform grid sample of ``n`` >= 0 points as int64 index arrays (iv,
+    cats); a grid past int64 is refused (``check_int64_grid``)."""
     if n < 0:
         raise ContractViolation(f"cannot draw {n} evaluation points")
+    check_int64_grid(schema)
     rng = np.random.default_rng(seed)
     n_iv = len(schema.iv_sizes)
     iv = np.empty((n, n_iv), dtype=np.int64)

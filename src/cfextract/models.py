@@ -521,7 +521,20 @@ def stats(model: Model) -> ModelStats:
     )
 
 
+def check_int64_grid(schema: FeatureSchema) -> None:
+    """Refuse a schema whose grid indices numpy's int64 cannot hold: an
+    interval axis of 2**63 or more grid steps. Exact code (TRA, the oracles,
+    the equivalence check) is in Python ints and takes any grid; array code
+    calls this first."""
+    for axis in schema.interval_axes:
+        if axis.size > 2 ** 63:
+            raise ContractViolation(
+                f"axis {axis.name!r} has {axis.size - 1} grid steps; array evaluation "
+                "takes at most 2**63 - 1")
+
+
 def points_to_arrays(schema: FeatureSchema, points: Sequence[Point]):
+    check_int64_grid(schema)
     iv = np.array([p.ivals for p in points], dtype=np.int64).reshape(
         len(points), len(schema.iv_sizes)
     )

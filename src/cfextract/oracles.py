@@ -1,19 +1,20 @@
 """The metered prediction + counterfactual API.
 
-One billed call returns the ``QueryRecord`` it logs: the query's label and,
+One billed call returns the ``QueryRecord`` it bills: the query's label and,
 when one exists in the requested region, a counterfactual point. The exact
 mode returns a global distance minimizer among label-flipping grid points of
 the region (absence is then a certificate); the heuristic mode scans
 server-side training data and uniform samples, refining hits with a per-axis
 line search, and its absences are only a search failure. Whether one was
-false is a question for an audit after the run: replay the log's records
-(``x``, ``region``, ``counterfactual``) through ``exact_tree_cf`` or
-``exact_ensemble_cf``. The line search reads each interval probe from a
-table of the target's labels along the axis it is sweeping, built by one walk
-of each tree and rebuilt each time the sweep turns to an axis; the sampling
-generator is built only when the training-data scan misses. Server-side
-computation (including every predict issued internally) is not billed; only
-``query`` calls count.
+false is a question for an audit after the run: the meter keeps no record, so
+collect them with a sink (``CounterfactualOracle(..., sink=records.append)``)
+and replay each one's ``x``, ``region`` and ``counterfactual`` through
+``exact_tree_cf`` or ``exact_ensemble_cf``. The line search reads each
+interval probe from a table of the target's labels along the axis it is
+sweeping, built by one walk of each tree and rebuilt each time the sweep turns
+to an axis; the sampling generator is built only when the training-data scan
+misses. Server-side computation (including every predict issued internally) is
+not billed; only ``query`` calls count.
 
 The exact mode is deterministic: among all minimizers it returns the
 lexicographically smallest point (``FeatureSchema.lex_key``), so the answer,
@@ -38,7 +39,7 @@ before billing it: the counterfactual lies in the region (``contains``) and
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import inf
 from typing import Callable, Sequence
@@ -78,20 +79,28 @@ class QueryRecord:
     counterfactual: Point | None
 
 
-@dataclass
 class QueryLog:
-    """The billing meter: exactly one record per API call."""
+    """The billing meter: ``count`` is the number of API calls billed so far.
 
-    records: list[QueryRecord] = field(default_factory=list)
+    It keeps no record. Each billed ``QueryRecord`` goes to ``sink``, if one
+    is given (for example ``list.append``, or a writer of a query trace), as
+    the call is billed; with no sink it is dropped once the caller is done
+    with it, and with it the queried region, so memory does not grow with
+    the number of queries.
+    """
 
-    @property
-    def count(self) -> int:
-        return len(self.records)
+    __slots__ = ("count", "sink")
+
+    def __init__(self, sink: Callable[[QueryRecord], object] | None = None):
+        self.count = 0
+        self.sink = sink
 
     def bill(self, x: Point, region: Region, label: int,
              counterfactual: Point | None) -> QueryRecord:
-        record = QueryRecord(len(self.records), x, region, label, counterfactual)
-        self.records.append(record)
+        record = QueryRecord(self.count, x, region, label, counterfactual)
+        self.count += 1
+        if self.sink is not None:
+            self.sink(record)
         return record
 
 
@@ -289,20 +298,22 @@ def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
 
 
 class CounterfactualOracle:
-    """Serves one fixed target model; every ``query`` call bills the meter.
+    """Serves one fixed target model; every ``query`` call bills the meter,
+    ``log``, which hands the billed record to ``sink`` if one is given.
 
     The label set of the target is treated as public API metadata (attacks
     use it to tell binary tasks apart from multi-class ones).
     """
 
     def __init__(self, target: Model, config: OracleConfig | None = None,
-                 training_data: Sequence[Point] | None = None):
+                 training_data: Sequence[Point] | None = None,
+                 sink: Callable[[QueryRecord], object] | None = None):
         self.target = target
         self.schema: FeatureSchema = target.schema
         self.config = config or OracleConfig()
         self.distance = Distance(self.schema, self.config.distance)
         self.training_data = tuple(training_data) if training_data else ()
-        self.log = QueryLog()
+        self.log = QueryLog(sink)
         self.labels: tuple[int, ...] = target.labels
         self._arity = (len(self.schema.iv_sizes), len(self.schema.group_sizes))
 

@@ -223,9 +223,16 @@ def tra_extract(
 ) -> AttackResult:
     """Run the extraction until the queue drains.
 
-    Returns the reconstructed tree, the billed query log, and lazy snapshots
+    Returns the reconstructed tree, the oracle's billing meter (its ``count``;
+    the records went to the oracle's sink, if it has one), and lazy snapshots
     taken by ``take_snapshot`` every ``snapshot_every`` queries and at
     termination; the last snapshot's model is the returned tree.
+
+    ``max_regions`` bounds the node store's slots; one more raises
+    ``CapacityError``. The meter keeps no record, so the store and the queue
+    are what a run holds: about 250 B per slot (a random tree of depth 10 on
+    ten 1/1024 axes, 5.5 M slots, peaked at 1.4 GB), about 2.5 GB at the
+    default bound.
     """
     if snapshot_every < 0:
         raise ContractViolation("snapshot_every must be >= 0")

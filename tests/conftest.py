@@ -156,10 +156,11 @@ def verify_local_optimality(target, x: cx.Point, x_cf: cx.Point, dist: cx.Distan
     return True
 
 
-def false_absences(target: cx.TreeModel, log: cx.QueryLog, dist: cx.Distance) -> list[int]:
-    """Audit a heuristic run after it ends: the indices of the logged queries
-    that answered "no counterfactual" where the exact search finds one."""
-    return [rec.index for rec in log.records if rec.counterfactual is None
+def false_absences(target: cx.TreeModel, records, dist: cx.Distance) -> list[int]:
+    """Audit a heuristic run after it ends: the indices of the billed
+    ``records`` (collected by a list sink) that answered "no counterfactual"
+    where the exact search finds one."""
+    return [rec.index for rec in records if rec.counterfactual is None
             and cx.exact_tree_cf(target, rec.x, rec.region, dist) is not None]
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -178,9 +179,51 @@ def test_capacity_exit_code(workdir, monkeypatch):
         return cx.tra_extract(oracle, **kwargs)
 
     monkeypatch.setattr(cli_mod, "tra_extract", tiny_tra)
+    before = sorted(workdir.iterdir())
     code = run_cli("attack", "--method", "tra", "--target", target,
-                   "--out", workdir / "x.json")
+                   "--out", workdir / "x.json", "--trace", workdir / "q.jsonl")
     assert code == 3
+    assert sorted(workdir.iterdir()) == before  # no model, and no trace nor its partial file
+
+
+def test_trace_that_cannot_be_moved_into_place_leaves_no_partial_file(workdir, capsys):
+    target, trace = workdir / "t.json", workdir / "q.jsonl"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    trace.mkdir()
+    capsys.readouterr()
+    assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                   "--trace", trace) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (workdir / "q.jsonl.part").exists() and not any(trace.iterdir())
+
+
+TREE = ("--kind", "random-tree", "--depth", "4", "--seed", "3")
+FOREST = ("--kind", "random-forest", "--trees", "3", "--depth", "3", "--classes", "3",
+          "--seed", "1")
+# (target, method, billed queries, SHA-256 of the `attack --trace` file) as the trace
+# was written after the run from a kept record list; the streamed file must match
+TRACE_SHA256 = {
+    "tree": (TREE, "tra", 37, "adf2e6c01e80c3e6c0ea184a067fc9e7bef19d675dfe9422e61ff9e690bef772"),
+    "forest": (FOREST, "tra", 50,
+               "adfee4b7e178fa573e4817d3b070ace8cfb0e665f57388fad579c4efb3b3df4d"),
+    "cf": (TREE, "cf", 40, "b6f2b178786586b34eff8e30b81bae384fe482e855684e5bec7ae7860c029872"),
+    "dualcf": (TREE, "dualcf", 40,
+               "bc9aca2d67889d8a1f54661970d7cf9ffcda22caeacec518a18c77047d4f1c71"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TRACE_SHA256))
+def test_attack_trace_matches_pinned_digest(workdir, capsys, run):
+    gen, method, queries, digest = TRACE_SHA256[run]
+    target, trace = workdir / "t.json", workdir / "q.jsonl"
+    assert run_cli("gen", *gen, "--schema", workdir / "schema.json", "--out", target) == 0
+    assert run_cli("attack", "--method", method, "--budget", "40", "--target", target,
+                   "--out", workdir / "x.json", "--trace", trace) == 0
+    assert capsys.readouterr().out.endswith(f"{method}: {queries} queries, extracted -> "
+                                            f"{workdir / 'x.json'}\n")
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+    assert not (workdir / "q.jsonl.part").exists()
 
 
 def test_train_then_extract(workdir):
@@ -532,6 +575,48 @@ def test_negative_seed_exits_2_before_any_work(workdir, capsys, command):
     assert run_cli(command, *args, "--seed", "-1") == 2
     assert capsys.readouterr().err == "contract violation: --seed must be >= 0\n"
     assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("report", ["--bounds", "--equivalence", "--fidelity", "--ratio"])
+def test_eval_samples_below_one_exits_2_before_any_report(workdir, capsys, report):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    capsys.readouterr()
+    args = {"--bounds": (target,), "--equivalence": (target, target),
+            "--fidelity": (target, target),
+            "--ratio": ("--target", target, "--extracted", target,
+                        "--trace", workdir / "missing.jsonl")}[report]
+    assert run_cli("eval", report, *args, "--samples", "-1",
+                   "--out", workdir / "r.json") == 2
+    assert capsys.readouterr().err == "contract violation: --samples must be >= 1\n"
+    assert not (workdir / "r.json").exists()
+
+
+def test_grid_past_int64_exits_2_without_a_traceback(workdir, capsys):
+    # TRA is exact on any grid; the curve and sampled fidelity are int64 arrays
+    schema_path = workdir / "wide.json"
+    schema_path.write_text(json.dumps({"features": [
+        {"name": "wide", "kind": "numeric", "lo": "0", "hi": "1",
+         "delta": "1/18446744073709551616"},
+        {"name": "b", "kind": "ordinal", "levels": 4}]}))
+    schema = cx.load_schema(str(schema_path))
+    target = workdir / "t.json"
+    cx.save_model(str(target), cx.TreeModel(schema, [cx.Leaf(0), cx.Leaf(1),
+                                                    cx.SplitNode(0, 2 ** 63, 0, 1)], root=2),
+                  "wide.json")
+    refused = f"contract violation: axis 'wide' has {2 ** 64} grid steps"
+    before = sorted(workdir.iterdir())
+    assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                   "--curve", workdir / "c.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(refused) and err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before  # refused before the attack
+    assert run_cli("attack", "--method", "tra", "--target", target,
+                   "--out", workdir / "x.json") == 0
+    assert run_cli("eval", "--fidelity", target, target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(refused) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -214,6 +214,25 @@ def test_uniform_points_refuse_a_negative_count(schema_mixed):
     assert iv.shape == (0, 3) and cats.shape == (0, 1)
 
 
+@pytest.mark.parametrize("steps, refused", [(2 ** 63 - 1, False), (2 ** 63, True),
+                                            (2 ** 64, True)])
+def test_array_evaluation_refuses_a_grid_past_int64(steps, refused):
+    # grid indices run 0..steps: the last must fit numpy's int64
+    sch = cx.FeatureSchema([cx.OrdinalFeature("o", 3),
+                            cx.NumericFeature("wide", 0, 1, Fraction(1, steps))])
+    last = cx.Point((2, steps), ())
+    if refused:
+        for call in (lambda: cx.uniform_points(sch, 5, seed=0),
+                     lambda: cx.models.points_to_arrays(sch, [last])):
+            with pytest.raises(cx.ContractViolation, match=f"axis 'wide' has {steps} grid steps"):
+                call()
+    else:
+        iv, _ = cx.uniform_points(sch, 5, seed=0)
+        assert iv.dtype == np.int64 and ((0 <= iv[:, 1]) & (iv[:, 1] <= steps)).all()
+        iv, _ = cx.models.points_to_arrays(sch, [last])
+        assert iv.tolist() == [[2, steps]]
+
+
 @pytest.mark.parametrize("checkpoint", [0, -5])
 def test_anytime_refuses_a_checkpoint_below_one(schema_grid10, checkpoint):
     t = single_split_tree(schema_grid10, 0, 5)

@@ -147,9 +147,10 @@ def test_adversarial_discovery_order_lowest_dimension_first():
         for node in t.nodes:
             if isinstance(node, cx.SplitNode):
                 levels.setdefault(node.iv_axis, []).append(node.threshold)
-        oracle = cx.CounterfactualOracle(t)
-        res = cx.tra_extract(oracle)
-        for rec in res.log.records:
+        records = []
+        oracle = cx.CounterfactualOracle(t, sink=records.append)
+        cx.tra_extract(oracle)
+        for rec in records:
             if rec.counterfactual is None:
                 continue
             _, steps = cx.split(rec.region, rec.x, rec.counterfactual, sch)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -137,6 +138,24 @@ def test_snapshots_are_built_on_first_read(schema_mixed, monkeypatch):
     assert first.node_count < res.model.node_count
 
 
+def live_query_records() -> int:
+    gc.collect()
+    return sum(type(o) is cx.QueryRecord for o in gc.get_objects())
+
+
+def test_log_keeps_no_record_without_a_sink(schema_mixed):
+    # the meter counts; a record outlives its query only in a sink
+    target = cx.gen_random_tree(schema_mixed, depth=4, seed=3)
+    before = live_query_records()
+    res = cx.tra_extract(cx.CounterfactualOracle(target), snapshot_every=1)
+    assert res.log.count > 1 and live_query_records() == before
+    records = []
+    kept = cx.tra_extract(cx.CounterfactualOracle(target, sink=records.append),
+                          snapshot_every=1)
+    assert len(records) == kept.log.count == res.log.count
+    assert live_query_records() == before + len(records)
+
+
 def test_negative_snapshot_every_rejected(schema_grid10):
     oracle = cx.CounterfactualOracle(cx.gen_random_tree(schema_grid10, depth=2, seed=0))
     with pytest.raises(cx.ContractViolation, match="snapshot_every"):
@@ -185,11 +204,13 @@ def test_heuristic_oracle_extraction(schema_mixed):
     target = cx.gen_random_tree(schema_mixed, depth=5, seed=2)
     rng = np.random.default_rng(0)
     training = [cx.sample_point(cx.full_region(schema_mixed), rng) for _ in range(300)]
+    records = []
     oracle = cx.CounterfactualOracle(
-        target, cx.OracleConfig(mode="heuristic"), training_data=training)
+        target, cx.OracleConfig(mode="heuristic"), training_data=training,
+        sink=records.append)
     res = cx.tra_extract(oracle)
     assert not res.certified  # heuristic runs never claim a certificate
-    if not false_absences(target, res.log, oracle.distance):
+    if not false_absences(target, records, oracle.distance):
         ok, _ = cx.functional_equivalence(target, res.model, schema_mixed)
         assert ok
 
@@ -281,23 +302,25 @@ TRACE_RUNS = {
 GOLDEN_TRACES = os.path.join(os.path.dirname(__file__), "golden_tra_traces.json")
 
 
-def trace_digest(log: cx.QueryLog) -> str:
+def trace_digest(records) -> str:
     """SHA-256 of the billed records (x, region, label, counterfactual) as
     compact JSON in grid indices, allowed categories sorted."""
     def point(p):
         return None if p is None else [list(p.ivals), list(p.cats)]
 
-    records = [[point(r.x), [[list(iv) for iv in r.region.intervals],
-                             [sorted(s) for s in r.region.allowed]],
-                r.label, point(r.counterfactual)] for r in log.records]
-    return hashlib.sha256(json.dumps(records, separators=(",", ":")).encode()).hexdigest()
+    rows = [[point(r.x), [[list(iv) for iv in r.region.intervals],
+                          [sorted(s) for s in r.region.allowed]],
+             r.label, point(r.counterfactual)] for r in records]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
 
 
 def trace_summary(name: str) -> dict:
     build, distance, order = TRACE_RUNS[name]
-    oracle = cx.CounterfactualOracle(build(), cx.OracleConfig(distance=distance))
+    records = []
+    oracle = cx.CounterfactualOracle(build(), cx.OracleConfig(distance=distance),
+                                     sink=records.append)
     res = cx.tra_extract(oracle, order=order, snapshot_every=0)
-    return {"queries": res.log.count, "sha256": trace_digest(res.log)}
+    return {"queries": res.log.count, "sha256": trace_digest(records)}
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_RUNS))
