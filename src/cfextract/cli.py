@@ -26,7 +26,7 @@ from .evaluation import (bound_report, fidelity, functional_equivalence, mean_cu
                          measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
-from .models import ForestModel, check_int64_grid, load_model, save_model, stats
+from .models import check_int64_grid, load_model, save_model, stats
 from .oracles import CounterfactualOracle, OracleConfig
 from .regions import full_region, region_json, sample_point
 from .schema import exact_number, load_schema, save_schema
@@ -238,8 +238,6 @@ def _cmd_attack(args) -> int:
     if args.curve:  # the curve's sample is int64 arrays
         check_int64_grid(schema)
     if args.method == "pathfinding":
-        if isinstance(target, ForestModel):
-            raise _UsageError("pathfinding applies to single trees only")
         if args.curve:
             raise _UsageError("--curve needs snapshots, and pathfinding takes none")
         if args.trace:

@@ -1,8 +1,9 @@
 """Verification and measurement: exact equivalence, fidelity, bounds, ratios.
 
 The equivalence check never materializes the full product grid of split
-levels: it compiles each forest to one tree, walks one tree's leaf boxes and
-the other tree's leaves within each box, on a ``Region``'s own fields with no
+levels: it serves each model as one tree (``tree(cap)``: a tree itself, a
+forest the tree it compiles to), walks one tree's leaf boxes and the other
+tree's leaves within each box, on a ``Region``'s own fields with no
 ``Region`` per node, so comparisons stay near-linear in the leaves. All
 bound arithmetic is exact (Fractions).
 """
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import (UNKNOWN, ForestModel, Leaf, Model, ModelStats, TreeModel,
-                     check_int64_grid, points_to_arrays, stats)
+from .models import (UNKNOWN, ForestModel, Leaf, Model, TreeModel, check_int64_grid,
+                     points_to_arrays, stats)
 from .regions import Region, center, full_region
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
@@ -50,20 +51,17 @@ def functional_equivalence(
 ) -> tuple[bool, Point | None]:
     """Exact agreement of two axis-parallel models over the whole grid.
 
-    A forest is first compiled to the one tree computing its function
-    (``ForestModel.tree``, at most ``cell_budget`` leaves). Then the walk goes
-    through ``g``'s leaf boxes and, within each, through ``f``'s, checking
-    ``f`` for constancy. Returns (True, None) on equivalence, else (False,
-    the center of the first box where they differ). Raises CapacityError
-    when a compiled tree, or the leaves the walk visits in ``f``, exceed
-    ``cell_budget``.
+    Each model is first served as the one tree computing its function
+    (``tree(cell_budget)``: a tree is itself, a forest compiles to at most
+    ``cell_budget`` leaves). Then the walk goes through ``g``'s leaf boxes
+    and, within each, through ``f``'s, checking ``f`` for constancy. Returns
+    (True, None) on equivalence, else (False, the center of the first box
+    where they differ). Raises CapacityError when a compiled tree, or the
+    leaves the walk visits in ``f``, exceed ``cell_budget``.
     """
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
-    if isinstance(f, ForestModel):
-        f = f.tree(cell_budget)
-    if isinstance(g, ForestModel):
-        g = g.tree(cell_budget)
+    f, g = f.tree(cell_budget), g.tree(cell_budget)
     f_nodes, g_nodes = f.nodes, g.nodes
     budget = cell_budget
     domain = full_region(schema)
@@ -245,10 +243,7 @@ def anytime_fidelity(runs, checkpoint: int = 20):
 def bound_report(arg) -> BoundReport:
     """Worst-case query bounds and competitive ratio from a model or an s vector."""
     if isinstance(arg, (TreeModel, ForestModel)):
-        st = stats(arg)
-        s = st.s
-    elif isinstance(arg, ModelStats):
-        s = arg.s
+        s = stats(arg).s
     else:
         s = tuple(int(v) for v in arg)
         if any(v < 0 for v in s):

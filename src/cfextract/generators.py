@@ -15,7 +15,7 @@ from math import lcm
 import numpy as np
 
 from .errors import ContractViolation
-from .models import CatNode, ForestModel, Leaf, Node, SplitNode, TreeModel, grow
+from .models import CatNode, ForestModel, Leaf, Node, SplitNode, TreeModel, check_int64_grid, grow
 from .regions import full_region
 from .schema import FeatureSchema, NumericFeature
 
@@ -25,11 +25,14 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
     """Random axis/threshold recursion on the grid.
 
     Guarantees at least two classes whenever the tree has an internal node.
+    Thresholds are numpy int64 draws, so a grid past int64 is refused
+    (``check_int64_grid``).
     """
     if depth < 0:
         raise ContractViolation("depth must be >= 0")
     if n_classes < 2:
         raise ContractViolation("n_classes must be >= 2")
+    check_int64_grid(schema)
     rng = np.random.default_rng(seed)
 
     def expand(item):

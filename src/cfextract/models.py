@@ -12,9 +12,13 @@ on construction so every root-to-leaf path carries a non-empty region (no
 dead branches). A tree is built one way, ``grow``: top-down on an explicit
 stack, so a tree may be as deep as its data makes it.
 
-A forest is served through the one tree it compiles to (``ForestModel.tree``),
-so the exact oracle and the equivalence check only ever walk trees.
-``cells_within`` still enumerates a forest's split-level cells, as a reference.
+Every model has one serving surface: ``trees``, the trees it votes over, and
+``tree(cap)``, the one tree it is served as. A tree is a forest of one: its
+``trees`` is ``(self,)`` and its ``tree(cap)`` is itself. A forest is served
+through the one tree it compiles to (``ForestModel.tree``, at most ``cap``
+leaves), so the exact oracle and the equivalence check only ever walk trees,
+and ask no model its kind. ``cells_within`` still enumerates a model's
+split-level cells, as a reference.
 
 Leaf labels are non-negative ints; ``None`` marks the provisionally unknown
 leaves of in-progress reconstructions and never agrees with anything.
@@ -222,6 +226,17 @@ class TreeModel:
         as in ``line_segments``: one walk, then a bisection per lookup."""
         starts, labels = self.line_segments(ivals, cats, axis, lo, hi)
         return lambda v: labels[bisect_right(starts, v) - 1]
+
+    # -- serving ------------------------------------------------------------
+    @property
+    def trees(self) -> tuple[TreeModel, ...]:
+        """The trees the model votes over: a tree is a forest of one."""
+        return (self,)
+
+    def tree(self, cap: int) -> TreeModel:
+        """The one tree the model is served as: the tree itself. ``cap``
+        bounds only a forest's compile."""
+        return self
 
     # -- evaluation ---------------------------------------------------------
     def predict(self, p: Point) -> int | None:
@@ -487,9 +502,8 @@ class BoxSet:
 def _split_levels(model: Model) -> set[tuple[int, int]]:
     """Distinct (global axis, threshold index) pairs used anywhere in the model."""
     levels: set[tuple[int, int]] = set()
-    trees = model.trees if isinstance(model, ForestModel) else (model,)
     schema = model.schema
-    for t in trees:
+    for t in model.trees:
         for node in t.nodes:
             if isinstance(node, SplitNode):
                 levels.add((schema.interval_axes[node.iv_axis].global_axis, node.threshold))
@@ -525,11 +539,11 @@ def check_int64_grid(schema: FeatureSchema) -> None:
     """Refuse a schema whose grid indices numpy's int64 cannot hold: an
     interval axis of 2**63 or more grid steps. Exact code (TRA, the oracles,
     the equivalence check) is in Python ints and takes any grid; array code
-    calls this first."""
+    and the random tree generator call this first."""
     for axis in schema.interval_axes:
         if axis.size > 2 ** 63:
             raise ContractViolation(
-                f"axis {axis.name!r} has {axis.size - 1} grid steps; array evaluation "
+                f"axis {axis.name!r} has {axis.size - 1} grid steps; numpy's int64 "
                 "takes at most 2**63 - 1")
 
 
@@ -553,10 +567,9 @@ def cells_within(model: Model, region: Region, cap: int) -> BoxSet:
     CapacityError when the cell count exceeds ``cap``.
     """
     schema = model.schema
-    trees = model.trees if isinstance(model, ForestModel) else (model,)
     per_axis: list[list[int]] = [[] for _ in schema.iv_sizes]
     tested_groups: set[int] = set()
-    for t in trees:
+    for t in model.trees:
         for node in t.nodes:
             if isinstance(node, SplitNode):
                 per_axis[node.iv_axis].append(node.threshold)

@@ -9,7 +9,7 @@ line search, and its absences are only a search failure. Whether one was
 false is a question for an audit after the run: the meter keeps no record, so
 collect them with a sink (``CounterfactualOracle(..., sink=records.append)``)
 and replay each one's ``x``, ``region`` and ``counterfactual`` through
-``exact_tree_cf`` or ``exact_ensemble_cf``. The line search reads each
+``exact_ensemble_cf``, which takes any model. The line search reads each
 interval probe from a table of the target's labels along the axis it is
 sweeping, built by one walk of each tree and rebuilt each time the sweep turns
 to an axis; the sampling generator is built only when the training-data scan
@@ -24,9 +24,11 @@ Python ints, visiting only subtrees whose box can still hold a point as near
 as the best found (the per-leaf search of Carreira-Perpiñán & Hada, AAAI 2021,
 run as one pruned descent). It follows the child on the query's side in place
 and stacks only the far child; a candidate's lexicographic key is computed
-only when its distance ties the best. A forest is served by the same descent,
-on the one tree it compiles to (``ForestModel.tree``): that tree computes the
-forest's function, and the answer depends on nothing else.
+only when its distance ties the best. Every model is served by the same
+descent, on the one tree it is served as (``tree(cap)``, see ``models``): a
+tree is its own, a forest the tree it compiles to. That tree computes the
+model's function, and the answer depends on nothing else; the oracle never
+asks the model its kind.
 
 Where the checks of a query live: ``query`` refuses a point or region whose
 arity is not the schema's. ``contains`` is the one membership test: in exact
@@ -48,7 +50,7 @@ import numpy as np
 
 from .distances import Distance
 from .errors import ContractViolation
-from .models import ForestModel, Leaf, Model, SplitNode, TreeModel
+from .models import Leaf, Model, SplitNode, TreeModel
 from .regions import Region, contains, sample_point
 from .schema import FeatureSchema, Point
 
@@ -214,12 +216,14 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     return best_point
 
 
-def exact_ensemble_cf(target: ForestModel, x: Point, region: Region,
+def exact_ensemble_cf(target: Model, x: Point, region: Region,
                       dist: Distance, cell_cap: int) -> Point | None:
-    """Exact oracle for forests: ``exact_tree_cf`` on the one tree the forest
-    compiles to (``ForestModel.tree``). The answer depends only on the
-    prediction function, so it is the forest's own. Raises CapacityError when
-    that tree has more than ``cell_cap`` leaves (use the heuristic mode then).
+    """Exact oracle for any model: ``exact_tree_cf`` on the one tree the
+    model is served as (``target.tree(cell_cap)``: a tree itself, a forest
+    the tree it compiles to). The answer depends only on the prediction
+    function, so it is the model's own. Raises CapacityError when a forest
+    compiles to more than ``cell_cap`` leaves (use the heuristic mode then);
+    the cap does not bound a tree.
     """
     return exact_tree_cf(target.tree(cell_cap), x, region, dist)
 
@@ -326,10 +330,7 @@ class CounterfactualOracle:
         )
 
     def _exact(self, x: Point, region: Region) -> Point | None:
-        if isinstance(self.target, ForestModel):
-            return exact_ensemble_cf(self.target, x, region, self.distance,
-                                     self.config.cell_cap)
-        return exact_tree_cf(self.target, x, region, self.distance)
+        return exact_ensemble_cf(self.target, x, region, self.distance, self.config.cell_cap)
 
     def query(self, x: Point, region: Region) -> QueryRecord:
         n_iv, n_groups = self._arity

@@ -293,7 +293,11 @@ def split(
 
 
 def sample_point(region: Region, rng) -> Point:
-    """Uniform grid point of ``region`` drawn from a numpy Generator."""
+    """Uniform grid point of ``region`` drawn from a numpy Generator. Its
+    draws are int64, so a region reaching past grid index 2**63 - 1 is
+    refused."""
+    if any(b >= 2 ** 63 for _, b in region.intervals):
+        raise ContractViolation("cannot sample past grid index 2**63 - 1: numpy draws int64")
     ivals = tuple(int(rng.integers(a, b + 1)) for a, b in region.intervals)
     cats = tuple(
         sorted(s)[int(rng.integers(len(s)))] if len(s) > 1 else next(iter(s))

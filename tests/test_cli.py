@@ -121,13 +121,18 @@ def test_bounds_report(workdir):
     assert data["worst_case_queries"] == 7 and data["c_tra"] == "7/3"
 
 
-def test_pathfinding_on_forest_is_usage_error(workdir):
+def test_pathfinding_on_forest_is_usage_error(workdir, capsys):
     forest = workdir / "f.json"
     run_cli("gen", "--kind", "random-forest", "--schema", workdir / "schema.json",
             "--trees", "3", "--depth", "2", "--seed", "0", "--out", forest)
+    capsys.readouterr()
     code = run_cli("attack", "--method", "pathfinding", "--target", forest,
                    "--out", workdir / "x.json")
     assert code == 1
+    # the leaf-id oracle refuses the forest before anything is written
+    assert "single tree" in capsys.readouterr().err
+    assert not (workdir / "x.json").exists()
+    assert not (workdir / "x.json.schema.json").exists()
 
 
 def test_unknown_flag_is_usage_error(workdir):
@@ -612,8 +617,28 @@ def test_grid_past_int64_exits_2_without_a_traceback(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith(refused) and err.count("\n") == 1
     assert sorted(workdir.iterdir()) == before  # refused before the attack
+    # random draws are int64 too: the tree generator and the uniform samples
+    # of the surrogate attacks and the heuristic oracle refuse before any write
+    sampled = "contract violation: cannot sample past grid index 2**63 - 1"
+    for args, message in (
+            (("gen", "--kind", "random-tree", "--schema", schema_path,
+              "--out", workdir / "g.json"), refused),
+            (("attack", "--method", "cf", "--target", target, "--out", workdir / "x.json"),
+             sampled),
+            (("attack", "--method", "tra", "--oracle", "heuristic", "--target", target,
+              "--out", workdir / "x.json"), sampled)):
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert sorted(workdir.iterdir()) == before
     assert run_cli("attack", "--method", "tra", "--target", target,
                    "--out", workdir / "x.json") == 0
+    assert run_cli("attack", "--method", "pathfinding", "--target", target,
+                   "--out", workdir / "p.json") == 0
+    capsys.readouterr()
+    for extracted in ("x.json", "p.json"):
+        assert run_cli("eval", "--equivalence", target, workdir / extracted) == 0
+        assert json.loads(capsys.readouterr().out)["equivalence"]["equivalent"]
     assert run_cli("eval", "--fidelity", target, target) == 2
     err = capsys.readouterr().err
     assert err.startswith(refused) and err.count("\n") == 1

@@ -57,7 +57,8 @@ def test_equivalence_capacity_error():
 def _second_model(kind, sch, f, seed, data):
     """A model to compare with the tree ``f``: another random tree, ``f``
     itself, ``f`` rebuilt from its boxes, a partial TRA snapshot of ``f``
-    (with unknown leaves) or a random forest."""
+    (with unknown leaves) or a random forest (for "forests" the test then
+    swaps ``f`` for a forest too)."""
     if kind == "tree":
         return cx.gen_random_tree(sch, data.draw(st.integers(0, 5)), seed + 1, 3)
     if kind == "same":
@@ -71,12 +72,14 @@ def _second_model(kind, sch, f, seed, data):
 
 
 @given(st.sampled_from(["mixed", "grid10"]), st.integers(0, 5), st.integers(0, 2**16),
-       st.sampled_from(["tree", "same", "rebuilt", "snapshot", "forest"]), st.booleans(),
-       st.data())
+       st.sampled_from(["tree", "same", "rebuilt", "snapshot", "forest", "forests"]),
+       st.booleans(), st.data())
 def test_equivalence_matches_the_region_reference(kind, depth, seed, other, swap, data):
     sch = make_schema(kind)
     f = cx.gen_random_tree(sch, depth, seed, 3)
     g = _second_model(other, sch, f, seed, data)
+    if other == "forests":  # a forest against a forest: f takes the place of g's first tree
+        f = cx.ForestModel(sch, (f, *g.trees[1:]))
     if swap:
         f, g = g, f
     budget = data.draw(st.integers(0, f.leaf_count + g.leaf_count))
@@ -221,16 +224,24 @@ def test_array_evaluation_refuses_a_grid_past_int64(steps, refused):
     sch = cx.FeatureSchema([cx.OrdinalFeature("o", 3),
                             cx.NumericFeature("wide", 0, 1, Fraction(1, steps))])
     last = cx.Point((2, steps), ())
+    full = cx.full_region(sch)
+    rng = np.random.default_rng(0)
     if refused:
         for call in (lambda: cx.uniform_points(sch, 5, seed=0),
-                     lambda: cx.models.points_to_arrays(sch, [last])):
+                     lambda: cx.models.points_to_arrays(sch, [last]),
+                     lambda: cx.gen_random_tree(sch, 3, seed=0)):
             with pytest.raises(cx.ContractViolation, match=f"axis 'wide' has {steps} grid steps"):
                 call()
+        with pytest.raises(cx.ContractViolation, match="past grid index 2\\*\\*63 - 1"):
+            cx.sample_point(full, rng)
     else:
         iv, _ = cx.uniform_points(sch, 5, seed=0)
         assert iv.dtype == np.int64 and ((0 <= iv[:, 1]) & (iv[:, 1] <= steps)).all()
         iv, _ = cx.models.points_to_arrays(sch, [last])
         assert iv.tolist() == [[2, steps]]
+        # the random draws take the whole grid up to its last index
+        assert cx.contains(full, cx.sample_point(full, rng))
+        assert cx.gen_random_tree(sch, 3, seed=0).leaf_count > 1
 
 
 @pytest.mark.parametrize("checkpoint", [0, -5])
@@ -342,6 +353,8 @@ def test_bound_report_from_model(schema_mixed):
     r = cx.bound_report(t)
     assert r.s == cx.stats(t).s
     assert r.worst_case_queries == 2 * r.prop1_bound - 1
+    forest = cx.gen_random_forest(schema_mixed, 3, 3, seed=1)
+    assert cx.bound_report(forest) == cx.bound_report(cx.stats(forest).s)
 
 
 def test_measured_ratio_requires_certificate(schema_mixed):

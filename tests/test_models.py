@@ -128,6 +128,8 @@ def test_forest_tree_checks_the_cap_on_every_call(schema_grid10):
     # a 0 from the first tree wins even a tie, so only its right side grafts
     assert tree.leaf_count == 3
     assert forest.tree(3) is tree
+    # a tree is a forest of one, served as itself whatever the cap
+    assert tree.trees == (tree,) and tree.tree(1) is tree
     with pytest.raises(cx.CapacityError, match="3 leaves, past the cap of 2"):
         forest.tree(2)
 

@@ -287,6 +287,8 @@ def test_exact_tree_cf_matches_brute_force_point_for_point(
         if inside_leaf:
             assert ref is None
         assert got == (None if ref is None else ref[1])
+        # the ensemble oracle serves a tree as itself: its cap bounds only a forest
+        assert cx.exact_ensemble_cf(t, x, region, d, cell_cap=1) == got
 
 
 # Five levels per axis and a three-way group: under L1 every term is a small
