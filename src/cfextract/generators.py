@@ -36,28 +36,29 @@ def gen_random_tree(schema: FeatureSchema, depth: int, seed: int,
     rng = np.random.default_rng(seed)
 
     def expand(item):
-        region, d = item
+        ivs, allowed, d = item
         splittable: list[tuple] = []
         if d > 0:
-            for iv, (a, b) in enumerate(region.intervals):
+            for iv, (a, b) in enumerate(ivs):
                 if a < b:
                     splittable.append(("i", iv))
-            for g, s in enumerate(region.allowed):
+            for g, s in enumerate(allowed):
                 if len(s) > 1:
                     splittable.append(("g", g))
         if not splittable:
             return Leaf(int(rng.integers(n_classes)))
         kind, idx = splittable[int(rng.integers(len(splittable)))]
         if kind == "i":
-            a, b = region.intervals[idx]
+            a, b = ivs[idx]
             test = SplitNode(idx, int(rng.integers(a, b)))
         else:
-            s = sorted(region.allowed[idx])
+            s = sorted(allowed[idx])
             test = CatNode(idx, s[int(rng.integers(len(s)))])
-        left, right = test.split_region(region)  # both sides non-empty
-        return test, (left, d - 1), (right, d - 1)
+        left, right = test.cut(ivs, allowed)  # both sides non-empty
+        return test, (*left, d - 1), (*right, d - 1)
 
-    nodes, root = grow((full_region(schema), depth), expand)
+    domain = full_region(schema)
+    nodes, root = grow((domain.intervals, domain.allowed, depth), expand)
     leaves = [i for i, node in enumerate(nodes) if type(node) is Leaf]
     if len(leaves) > 1 and len({nodes[i].label for i in leaves}) == 1:
         nodes[leaves[-1]] = Leaf((nodes[leaves[-1]].label + 1) % n_classes)
@@ -82,6 +83,8 @@ def gen_chessboard(schema: FeatureSchema, s: tuple[int, ...],
 
     ``s`` gives the number of evenly spaced split levels per interval axis.
     """
+    if n_classes < 2:
+        raise ContractViolation("n_classes must be >= 2")
     if schema.group_sizes:
         raise ContractViolation("chessboard targets use interval axes only")
     if len(s) != len(schema.iv_sizes):

@@ -4,13 +4,13 @@ A tree is a tuple of nodes: ``Leaf``s and two node tests, ``SplitNode`` (a
 point goes left iff its grid index on an interval axis is <= the threshold
 index) and ``CatNode`` (left iff its category in a one-hot group is the
 tested one). The node tests, defined next to ``Region``, route rows of index
-arrays (``left_mask``) and regions (``split_region``: the two sides, None for
-an empty one). A tree is walked through a box of the grid in one way,
-``leaf_boxes``, on a ``Region``'s own fields (its ``(lo, hi)`` pairs and
-allowed sets), and a point in one way, ``leaf_index``. Trees are validated
-on construction so every root-to-leaf path carries a non-empty region (no
-dead branches). A tree is built one way, ``grow``: top-down on an explicit
-stack, so a tree may be as deep as its data makes it.
+arrays (``left_mask``) and cut boxes (``cut``: the two sides of a ``Region``'s
+own fields, its ``(lo, hi)`` pairs and allowed sets, None for an empty one).
+A tree is walked through a box of the grid in one way, ``leaf_boxes``, which
+keeps that cut inline, and a point in one way, ``leaf_index``. Trees are
+validated on construction so every root-to-leaf path carries a non-empty
+region (no dead branches). A tree is built one way, ``grow``: top-down on an
+explicit stack, so a tree may be as deep as its data makes it.
 
 Every model has one serving surface: ``trees``, the trees it votes over, and
 ``tree(cap)``, the one tree it is served as. A tree is a forest of one: its
@@ -101,7 +101,9 @@ class TreeModel:
             kind = type(node)
             if kind is Leaf:
                 leaves += 1
-                if node.label is not None and (type(node.label) is not int or node.label < 0):
+                # array evaluation holds labels in int64
+                if node.label is not None and (type(node.label) is not int
+                                               or not 0 <= node.label < 2 ** 63):
                     raise DataFormatError(f"leaf {i}: bad label {node.label!r}")
             elif kind is SplitNode or kind is CatNode:
                 axis, value, arity = ((node.iv_axis, node.threshold, n_iv) if kind is SplitNode
@@ -137,7 +139,11 @@ class TreeModel:
         and category sets ``allowed`` (a ``Region``'s fields), as (node index,
         intervals, allowed) of its part of the box, left subtrees first; the
         parts partition the box. A test with one side empty is followed in
-        place. No ``Region`` is built."""
+        place. No ``Region`` is built.
+
+        The cut is ``cut``'s, written inline: the walk mostly follows one side,
+        and a ``cut`` call builds a box pair at every level, which made the
+        equivalence check about 55% slower."""
         nodes = self.nodes
         stack = [(self.root, intervals, allowed)]
         while stack:
@@ -193,7 +199,8 @@ class TreeModel:
         One integer walk: a test on ``axis`` follows both non-empty sides,
         clipping the span; every other test follows the point's side. The
         right side is pushed and the left followed, so segments come out in
-        ascending order. No ``Region`` is built."""
+        ascending order. No ``Region`` is built; the spans are 1-D, not boxes,
+        so ``cut`` does not apply."""
         nodes = self.nodes
         starts: list[int] = []
         labels: list[int | None] = []
@@ -366,16 +373,15 @@ class ForestModel:
         return label_at
 
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
-        votes = np.stack([t.predict_arrays(iv, cats) for t in self.trees])
-        n = votes.shape[1]
-        if not n:
-            return np.empty(0, dtype=np.int64)
-        k = int(votes.max()) + 1
-        counts = np.zeros((k, n), dtype=np.int32)
+        """The vote at each row, counted per class: the table is classes x rows,
+        whatever the label values."""
+        labels = np.array(self.labels, dtype=np.int64)
+        n = iv.shape[0] if iv.ndim == 2 else cats.shape[0]
+        counts = np.zeros((len(labels), n), dtype=np.int32)
         idx = np.arange(n)
-        for row in votes:
-            np.add.at(counts, (row, idx), 1)
-        return counts.argmax(axis=0)  # argmax takes the lowest id on ties
+        for t in self.trees:
+            counts[np.searchsorted(labels, t.predict_arrays(iv, cats)), idx] += 1
+        return labels[counts.argmax(axis=0)]  # argmax takes the lowest class on ties
 
     @property
     def node_count(self) -> int:
@@ -414,9 +420,8 @@ class ForestModel:
 
     def _compile(self, cap: int) -> TreeModel:
         """The tree ``tree`` keeps, grown from the whole grid. An item is a box
-        (a ``Region``'s ``(lo, hi)`` pairs and allowed sets, cut as in
-        ``leaf_boxes``), a tree, a node of that tree, and the votes of the
-        trees before it."""
+        (a ``Region``'s ``(lo, hi)`` pairs and allowed sets, cut by ``cut``), a
+        tree, a node of that tree, and the votes of the trees before it."""
         trees = self.trees
         class_of = self._class_of
         leaves = 0
@@ -426,8 +431,7 @@ class ForestModel:
             ivs, allowed, k, i, votes = item
             while True:
                 node = trees[k].nodes[i]
-                kind = type(node)
-                if kind is Leaf:
+                if type(node) is Leaf:
                     c = class_of[node.label]
                     votes = votes[:c] + (votes[c] + 1,) + votes[c + 1:]
                     k += 1
@@ -442,29 +446,13 @@ class ForestModel:
                             "sampled fidelity or the heuristic oracle"
                         )
                     return Leaf(self.labels[lead])
-                if kind is SplitNode:
-                    a, t = node.iv_axis, node.threshold
-                    lo, hi = ivs[a]
-                    if t >= hi:
-                        i = node.left
-                    elif t < lo:
-                        i = node.right
-                    else:
-                        head, tail = ivs[:a], ivs[a + 1:]
-                        return (node, (head + ((lo, t),) + tail, allowed, k, node.left, votes),
-                                (head + ((t + 1, hi),) + tail, allowed, k, node.right, votes))
+                left, right = node.cut(ivs, allowed)
+                if right is None:
+                    i = node.left
+                elif left is None:
+                    i = node.right
                 else:
-                    g, c = node.group, node.category
-                    s = allowed[g]
-                    if c not in s:
-                        i = node.right
-                    elif len(s) == 1:
-                        i = node.left
-                    else:
-                        head, tail = allowed[:g], allowed[g + 1:]
-                        one, rest = head + (frozenset((c,)),) + tail, head + (s - {c},) + tail
-                        return (node, (ivs, one, k, node.left, votes),
-                                (ivs, rest, k, node.right, votes))
+                    return node, (*left, k, node.left, votes), (*right, k, node.right, votes)
 
         domain = full_region(self.schema)
         root_item = (domain.intervals, domain.allowed, 0, trees[0].root, (0,) * len(self.labels))
@@ -666,10 +654,10 @@ def boxes_to_tree(schema: FeatureSchema, boxes: Sequence[tuple[Region, int]]) ->
                 raise ContractViolation("boxes do not cover the domain exactly")
             return Leaf(labels.pop())
         test = fewest_cut(region, items)
-        left, right = test.split_region(region)  # both sides hold a box edge
-        sides = [test.split_region(box) + (lab,) for box, lab in items]  # each box clipped
-        return (test, (left, [(l, lab) for l, _, lab in sides if l is not None]),
-                (right, [(r, lab) for _, r, lab in sides if r is not None]))
+        left, right = test.cut(region.intervals, region.allowed)  # both hold a box edge
+        sides = [test.cut(box.intervals, box.allowed) + (lab,) for box, lab in items]
+        return (test, (Region(*left), [(Region(*l), lab) for l, _, lab in sides if l is not None]),
+                (Region(*right), [(Region(*r), lab) for _, r, lab in sides if r is not None]))
 
     return TreeModel(schema, *grow((domain, list(boxes)), expand))
 

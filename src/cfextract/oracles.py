@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distances import Distance
-from .errors import ContractViolation
+from .errors import ContractViolation, UnsupportedModelError
 from .models import Leaf, Model, SplitNode, TreeModel
 from .regions import Region, contains, sample_point
 from .schema import FeatureSchema, Point
@@ -124,6 +124,9 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     lexicographically smallest of their projections, whose keys are computed
     only when two of them tie. Arithmetic is in Python ints, so it is exact
     for any grid. ``None`` certifies that no flip point exists in the region.
+
+    Each box is cut as ``cut`` cuts it, written inline: the cut is fused with
+    the bound of the far side and the choice of which side is near.
     """
     if not contains(region, x):
         raise ContractViolation("query point outside region")
@@ -306,12 +309,17 @@ class CounterfactualOracle:
     ``log``, which hands the billed record to ``sink`` if one is given.
 
     The label set of the target is treated as public API metadata (attacks
-    use it to tell binary tasks apart from multi-class ones).
+    use it to tell binary tasks apart from multi-class ones). A target with
+    unknown leaves is refused (``UnsupportedModelError``): such a leaf agrees
+    with no label, so no answer about it would be a model's.
     """
 
     def __init__(self, target: Model, config: OracleConfig | None = None,
                  training_data: Sequence[Point] | None = None,
                  sink: Callable[[QueryRecord], object] | None = None):
+        if any(t.is_partial for t in target.trees):
+            raise UnsupportedModelError("the counterfactual oracle serves no target with "
+                                        "unknown leaves (a null label)")
         self.target = target
         self.schema: FeatureSchema = target.schema
         self.config = config or OracleConfig()

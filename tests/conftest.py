@@ -11,14 +11,16 @@ penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``reference_line_search`` is the line search with one ``predict`` per probe,
 which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 ``false_absences`` audits a heuristic run's log against the exact oracle.
-``reference_leaves_within`` walks a tree through a region one ``Region`` per
-node with ``split_region``, and ``reference_equivalence`` is the equivalence
-check built on it, which the box walks of ``TreeModel.leaf_boxes`` and
-``cfextract.functional_equivalence`` (on a ``Region``'s fields, no ``Region``
-per node) must reproduce exactly.
+``reference_split_region`` cuts a whole ``Region`` by a node test, written
+apart from ``SplitNode.cut`` and ``CatNode.cut`` so the walks built on it do
+not share the code they check. ``reference_leaves_within`` walks a tree
+through a region one ``Region`` per node with it, and ``reference_equivalence``
+is the equivalence check built on that, which the box walks of
+``TreeModel.leaf_boxes`` and ``cfextract.functional_equivalence`` (on a
+``Region``'s fields, no ``Region`` per node) must reproduce exactly.
 ``reference_forest_compile`` grafts a forest into one tree on ``Region``s, cut
-with ``split_region``, which ``ForestModel.tree``'s box walk must reproduce
-node for node.
+with ``reference_split_region``, which ``ForestModel.tree``'s walk through
+``cut`` must reproduce node for node.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -196,6 +198,32 @@ def random_subregion(schema: cx.FeatureSchema, rng) -> cx.Region:
     return cx.Region(tuple(intervals), tuple(allowed))
 
 
+def reference_split_region(node, region: cx.Region):
+    """The parts of ``region`` that the node test ``node`` sends left and
+    right, None for an empty side."""
+    if isinstance(node, cx.SplitNode):
+        k, t = node.iv_axis, node.threshold
+        ivs = region.intervals
+        a, b = ivs[k]
+        if t >= b:
+            return region, None
+        if t < a:
+            return None, region
+        head, tail = ivs[:k], ivs[k + 1:]
+        return (cx.Region(head + ((a, t),) + tail, region.allowed),
+                cx.Region(head + ((t + 1, b),) + tail, region.allowed))
+    g, c = node.group, node.category
+    al = region.allowed
+    s = al[g]
+    if c not in s:
+        return None, region
+    if len(s) == 1:
+        return region, None
+    head, tail = al[:g], al[g + 1:]
+    return (cx.Region(region.intervals, head + (frozenset((c,)),) + tail),
+            cx.Region(region.intervals, head + (s - {c},) + tail))
+
+
 def reference_leaves_within(tree: cx.TreeModel, region: cx.Region):
     """Each leaf of ``tree`` meeting ``region``, as (node index, the part of
     ``region`` it holds), left subtrees first: one ``Region`` per node."""
@@ -206,7 +234,7 @@ def reference_leaves_within(tree: cx.TreeModel, region: cx.Region):
         if isinstance(node, cx.Leaf):
             yield i, reg
             continue
-        left, right = node.split_region(reg)
+        left, right = reference_split_region(node, reg)
         if right is not None:
             stack.append((node.right, right))
         if left is not None:
@@ -218,10 +246,7 @@ def reference_equivalence(f, g, schema: cx.FeatureSchema, cell_budget: int):
     leaf regions, checking ``f`` for constancy on each within ``cell_budget``
     leaves of ``f``; (True, None), or (False, the center of the first part
     where they differ)."""
-    if isinstance(f, cx.ForestModel):
-        f = f.tree(cell_budget)
-    if isinstance(g, cx.ForestModel):
-        g = g.tree(cell_budget)
+    f, g = f.tree(cell_budget), g.tree(cell_budget)
     budget = cell_budget
     for j, region in reference_leaves_within(g, cx.full_region(schema)):
         label = g.nodes[j].label
@@ -259,7 +284,7 @@ def reference_forest_compile(forest: cx.ForestModel) -> cx.TreeModel:
                     i = trees[k].root
                     continue
                 return cx.Leaf(labels[lead])
-            left, right = node.split_region(region)
+            left, right = reference_split_region(node, region)
             if right is None:
                 i = node.left
             elif left is None:

@@ -139,7 +139,7 @@ def test_unknown_flag_is_usage_error(workdir):
     assert run_cli("gen", "--kind", "bogus", "--out", workdir / "x.json") == 1
 
 
-def test_contract_violation_exit_code(workdir):
+def test_contract_violation_exit_code(workdir, capsys):
     # chessboard with a group-bearing schema is a contract violation
     cfg = {"features": [{"name": "g", "kind": "categorical", "categories": ["a", "b"]}]}
     path = workdir / "cat_schema.json"
@@ -147,6 +147,16 @@ def test_contract_violation_exit_code(workdir):
     code = run_cli("gen", "--kind", "chessboard", "--schema", path, "--s", "1",
                    "--out", workdir / "x.json")
     assert code == 2
+    # so is a chessboard of fewer than two classes, whose adjacent cells cannot differ
+    path.write_text(json.dumps({"features": [
+        {"name": "a", "kind": "numeric", "lo": "0", "hi": "1", "delta": "1/16"}]}))
+    capsys.readouterr()
+    before = sorted(workdir.iterdir())
+    for classes in ("0", "1", "-1"):
+        assert run_cli("gen", "--kind", "chessboard", "--schema", path, "--s", "3",
+                       "--classes", classes, "--out", workdir / "x.json") == 2
+        assert capsys.readouterr().err == "contract violation: n_classes must be >= 2\n"
+        assert sorted(workdir.iterdir()) == before
 
 
 def test_fidelity_without_samples_exit_code(workdir, capsys):
@@ -655,3 +665,39 @@ def test_fidelity_samples_below_one_exits_2_without_a_curve(workdir, capsys, sam
                    "--fidelity-samples", samples) == 2
     assert capsys.readouterr().err == "contract violation: --fidelity-samples must be >= 1\n"
     assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("method, oracle", [("tra", "exact"), ("tra", "heuristic"),
+                                            ("cf", "exact"), ("dualcf", "heuristic")])
+def test_attack_on_a_target_with_unknown_leaves_exits_1_before_any_write(workdir, capsys,
+                                                                          method, oracle):
+    schema = cx.load_schema(str(workdir / "schema.json"))
+    target = workdir / "t.json"
+    cx.save_model(str(target), cx.TreeModel(schema, [cx.Leaf(0), cx.Leaf(None),
+                                                    cx.SplitNode(0, 20, 0, 1)], root=2),
+                  "schema.json")
+    before = sorted(workdir.iterdir())
+    assert run_cli("attack", "--method", method, "--oracle", oracle, "--target", target,
+                   "--out", workdir / "x.json", "--trace", workdir / "t.jsonl",
+                   "--curve", workdir / "c.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "unknown leaves" in err and err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before  # no model, schema sidecar, trace or curve
+
+
+def test_label_past_int64_exits_2_before_any_write(workdir, capsys):
+    # array evaluation (sampled fidelity, the curve) holds labels in int64
+    target = workdir / "t.json"
+    target.write_text(json.dumps({"schema_ref": "schema.json", "kind": "tree", "root": 2,
+                                  "nodes": [{"id": 0, "kind": "leaf", "label": 0},
+                                            {"id": 1, "kind": "leaf", "label": 2 ** 64},
+                                            {"id": 2, "kind": "split", "axis": 0,
+                                             "threshold": "0.5", "left": 0, "right": 1}]}))
+    before = sorted(workdir.iterdir())
+    for args in (("eval", "--fidelity", target, target),
+                 ("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                  "--curve", workdir / "c.csv")):
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err == f"contract violation: leaf 1: bad label {2 ** 64}\n"
+        assert sorted(workdir.iterdir()) == before

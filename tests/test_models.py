@@ -59,6 +59,21 @@ def test_forest_tie_breaks_to_lowest_label(schema_grid10):
     assert forest.predict_arrays(iv, cats)[0] == 0
 
 
+def test_forest_predict_arrays_counts_votes_per_class_whatever_the_labels(schema_grid10):
+    # a table with a row per label value up to 2**40 could not be allocated
+    sch, big = schema_grid10, 2 ** 40
+    trees = [single_split_tree(sch, 0, 4, 0, big), single_split_tree(sch, 0, 6, big, 0),
+             single_split_tree(sch, 1, 5, 0, big), single_split_tree(sch, 1, 2, big, 0)]
+    iv, cats = enumerate_region(sch, cx.full_region(sch))
+    points = [cx.Point(tuple(map(int, a)), ()) for a in iv]
+    for n_trees in (3, 4):  # four trees tie 2-2 at some points: the lowest label wins
+        forest = cx.ForestModel(sch, trees[:n_trees])
+        expected = [forest.predict(p) for p in points]
+        assert set(expected) == {0, big}
+        assert forest.predict_arrays(iv, cats).tolist() == expected
+    assert cx.TreeModel(sch, [cx.Leaf(2 ** 63 - 1)]).labels == (2 ** 63 - 1,)
+
+
 def test_forest_predict_arrays_on_zero_rows_is_empty_as_for_a_tree(schema_mixed):
     forest = cx.gen_random_forest(schema_mixed, n_trees=3, depth=3, seed=2, n_classes=3)
     iv, cats = cx.uniform_points(schema_mixed, 0, seed=0)
@@ -268,6 +283,8 @@ MALFORMED_TREES = {
     "root-out-of-range": ("grid10", [cx.Leaf(0)], 1),
     "no-nodes": ("grid10", [], 0),
     "negative-label": ("grid10", [cx.Leaf(-1)], 0),
+    # array evaluation holds labels in int64
+    "label-past-int64": ("grid10", [cx.Leaf(2 ** 63)], 0),
     # fields the walks would misread: each names its node
     "bad-field-split-axis-out-of-range": ("grid10", [cx.Leaf(0), cx.Leaf(1),
                                                      cx.SplitNode(7, 4, 0, 1)], 2),

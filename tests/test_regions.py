@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import make_schema, random_subregion, region_from_json
+from tests.conftest import enumerate_region, make_schema, random_subregion, region_from_json
 
 import numpy as np
 
@@ -136,17 +136,6 @@ def test_empty_intersection_is_none():
     assert cx.intersect(a, b) is None
 
 
-def test_subtract_partitions():
-    a = cx.Region(((0, 9), (0, 9)), ())
-    b = cx.Region(((3, 5), (4, 9)), ())
-    pieces = cx.subtract(a, b)
-    assert sum(p.volume for p in pieces) + cx.intersect(a, b).volume == a.volume
-    for i in range(len(pieces)):
-        assert cx.intersect(pieces[i], b) is None
-        for j in range(i + 1, len(pieces)):
-            assert cx.intersect(pieces[i], pieces[j]) is None
-
-
 # -- properties ------------------------------------------------------------------
 
 
@@ -170,6 +159,66 @@ def test_split_soundness_random(seed):
     # determinism
     again, _ = cx.split(region, x, cf, sch)
     assert again == pieces
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_subtract_partitions(seed):
+    # a minus b in disjoint pieces, peeled in order: interval axes ascending,
+    # each below b then above it, then the groups. A piece is cut to b on every
+    # axis before the one it was peeled on, and is still a on every one after.
+    sch = make_schema("groups2")
+    rng = np.random.default_rng(seed)
+    n_iv = len(sch.iv_sizes)
+    for _ in range(20):
+        a, b = random_subregion(sch, rng), random_subregion(sch, rng)
+        pieces = cx.subtract(a, b)
+        inter = cx.intersect(a, b)
+        if inter is None:
+            assert pieces == [a]
+            continue
+        assert sum(p.volume for p in pieces) == a.volume - inter.volume
+        for i, p in enumerate(pieces):
+            assert cx.intersect(p, b) is None
+            assert all(cx.intersect(p, q) is None for q in pieces[i + 1:])
+        a_axes, b_axes = a.intervals + a.allowed, inter.intervals + inter.allowed
+        keys = []
+        for p in pieces:
+            axes = p.intervals + p.allowed
+            k = next(k for k, v in enumerate(axes) if v != b_axes[k])
+            assert axes[k + 1:] == a_axes[k + 1:]
+            if k < n_iv:
+                (lo, hi), (b_lo, b_hi) = axes[k], b_axes[k]
+                assert hi < b_lo or lo > b_hi
+                keys.append((k, lo > b_hi))
+            else:
+                assert not axes[k] & b_axes[k]
+                keys.append((k, False))
+        assert keys == sorted(set(keys))
+
+
+@given(st.sampled_from(["mixed", "groups2"]), st.integers(0, 2**32 - 1))
+def test_cut_sends_each_point_of_a_box_to_the_side_its_test_picks(kind, seed):
+    sch = make_schema(kind)
+    rng = np.random.default_rng(seed)
+    region = random_subregion(sch, rng)
+    if rng.integers(2):
+        k = int(rng.integers(len(sch.iv_sizes)))
+        test = cx.SplitNode(k, int(rng.integers(sch.iv_sizes[k])))
+    else:
+        g = int(rng.integers(len(sch.group_sizes)))
+        test = cx.CatNode(g, int(rng.integers(sch.group_sizes[g])))
+
+    def grid_points(iv, cats):
+        return set(zip(map(tuple, iv.tolist()), map(tuple, cats.tolist())))
+
+    iv, cats = enumerate_region(sch, region)
+    left = test.left_mask(iv, cats, np.arange(len(iv)))
+    for side, mask in zip(test.cut(region.intervals, region.allowed), (left, ~left)):
+        held = grid_points(iv[mask], cats[mask])
+        if side is None:
+            assert not held
+        else:
+            assert grid_points(*enumerate_region(sch, cx.Region(*side))) == held
 
 
 @given(st.integers(0, 2**32 - 1))
