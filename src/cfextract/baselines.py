@@ -58,11 +58,15 @@ class SurrogateSpec:
 
 class LeafIdOracle:
     """Billed access to (leaf id, label) of a single target tree; ``count``
-    is the number of probes billed so far."""
+    is the number of probes billed so far. A tree with unknown leaves is
+    refused, as the counterfactual oracle refuses it."""
 
     def __init__(self, target: TreeModel):
         if not isinstance(target, TreeModel):
             raise UnsupportedModelError("leaf-id oracle requires a single tree")
+        if target.is_partial:
+            raise UnsupportedModelError("the leaf-id oracle serves no target with "
+                                        "unknown leaves (a null label)")
         self.target = target
         self.schema = target.schema
         self.count = 0
@@ -184,38 +188,24 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
         return Snapshot(oracle.log.count, _train_surrogate(schema, pts, lbls, surrogate),
                         Fraction(0))
 
-    def cf_label_of(point: Point, flipped_from: int) -> int | None:
-        """Label of a returned counterfactual: free flip in binary tasks,
-        one billed query otherwise."""
-        if binary:
-            return other_label(oracle.labels, flipped_from)
-        if oracle.log.count < budget.max_queries:
-            return oracle.query(point, domain).label
-        return None
-
     while oracle.log.count < budget.max_queries:
         x = sample_point(domain, rng)
         resp = oracle.query(x, domain)
         pts.append(x)
         lbls.append(resp.label)
-        cf = resp.counterfactual
-        if cf is not None:
-            if dual:
-                if oracle.log.count < budget.max_queries:
-                    resp2 = oracle.query(cf, domain)
-                    pts.append(cf)
-                    lbls.append(resp2.label)
-                    ccf = resp2.counterfactual
-                    if ccf is not None:
-                        lab = cf_label_of(ccf, resp2.label)
-                        if lab is not None:
-                            pts.append(ccf)
-                            lbls.append(lab)
+        for hop in range(1 + dual):  # x's counterfactual, then (DualCF) its own
+            cf = resp.counterfactual
+            if cf is None:
+                break
+            if hop == dual and binary:  # the last label is free: the other class
+                label = other_label(oracle.labels, resp.label)
+            elif oracle.log.count < budget.max_queries:
+                resp = oracle.query(cf, domain)
+                label = resp.label
             else:
-                lab = cf_label_of(cf, resp.label)
-                if lab is not None:
-                    pts.append(cf)
-                    lbls.append(lab)
+                break
+            pts.append(cf)
+            lbls.append(label)
         take_snapshot(snapshots, oracle.log.count, snapshot_every, snapshot)
 
     take_snapshot(snapshots, oracle.log.count, 1, snapshot)  # the final one

@@ -10,9 +10,10 @@ bound arithmetic is exact (Fractions).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -125,52 +126,44 @@ def _hits(ref: np.ndarray, label: int | None) -> int:
 def _replay(state: ExtractionState, checkpoints: Sequence[int], iv: np.ndarray, cats: np.ndarray,
             ref: np.ndarray) -> list[float]:
     """Agreement with ``ref`` of a TRA run's partial trees after each of the
-    ascending query counts ``checkpoints``, from the run's node-store record.
+    ascending query counts ``checkpoints``, from the store's resolution
+    stamps alone.
 
-    Each point sits in one pending slot and is predicted as that slot's
-    provisional label. Going through the resolutions in query order, the
-    query that resolves a slot moves only that slot's points: down the split
-    nodes the same query created, into the leaf or the new pending slots they
-    reach; the agreement count changes by those points alone. The result is
-    the same, point for point, as ``predict_arrays`` on each partial tree.
+    One walk from slot 0 carries each set of points with the query count at
+    which it arrived in its slot (the stamp of the parent). A slot stamped
+    later than that shows its provisional label from the arrival until its
+    stamp; a resolved leaf shows its label from its stamp on; a split slot
+    sends its points on to its children. The walk stops below slots resolved
+    after the last checkpoint. Each of these is an integer change in the
+    agreement count stamped with a query count, and the count at a checkpoint
+    is the sum of the changes stamped at or before it. This rests on stamps
+    never decreasing down the store (``ExtractionState``). The result is the
+    same, point for point, as ``predict_arrays`` on each partial tree.
     """
     nodes, provisional, resolved_at = state.nodes, state.provisional, state.resolved_at
     horizon = checkpoints[-1]
-    # the slot each query popped: the lowest slot it resolved (it created the others)
-    popped: dict[int, int] = {}
-    for slot, at in enumerate(resolved_at):
-        if at <= horizon and at not in popped:
-            popped[at] = slot
-    events = sorted(popped.items())
-    n = len(ref)
-    members = {0: np.arange(n)}  # pending slot -> the points sitting in it
-    agree = _hits(ref, provisional[0])
-    out = []
-    e = 0
-    for checkpoint in checkpoints:
-        while e < len(events) and events[e][0] <= checkpoint:
-            q, slot = events[e]
-            e += 1
-            sel = members.pop(slot, None)
-            if sel is None:
-                continue
-            agree -= _hits(ref[sel], provisional[slot])
-            stack = [(slot, sel)]
-            while stack:
-                s, sel = stack.pop()
-                node = nodes[s]
-                if resolved_at[s] > q:
-                    members[s] = sel
-                    agree += _hits(ref[sel], provisional[s])
-                elif isinstance(node, Leaf):
-                    agree += _hits(ref[sel], node.label)
-                else:
-                    mask = node.left_mask(iv, cats, sel)
-                    for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
-                        if part.size:
-                            stack.append((child, part))
-        out.append(agree / n)
-    return out
+    # the agreement changes, each under the first checkpoint at or after its stamp;
+    # the last entry takes those after every checkpoint
+    change = [0] * (len(checkpoints) + 1)
+    stack = [(0, 0, np.arange(len(ref)))]  # (slot, arrival, points)
+    while stack:
+        s, arrived, sel = stack.pop()
+        at = resolved_at[s]
+        if at != arrived:
+            hits = _hits(ref[sel], provisional[s])
+            change[bisect_left(checkpoints, arrived)] += hits
+            change[bisect_left(checkpoints, at)] -= hits
+        if at > horizon:
+            continue
+        node = nodes[s]
+        if isinstance(node, Leaf):
+            change[bisect_left(checkpoints, at)] += _hits(ref[sel], node.label)
+        else:
+            mask = node.left_mask(iv, cats, sel)
+            for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
+                if part.size:
+                    stack.append((child, at, part))
+    return [agree / len(ref) for agree in accumulate(change[:-1])]
 
 
 def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.ndarray,
@@ -180,9 +173,9 @@ def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.nda
 
     Snapshots that carry a model are predicted directly. The lazy snapshots
     of a TRA run are not built: the points are replayed once through the
-    run's record, in query order.
+    run's resolution stamps (``_replay``).
     """
-    if not (iv.shape[0] if iv.ndim == 2 else cats.shape[0]):
+    if not iv.shape[0]:
         raise ContractViolation("need at least one evaluation point")
     ref = target.predict_arrays(iv, cats)
     out = [0.0] * len(snapshots)

@@ -250,7 +250,7 @@ class TreeModel:
         return self.nodes[self.leaf_index(p)].label
 
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
-        n = iv.shape[0] if iv.ndim == 2 else cats.shape[0]
+        n = iv.shape[0]
         out = np.empty(n, dtype=np.int64)
         stack: list[tuple[int, np.ndarray]] = [(self.root, np.arange(n))]
         while stack:
@@ -376,7 +376,7 @@ class ForestModel:
         """The vote at each row, counted per class: the table is classes x rows,
         whatever the label values."""
         labels = np.array(self.labels, dtype=np.int64)
-        n = iv.shape[0] if iv.ndim == 2 else cats.shape[0]
+        n = iv.shape[0]
         counts = np.zeros((len(labels), n), dtype=np.int32)
         idx = np.arange(n)
         for t in self.trees:

@@ -28,8 +28,9 @@ Snapshots are lazy. The node store only appends slots and resolves pending
 ones, and it stamps each slot with the query that resolved it, so the partial
 tree at any earlier query can be rebuilt from it. A snapshot is therefore a
 query count and a store size, taken in O(1); its ``model`` is built on first
-read, and ``evaluation.anytime_fidelity`` replays the store's record instead
-of building trees at all.
+read. ``evaluation.anytime_fidelity`` builds no trees at all: it reads only
+the resolution stamps, since a point's predicted label changes only at the
+stamps of the slots on its path from the root.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class ExtractionState:
     ``resolved_at[s]`` is the billed query count after the resolving query,
     ``math.inf`` before. Slots are only appended and resolved once, so the
     tree as it stood after any earlier query can be rebuilt from this record.
+    Along every root-to-leaf path of the store, ``resolved_at`` never
+    decreases: a child slot is created by the query that resolves its parent,
+    and a query's chain of continuation slots shares that one stamp. A store
+    seeded from a prior tree, its internal nodes stamped 0, would keep this
+    too. The anytime replay (``evaluation._replay``) rests on it.
     An answer changes the store in one call, ``finalize`` or ``expand``;
     ``push``, which enforces ``max_regions``, is the only way onto the queue.
     """

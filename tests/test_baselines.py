@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import cfextract as cx
 from cfextract import baselines
@@ -51,10 +51,15 @@ def test_pathfinding_equivalence_on_random_trees(schema_mixed):
         assert log.count > cx.stats(target).leaf_count  # strictly more than one per leaf
 
 
-def test_pathfinding_rejects_forests(schema_mixed):
-    forest = cx.gen_random_forest(schema_mixed, 2, 2, seed=0)
-    with pytest.raises(cx.UnsupportedModelError):
-        cx.LeafIdOracle(forest)
+@pytest.mark.parametrize("kind, match", [("forest", "single tree"),
+                                         ("null-leaf", "unknown leaves")],
+                         ids=["forest", "null-leaf"])
+def test_pathfinding_rejects_forests(schema_mixed, kind, match):
+    target = (cx.gen_random_forest(schema_mixed, 2, 2, seed=0) if kind == "forest" else
+              cx.TreeModel(schema_mixed, [cx.Leaf(0), cx.Leaf(None), cx.SplitNode(0, 20, 0, 1)],
+                           root=2))
+    with pytest.raises(cx.UnsupportedModelError, match=match):
+        cx.LeafIdOracle(target)
 
 
 def test_pathfinding_epsilon_below_grid_rejected(schema_grid10):
@@ -229,6 +234,62 @@ def test_every_attack_takes_snapshots_by_one_rule(method, seed, classes, snapsho
     assert res.model is res.snapshots[-1].model
     if method != "tra":
         assert len(calls) == len(res.snapshots)
+
+
+def training_set_from_records(records, labels, dual):
+    """The CF/DualCF training set, points and labels, as the billed records
+    spell it out.
+
+    A round starts with the query of a uniform point x. Its counterfactual
+    is the first hop and, for DualCF, that counterfactual's own the second.
+    A hop's label is the next record's, a query of that counterfactual,
+    except the last hop's in a binary task: the other class, billed nowhere.
+    A hop whose query no record holds (the budget ran out) is not kept.
+    """
+    pts, lbls = [], []
+    i = 0
+    while i < len(records):
+        asked = records[i]
+        i += 1
+        pts.append(asked.x)
+        lbls.append(asked.label)
+        for last in ([False, True] if dual else [True]):
+            cf = asked.counterfactual
+            if cf is None:
+                break
+            if last and len(labels) == 2:
+                pts.append(cf)
+                lbls.append(labels[0] if asked.label == labels[1] else labels[1])
+                break
+            if i == len(records):
+                break
+            asked = records[i]
+            i += 1
+            assert asked.x == cf  # the hop's query is of the counterfactual
+            pts.append(cf)
+            lbls.append(asked.label)
+    return pts, lbls
+
+
+# budgets that run out in the middle of a round
+@example(method="cf", seed=0, classes=3, budget=3)
+@example(method="dualcf", seed=0, classes=2, budget=3)
+@example(method="dualcf", seed=0, classes=3, budget=4)
+@given(method=st.sampled_from(["cf", "dualcf"]), seed=st.integers(0, 2**16),
+       classes=st.sampled_from([2, 3]), budget=st.integers(1, 5))
+def test_surrogate_trains_on_what_the_records_spell_out(method, seed, classes, budget):
+    target = cx.gen_random_tree(make_schema("mixed"), 3, seed, classes)
+    records = []
+    oracle = cx.CounterfactualOracle(target, sink=records.append)
+    trained = []
+    train = cx.baselines.train_tree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.baselines, "train_tree",
+                   lambda *args: trained.append(args[1:3]) or train(*args))
+        attack = cx.cf_attack if method == "cf" else cx.dualcf_attack
+        res = attack(oracle, cx.AttackBudget(budget), seed=seed, snapshot_every=0)
+    assert res.log.count == len(records) == budget
+    assert trained[-1] == training_set_from_records(records, oracle.labels, method == "dualcf")
 
 
 @pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])

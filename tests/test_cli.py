@@ -668,7 +668,8 @@ def test_fidelity_samples_below_one_exits_2_without_a_curve(workdir, capsys, sam
 
 
 @pytest.mark.parametrize("method, oracle", [("tra", "exact"), ("tra", "heuristic"),
-                                            ("cf", "exact"), ("dualcf", "heuristic")])
+                                            ("cf", "exact"), ("dualcf", "heuristic"),
+                                            ("pathfinding", "exact")])
 def test_attack_on_a_target_with_unknown_leaves_exits_1_before_any_write(workdir, capsys,
                                                                           method, oracle):
     schema = cx.load_schema(str(workdir / "schema.json"))
@@ -677,9 +678,11 @@ def test_attack_on_a_target_with_unknown_leaves_exits_1_before_any_write(workdir
                                                     cx.SplitNode(0, 20, 0, 1)], root=2),
                   "schema.json")
     before = sorted(workdir.iterdir())
+    # pathfinding takes neither a trace nor a curve: either is a usage error of its own
+    outputs = [] if method == "pathfinding" else ["--trace", workdir / "t.jsonl",
+                                                  "--curve", workdir / "c.csv"]
     assert run_cli("attack", "--method", method, "--oracle", oracle, "--target", target,
-                   "--out", workdir / "x.json", "--trace", workdir / "t.jsonl",
-                   "--curve", workdir / "c.csv") == 1
+                   "--out", workdir / "x.json", *outputs) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "unknown leaves" in err and err.count("\n") == 1
     assert sorted(workdir.iterdir()) == before  # no model, schema sidecar, trace or curve

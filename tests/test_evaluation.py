@@ -272,9 +272,9 @@ def _agreement(target, model, iv, cats) -> float:
 
 @given(seed=st.integers(0, 2**16), depth=st.integers(1, 5), classes=st.sampled_from([2, 3]),
        order=st.sampled_from(["fifo", "lifo", "random"]),
-       snapshot_every=st.sampled_from([1, 3, 20]))
+       snapshot_every=st.sampled_from([1, 3, 20]), data=st.data())
 def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, order,
-                                                       snapshot_every):
+                                                       snapshot_every, data):
     sch = make_schema("mixed")
     target = cx.gen_random_tree(sch, depth, seed, classes)
     # the tree after each query, built when the next query starts
@@ -295,6 +295,15 @@ def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, orde
     assert replayed == [_agreement(target, s.model, iv, cats) for s in res.snapshots]
     for snap in res.snapshots:
         assert snap.model.nodes == eager[snap.queries]
+    # in one call and shuffled: a subset of the run's snapshots that ends below its
+    # final count, a second run's snapshots and a snapshot that carries a model
+    early = data.draw(st.permutations(res.snapshots[:-1] or res.snapshots))
+    second = cx.tra_extract(cx.CounterfactualOracle(target), order="lifo", snapshot_every=2)
+    model = cx.Snapshot(7, cx.gen_random_tree(sch, 2, seed + 1, classes), Fraction(0))
+    mixed = data.draw(st.permutations(
+        early[:data.draw(st.integers(1, len(early)))] + second.snapshots + [model]))
+    assert (cx.snapshot_fidelities(target, mixed, iv, cats)
+            == [_agreement(target, s.model, iv, cats) for s in mixed])
 
 
 # anytime curves (checkpoint 5, 400 uniform points of seed 0) of two TRA runs with

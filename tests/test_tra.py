@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfextract as cx
 from tests.conftest import false_absences, make_schema, run_optimized
@@ -97,6 +98,23 @@ def test_ordering_neutrality(schema_mixed):
         for other in runs[1:]:
             ok, _ = cx.functional_equivalence(runs[0].model, other.model, schema_mixed)
             assert ok
+
+
+@given(seed=st.integers(0, 2**16), depth=st.integers(1, 5), classes=st.sampled_from([2, 3]),
+       order=st.sampled_from(["fifo", "lifo", "random"]))
+def test_resolution_stamps_never_decrease_from_root_to_leaf(seed, depth, classes, order):
+    # the premise of the anytime replay: a child slot is made by the query that
+    # resolves its parent, and a chain of continuation slots shares one stamp
+    target = cx.gen_random_tree(make_schema("mixed"), depth, seed, classes)
+    res = cx.tra_extract(cx.CounterfactualOracle(target), order=order, order_seed=seed,
+                         snapshot_every=0)
+    state = res.snapshots[-1].state
+    resolved_at = state.resolved_at
+    assert all(at <= res.log.count for at in resolved_at)  # the run resolved every slot
+    for slot, node in enumerate(state.nodes):
+        if not isinstance(node, cx.Leaf):
+            assert resolved_at[node.left] >= resolved_at[slot]
+            assert resolved_at[node.right] >= resolved_at[slot]
 
 
 def test_snapshot_cadence(schema_mixed):
