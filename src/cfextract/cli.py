@@ -84,26 +84,30 @@ def build_parser() -> _Parser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
 
-    a = sub.add_parser("attack", help="run an extraction attack against a model")
+    a = sub.add_parser("attack", help="run an extraction attack against a model",
+                       description="An option that the chosen method does not read is a "
+                       "usage error.")
     a.add_argument("--method", required=True, choices=["tra", "pathfinding", "cf", "dualcf"])
     a.add_argument("--target", required=True, help="target model JSON")
     a.add_argument("--schema", help="schema JSON (defaults to the model's schema_ref)")
-    a.add_argument("--oracle", choices=["exact", "heuristic"], default="exact")
-    a.add_argument("--distance", choices=["l2", "l1"], default="l2")
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--budget", type=_budget, default="auto",
+    # the rest default to None, so that an option left out is told from one
+    # given; _ATTACK_OPTIONS holds their defaults and the methods that read them
+    a.add_argument("--oracle", choices=["exact", "heuristic"])
+    a.add_argument("--distance", choices=["l2", "l1"])
+    a.add_argument("--seed", type=int)
+    a.add_argument("--budget", type=_budget,
                    help="query budget for cf/dualcf (int or 'auto')")
-    a.add_argument("--order", choices=["fifo", "lifo", "random"], default="fifo")
-    a.add_argument("--snapshot-every", type=int, default=20)
-    a.add_argument("--surrogate", choices=["tree", "forest"], default="tree")
-    a.add_argument("--oracle-samples", type=int, default=1000,
+    a.add_argument("--order", choices=["fifo", "lifo", "random"], help="TRA's queue order")
+    a.add_argument("--snapshot-every", type=int)
+    a.add_argument("--surrogate", choices=["tree", "forest"], help="cf/dualcf surrogate")
+    a.add_argument("--oracle-samples", type=int,
                    help="heuristic oracle: uniform draws per query")
-    a.add_argument("--oracle-train-size", type=int, default=500,
+    a.add_argument("--oracle-train-size", type=int,
                    help="heuristic oracle: size of its server-side labeled sample")
-    a.add_argument("--fidelity-samples", type=int, default=3000)
+    a.add_argument("--fidelity-samples", type=int, help="evaluation points of the curve")
     a.add_argument("--out", required=True, help="extracted model JSON")
     a.add_argument("--trace", help="JSON-lines query trace (not for pathfinding)")
-    a.add_argument("--curve", help="anytime curve CSV")
+    a.add_argument("--curve", help="anytime curve CSV (not for pathfinding)")
 
     e = sub.add_parser("eval", help="equivalence / fidelity / bounds / ratio reports")
     e.add_argument("--equivalence", nargs=2, metavar=("A", "B"))
@@ -124,6 +128,40 @@ def build_parser() -> _Parser:
     r.add_argument("curves", nargs="+", help="curve CSVs from 'attack'")
     r.add_argument("--out", required=True)
     return p
+
+
+_COUNTERFACTUAL = ("tra", "cf", "dualcf")
+_SURROGATE = ("cf", "dualcf")
+# attack option -> (the methods that read it, its default). Pathfinding reads
+# only --target, --schema and --out: it takes no snapshots to draw a curve
+# from, and its leaf-id probes have no region or counterfactual to trace.
+_ATTACK_OPTIONS = {
+    "oracle": (_COUNTERFACTUAL, "exact"),
+    "distance": (_COUNTERFACTUAL, "l2"),
+    "seed": (_COUNTERFACTUAL, 0),
+    "budget": (_SURROGATE, "auto"),
+    "order": (("tra",), "fifo"),
+    "snapshot_every": (_COUNTERFACTUAL, 20),
+    "surrogate": (_SURROGATE, "tree"),
+    "oracle_samples": (_COUNTERFACTUAL, 1000),
+    "oracle_train_size": (_COUNTERFACTUAL, 500),
+    "fidelity_samples": (_COUNTERFACTUAL, 3000),
+    "trace": (_COUNTERFACTUAL, None),
+    "curve": (_COUNTERFACTUAL, None),
+}
+
+
+def _attack_options(args) -> None:
+    """Refuse every option given that ``args.method`` does not read, then
+    fill in the defaults of those left out."""
+    unread = [name for name, (methods, _) in _ATTACK_OPTIONS.items()
+              if getattr(args, name) is not None and args.method not in methods]
+    if unread:
+        raise _UsageError(f"--method {args.method} reads no "
+                          + ", ".join("--" + name.replace("_", "-") for name in unread))
+    for name, (_, default) in _ATTACK_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _load_target(args):
@@ -232,17 +270,13 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    _attack_options(args)  # before any file is read or written
     if args.fidelity_samples < 1:  # refused before the attack writes anything
         raise ContractViolation("--fidelity-samples must be >= 1")
     target, schema = _load_target(args)
     if args.curve:  # the curve's sample is int64 arrays
         check_int64_grid(schema)
     if args.method == "pathfinding":
-        if args.curve:
-            raise _UsageError("--curve needs snapshots, and pathfinding takes none")
-        if args.trace:
-            raise _UsageError("--trace records counterfactual queries, and pathfinding "
-                              "makes none")
         model, log = pathfinding_extract(LeafIdOracle(target), schema)
         snapshots = []
         result_method = "pathfinding"
@@ -386,7 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # numpy's generators refuse it, after some work
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators refuse it, after work
             raise ContractViolation("--seed must be >= 0")
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

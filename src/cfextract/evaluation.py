@@ -2,8 +2,8 @@
 
 The equivalence check never materializes the full product grid of split
 levels: it serves each model as one tree (``tree(cap)``: a tree itself, a
-forest the tree it compiles to), walks one tree's leaf boxes and the other
-tree's leaves within each box, on a ``Region``'s own fields with no
+forest the tree it compiles to), walks the smaller tree's leaf boxes and the
+other tree's leaves within each box, on a ``Region``'s own fields with no
 ``Region`` per node, so comparisons stay near-linear in the leaves. All
 bound arithmetic is exact (Fractions).
 """
@@ -54,29 +54,43 @@ def functional_equivalence(
 
     Each model is first served as the one tree computing its function
     (``tree(cell_budget)``: a tree is itself, a forest compiles to at most
-    ``cell_budget`` leaves). Then the walk goes through ``g``'s leaf boxes
-    and, within each, through ``f``'s, checking ``f`` for constancy. Returns
-    (True, None) on equivalence, else (False, the center of the first box
-    where they differ). Raises CapacityError when a compiled tree, or the
-    leaves the walk visits in ``f``, exceed ``cell_budget``.
+    ``cell_budget`` leaves). Then the walk goes through the leaf boxes of the
+    tree with fewer leaves (``g``'s on a tie) and, within each, through the
+    other tree's, checking it for constancy. The cells visited are the same
+    either way, the overlay of the two partitions, but each outer leaf
+    restarts a descent of the inner tree from its root: the smaller tree
+    outside restarts fewer. Fastest of 200 calls on a 2-core VM, with the TRA
+    result outside against the target outside: 5.5-5.9 against 4.3-4.5 ms
+    on a depth-7 random tree (128 leaves, result 2,354), 0.67-0.80 against
+    0.42-0.47 ms on the adversarial (20,20) target (41 leaves, result 441).
+    A forest can compile to more leaves than its TRA result (231 against 105
+    for a 4-tree depth-3 forest on five axes at 1/256); there the result
+    stays outside, and the other order took 20-36% longer.
+
+    Returns (True, None) on equivalence, else (False, a point where they
+    differ, whatever the argument order: the center of the first box where
+    they do; an unknown label agrees with nothing). Raises CapacityError when
+    a compiled tree, or the cells the walk visits, exceed ``cell_budget``.
     """
     if f.schema != schema or g.schema != schema:
         raise ContractViolation("models must share the given schema")
-    f, g = f.tree(cell_budget), g.tree(cell_budget)
-    f_nodes, g_nodes = f.nodes, g.nodes
+    inner, outer = f.tree(cell_budget), g.tree(cell_budget)
+    if inner.leaf_count < outer.leaf_count:
+        inner, outer = outer, inner
+    inner_nodes, outer_nodes = inner.nodes, outer.nodes
     budget = cell_budget
     domain = full_region(schema)
-    for j, ivs, allowed in g.leaf_boxes(domain.intervals, domain.allowed):
-        label = g_nodes[j].label
+    for j, ivs, allowed in outer.leaf_boxes(domain.intervals, domain.allowed):
+        label = outer_nodes[j].label
         if label is None:
             return False, center(Region(ivs, allowed))
-        for i, ivs, allowed in f.leaf_boxes(ivs, allowed):  # f's parts of g's box
+        for i, ivs, allowed in inner.leaf_boxes(ivs, allowed):  # its parts of the outer box
             budget -= 1
             if budget < 0:
                 raise CapacityError(
                     "equivalence check exceeded its cell budget; use sampled fidelity"
                 )
-            if f_nodes[i].label != label:
+            if inner_nodes[i].label != label:
                 return False, center(Region(ivs, allowed))
     return True, None
 

@@ -33,9 +33,12 @@ asks the model its kind.
 Where the checks of a query live: ``query`` refuses a point or region whose
 arity is not the schema's. ``contains`` is the one membership test: in exact
 mode ``exact_tree_cf`` checks with it that the point lies in the region, in
-heuristic mode ``query`` does. Either way, ``query`` checks every answer
-before billing it: the counterfactual lies in the region (``contains``) and
-``predict`` gives it another label than the query's.
+heuristic mode ``query`` does. The query's label comes, in exact mode, from
+the descent itself (the first leaf it reaches holds ``x``), so the target is
+walked once per query; in heuristic mode ``query`` calls ``predict``. Either
+way, ``query`` checks every answer before billing it: the counterfactual lies
+in the region (``contains``) and ``predict`` gives it another label than the
+query's.
 """
 
 from __future__ import annotations
@@ -107,8 +110,9 @@ class QueryLog:
 
 
 def exact_tree_cf(target: TreeModel, x: Point, region: Region,
-                  dist: Distance) -> Point | None:
-    """Globally nearest label flip inside ``region`` for a single tree.
+                  dist: Distance) -> tuple[int | None, Point | None]:
+    """The label of ``x`` and the globally nearest label flip inside
+    ``region``, for a single tree: ``(label, counterfactual)``.
 
     A depth-first branch-and-bound descent of the tree, restricted to
     ``region``. Each stack entry is a node with its box (a ``Region``'s
@@ -118,12 +122,14 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
     descent follows the child on x's side in place, keeping the bound, and
     pushes only the far child, with its grown bound, when that bound can still
     tie the best distance found; so the first leaf reached is the one that
-    holds ``x`` (distance 0) and gives the query's label. A subtree is dropped
-    only when its bound is strictly greater than the best distance found, so
-    every tied label-flipping leaf is seen; the answer is the
+    holds ``x`` (distance 0), and its label is the ``label`` returned (None
+    for an unknown leaf), with no second descent. A subtree is dropped only
+    when its bound is strictly greater than the best distance found, so every
+    tied label-flipping leaf is seen; the counterfactual is the
     lexicographically smallest of their projections, whose keys are computed
     only when two of them tie. Arithmetic is in Python ints, so it is exact
-    for any grid. ``None`` certifies that no flip point exists in the region.
+    for any grid. A ``None`` counterfactual certifies that no flip point
+    exists in the region.
 
     Each box is cut as ``cut`` cuts it, written inline: the cut is fused with
     the bound of the far side and the choice of which side is near.
@@ -216,15 +222,16 @@ def exact_tree_cf(target: TreeModel, x: Point, region: Region,
             key = lex_key(point)
             if key < best_key:
                 best_point, best_key = point, key
-    return best_point
+    return y, best_point
 
 
 def exact_ensemble_cf(target: Model, x: Point, region: Region,
-                      dist: Distance, cell_cap: int) -> Point | None:
+                      dist: Distance, cell_cap: int) -> tuple[int | None, Point | None]:
     """Exact oracle for any model: ``exact_tree_cf`` on the one tree the
     model is served as (``target.tree(cell_cap)``: a tree itself, a forest
-    the tree it compiles to). The answer depends only on the prediction
-    function, so it is the model's own. Raises CapacityError when a forest
+    the tree it compiles to), and its ``(label, counterfactual)`` pair. The
+    answer depends only on the prediction function, so both are the model's
+    own: the label is ``target.predict(x)``. Raises CapacityError when a forest
     compiles to more than ``cell_cap`` leaves (use the heuristic mode then);
     the cap does not bound a tree.
     """
@@ -337,7 +344,7 @@ class CounterfactualOracle:
             np.random.SeedSequence([self.config.seed, fingerprint])
         )
 
-    def _exact(self, x: Point, region: Region) -> Point | None:
+    def _exact(self, x: Point, region: Region) -> tuple[int | None, Point | None]:
         return exact_ensemble_cf(self.target, x, region, self.distance, self.config.cell_cap)
 
     def query(self, x: Point, region: Region) -> QueryRecord:
@@ -345,12 +352,14 @@ class CounterfactualOracle:
         if (len(x.ivals) != n_iv or len(x.cats) != n_groups
                 or len(region.intervals) != n_iv or len(region.allowed) != n_groups):
             raise ContractViolation("query point or region has the wrong arity for the schema")
-        y = self.target.predict(x)
         if self.config.mode == "exact":
-            cf = self._exact(x, region)  # the descent checks that x lies in the region
+            # the descent checks that x lies in the region, and reads x's label
+            # from x's own leaf, the first it reaches
+            y, cf = self._exact(x, region)
         else:
             if not contains(region, x):
                 raise ContractViolation("query point outside the requested region")
+            y = self.target.predict(x)
             cf = heuristic_cf(self.target, x, y, region, self.training_data,
                               self.config.sample_budget, partial(self._rng_for, region))
         if cf is not None and not (contains(region, cf) and self.target.predict(cf) != y):

@@ -163,7 +163,7 @@ def false_absences(target: cx.TreeModel, records, dist: cx.Distance) -> list[int
     ``records`` (collected by a list sink) that answered "no counterfactual"
     where the exact search finds one."""
     return [rec.index for rec in records if rec.counterfactual is None
-            and cx.exact_tree_cf(target, rec.x, rec.region, dist) is not None]
+            and cx.exact_tree_cf(target, rec.x, rec.region, dist)[1] is not None]
 
 
 def region_from_json(data, schema: cx.FeatureSchema) -> cx.Region:
@@ -242,11 +242,13 @@ def reference_leaves_within(tree: cx.TreeModel, region: cx.Region):
 
 
 def reference_equivalence(f, g, schema: cx.FeatureSchema, cell_budget: int):
-    """``functional_equivalence`` on ``Region``s: the walk through ``g``'s
-    leaf regions, checking ``f`` for constancy on each within ``cell_budget``
-    leaves of ``f``; (True, None), or (False, the center of the first part
-    where they differ)."""
+    """``functional_equivalence`` on ``Region``s: the walk through the leaf
+    regions of the tree with fewer leaves (``g`` on a tie), checking the
+    other (``f``) for constancy on each within ``cell_budget`` leaves of
+    ``f``; (True, None), or (False, the center of the first part where they
+    differ)."""
     f, g = f.tree(cell_budget), g.tree(cell_budget)
+    f, g = (g, f) if f.leaf_count < g.leaf_count else (f, g)
     budget = cell_budget
     for j, region in reference_leaves_within(g, cx.full_region(schema)):
         label = g.nodes[j].label

@@ -233,7 +233,8 @@ def test_attack_trace_matches_pinned_digest(workdir, capsys, run):
     gen, method, queries, digest = TRACE_SHA256[run]
     target, trace = workdir / "t.json", workdir / "q.jsonl"
     assert run_cli("gen", *gen, "--schema", workdir / "schema.json", "--out", target) == 0
-    assert run_cli("attack", "--method", method, "--budget", "40", "--target", target,
+    budget = ["--budget", "40"] if method != "tra" else []  # TRA reads no budget
+    assert run_cli("attack", "--method", method, *budget, "--target", target,
                    "--out", workdir / "x.json", "--trace", trace) == 0
     assert capsys.readouterr().out.endswith(f"{method}: {queries} queries, extracted -> "
                                             f"{workdir / 'x.json'}\n")
@@ -471,7 +472,8 @@ def test_negative_snapshot_every_exits_2(workdir, capsys, method):
     target = workdir / "t.json"
     assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
                    "--depth", "2", "--out", target) == 0
-    assert run_cli("attack", "--method", method, "--target", target, "--budget", "40",
+    budget = ["--budget", "40"] if method == "cf" else []  # TRA reads no budget
+    assert run_cli("attack", "--method", method, "--target", target, *budget,
                    "--snapshot-every", "-5", "--out", workdir / "x.json") == 2
     assert "snapshot_every" in capsys.readouterr().err
 
@@ -678,11 +680,12 @@ def test_attack_on_a_target_with_unknown_leaves_exits_1_before_any_write(workdir
                                                     cx.SplitNode(0, 20, 0, 1)], root=2),
                   "schema.json")
     before = sorted(workdir.iterdir())
-    # pathfinding takes neither a trace nor a curve: either is a usage error of its own
-    outputs = [] if method == "pathfinding" else ["--trace", workdir / "t.jsonl",
+    # pathfinding reads no oracle, trace or curve: any of them is a usage error of its own
+    options = [] if method == "pathfinding" else ["--oracle", oracle,
+                                                  "--trace", workdir / "t.jsonl",
                                                   "--curve", workdir / "c.csv"]
-    assert run_cli("attack", "--method", method, "--oracle", oracle, "--target", target,
-                   "--out", workdir / "x.json", *outputs) == 1
+    assert run_cli("attack", "--method", method, "--target", target,
+                   "--out", workdir / "x.json", *options) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "unknown leaves" in err and err.count("\n") == 1
     assert sorted(workdir.iterdir()) == before  # no model, schema sidecar, trace or curve
@@ -704,3 +707,37 @@ def test_label_past_int64_exits_2_before_any_write(workdir, capsys):
         err = capsys.readouterr().err
         assert err == f"contract violation: leaf 1: bad label {2 ** 64}\n"
         assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("method, options", [
+    ("pathfinding", ["--oracle", "heuristic"]),
+    ("pathfinding", ["--oracle", "exact"]),  # given explicitly, even at the default
+    ("pathfinding", ["--distance", "l1"]),
+    ("pathfinding", ["--budget", "5"]),
+    ("pathfinding", ["--order", "lifo"]),
+    ("pathfinding", ["--seed", "1"]),
+    ("pathfinding", ["--snapshot-every", "5"]),
+    ("pathfinding", ["--surrogate", "tree"]),
+    ("pathfinding", ["--oracle-samples", "10"]),
+    ("pathfinding", ["--oracle-train-size", "10"]),
+    ("pathfinding", ["--fidelity-samples", "10"]),
+    ("pathfinding", ["--oracle", "heuristic", "--budget", "5", "--order", "lifo",
+                     "--distance", "l1"]),
+    ("cf", ["--order", "lifo"]),
+    ("dualcf", ["--order", "fifo"]),
+    ("tra", ["--budget", "5"]),
+    ("tra", ["--surrogate", "forest"]),
+])
+def test_attack_option_the_method_does_not_read_is_a_usage_error(workdir, capsys, method,
+                                                                   options):
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "adversarial", "--s", "2,2", "--out", target) == 0
+    capsys.readouterr()
+    before = sorted(workdir.iterdir())
+    assert run_cli("attack", "--method", method, "--target", target, *options,
+                   "--out", workdir / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"--method {method} reads no ") and err.count("\n") == 1
+    for option in options[::2]:
+        assert option in err
+    assert sorted(workdir.iterdir()) == before  # refused before any file is written

@@ -71,15 +71,29 @@ def _second_model(kind, sch, f, seed, data):
     return cx.gen_random_forest(sch, data.draw(st.integers(1, 3)), 3, seed + 1, 3)
 
 
-@given(st.sampled_from(["mixed", "grid10"]), st.integers(0, 5), st.integers(0, 2**16),
-       st.sampled_from(["tree", "same", "rebuilt", "snapshot", "forest", "forests"]),
-       st.booleans(), st.data())
-def test_equivalence_matches_the_region_reference(kind, depth, seed, other, swap, data):
+def _model_pair(kind, depth, seed, other, data):
+    """A schema and two models on it: a random tree and ``_second_model``."""
     sch = make_schema(kind)
     f = cx.gen_random_tree(sch, depth, seed, 3)
     g = _second_model(other, sch, f, seed, data)
     if other == "forests":  # a forest against a forest: f takes the place of g's first tree
         f = cx.ForestModel(sch, (f, *g.trees[1:]))
+    return sch, f, g
+
+
+def _disagree(f, g, p) -> bool:
+    """Whether ``f`` and ``g`` differ at ``p``; an unknown label agrees with nothing."""
+    a, b = f.predict(p), g.predict(p)
+    return a is None or b is None or a != b
+
+
+MODEL_PAIRS = (st.sampled_from(["mixed", "grid10"]), st.integers(0, 5), st.integers(0, 2**16),
+               st.sampled_from(["tree", "same", "rebuilt", "snapshot", "forest", "forests"]))
+
+
+@given(*MODEL_PAIRS, st.booleans(), st.data())
+def test_equivalence_matches_the_region_reference(kind, depth, seed, other, swap, data):
+    sch, f, g = _model_pair(kind, depth, seed, other, data)
     if swap:
         f, g = g, f
     budget = data.draw(st.integers(0, f.leaf_count + g.leaf_count))
@@ -97,7 +111,55 @@ def test_equivalence_matches_the_region_reference(kind, depth, seed, other, swap
     pred = f.predict_arrays(iv, cats)
     assert ok == bool(((pred == g.predict_arrays(iv, cats)) & (pred != -1)).all())
     if not ok:
-        assert g.predict(witness) is None or f.predict(witness) != g.predict(witness)
+        assert _disagree(f, g, witness)
+
+
+@given(*MODEL_PAIRS, st.data())
+def test_equivalence_verdict_is_the_same_in_either_order(kind, depth, seed, other, data):
+    sch, f, g = _model_pair(kind, depth, seed, other, data)
+    (ok, witness), (ok_swapped, witness_swapped) = (cx.functional_equivalence(f, g, sch),
+                                                    cx.functional_equivalence(g, f, sch))
+    assert ok == ok_swapped
+    for w in (witness, witness_swapped):
+        assert (w is None) == ok
+        assert ok or _disagree(f, g, w)
+
+
+def _striped_split(sch):
+    """``single_split_tree(sch, 0, 4)`` with each side cut into 10 stripes of
+    its label by a chain of splits on x2 at 0..8: the same function, 20 leaves."""
+    nodes = []
+    roots = []
+    for label in (0, 1):
+        nodes.append(cx.Leaf(label))  # x2 > 8
+        for t in range(8, -1, -1):  # the stripe x2 <= t, else the chain built so far
+            nodes.append(cx.Leaf(label))
+            nodes.append(cx.SplitNode(1, t, len(nodes) - 1, len(nodes) - 2))
+        roots.append(len(nodes) - 1)
+    nodes.append(cx.SplitNode(0, 4, *roots))
+    return cx.TreeModel(sch, nodes, root=len(nodes) - 1)
+
+
+def test_equivalence_walks_the_smaller_tree_outside(schema_grid10, monkeypatch):
+    small, big = single_split_tree(schema_grid10, 0, 4), _striped_split(schema_grid10)
+    assert (small.leaf_count, big.leaf_count) == (2, 20)
+    walks = []
+    leaf_boxes = cx.TreeModel.leaf_boxes
+
+    def counting(self, intervals, allowed):
+        walks.append(self)
+        return leaf_boxes(self, intervals, allowed)
+
+    monkeypatch.setattr(cx.TreeModel, "leaf_boxes", counting)
+    for f, g in ((small, big), (big, small)):
+        walks.clear()
+        assert cx.functional_equivalence(f, g, schema_grid10) == (True, None)
+        # one walk of the 2-leaf tree, then one of the 20-leaf tree in each of its boxes
+        assert walks == [small, big, big]
+        # the overlay has 20 cells whichever tree is outside
+        assert cx.functional_equivalence(f, g, schema_grid10, cell_budget=20) == (True, None)
+        with pytest.raises(cx.CapacityError):
+            cx.functional_equivalence(f, g, schema_grid10, cell_budget=19)
 
 
 def test_fidelity_identical_models(schema_mixed):

@@ -119,15 +119,15 @@ def test_exact_single_split_example():
                             cx.NumericFeature("x2", 0, 1, Fraction(1, 10))])
     t = single_split_tree(sch, 0, 5)
     d = cx.Distance(sch)
-    cf = cx.exact_tree_cf(t, sch.point_of("0.2", "0.9"), cx.full_region(sch), d)
-    assert cf == sch.point_of("0.6", "0.9")
+    assert cx.exact_tree_cf(t, sch.point_of("0.2", "0.9"), cx.full_region(sch), d) == (
+        0, sch.point_of("0.6", "0.9"))
 
 
 def test_exact_none_when_all_labels_match(schema_grid10):
     t = cx.TreeModel(schema_grid10, [cx.Leaf(0)])
     d = cx.Distance(schema_grid10)
     assert cx.exact_tree_cf(t, schema_grid10.point_of("0.5", "0.5"),
-                            cx.full_region(schema_grid10), d) is None
+                            cx.full_region(schema_grid10), d) == (0, None)
 
 
 def test_exact_picks_nearer_leaf(schema_grid10):
@@ -137,8 +137,8 @@ def test_exact_picks_nearer_leaf(schema_grid10):
              cx.SplitNode(0, 7, 1, 2), cx.SplitNode(0, 2, 0, 3)]
     t = cx.TreeModel(sch, nodes, root=4)
     d = cx.Distance(sch)
-    cf = cx.exact_tree_cf(t, sch.point_of("0.4", "0.5"), cx.full_region(sch), d)
-    assert cf == sch.point_of("0.2", "0.5")  # distance 0.2 beats 0.4
+    label, cf = cx.exact_tree_cf(t, sch.point_of("0.4", "0.5"), cx.full_region(sch), d)
+    assert (label, cf) == (0, sch.point_of("0.2", "0.5"))  # distance 0.2 beats 0.4
 
 
 def test_exact_tie_breaks_lexicographically():
@@ -147,7 +147,8 @@ def test_exact_tie_breaks_lexicographically():
     board = cx.gen_chessboard(sch, (1, 1))
     d = cx.Distance(sch)
     x = sch.point_of("0.25", "0.25")
-    cf = cx.exact_tree_cf(board, x, cx.full_region(sch), d)
+    label, cf = cx.exact_tree_cf(board, x, cx.full_region(sch), d)
+    assert label == board.predict(x)
     # both (0.25, 0.5+delta) and (0.5+delta, 0.25) flip at equal distance
     assert cf == sch.point_of("0.25", "0.75")
     ref_d, ref_p = brute_force_cf(board, x, cx.full_region(sch), d)
@@ -168,7 +169,7 @@ def test_exact_descends_a_box_that_already_excludes_x(schema_grid10, metric):
     d = cx.Distance(schema_grid10, metric)
     x = cx.Point((0, 0), ())
     full = cx.full_region(schema_grid10)
-    assert cx.exact_tree_cf(t, x, full, d) == cx.Point((6, 0), ())
+    assert cx.exact_tree_cf(t, x, full, d) == (0, cx.Point((6, 0), ()))
     assert brute_force_cf(t, x, full, d)[1] == cx.Point((6, 0), ())
 
 def test_ensemble_one_tree_matches_tree_oracle(schema_mixed):
@@ -179,8 +180,9 @@ def test_ensemble_one_tree_matches_tree_oracle(schema_mixed):
     for _ in range(50):
         region = random_subregion(schema_mixed, rng)
         x = cx.sample_point(region, rng)
-        a = cx.exact_tree_cf(t, x, region, d)
-        b = cx.exact_ensemble_cf(forest, x, region, d, cell_cap=100_000)
+        label_a, a = cx.exact_tree_cf(t, x, region, d)
+        label_b, b = cx.exact_ensemble_cf(forest, x, region, d, cell_cap=100_000)
+        assert label_a == label_b == t.predict(x)
         if a is None:
             assert b is None
         else:
@@ -205,7 +207,8 @@ def test_exact_oracle_matches_brute_force_tree():
         for _ in range(120):
             region = random_subregion(sch, rng)
             x = cx.sample_point(region, rng)
-            got = cx.exact_tree_cf(t, x, region, d)
+            label, got = cx.exact_tree_cf(t, x, region, d)
+            assert label == t.predict(x)
             ref = brute_force_cf(t, x, region, d)
             if ref is None:
                 assert got is None
@@ -223,7 +226,8 @@ def test_exact_oracle_matches_brute_force_forest():
     for _ in range(120):
         region = random_subregion(sch, rng)
         x = cx.sample_point(region, rng)
-        got = cx.exact_ensemble_cf(f, x, region, d, cell_cap=200_000)
+        label, got = cx.exact_ensemble_cf(f, x, region, d, cell_cap=200_000)
+        assert label == f.predict(x)
         ref = brute_force_cf(f, x, region, d)
         if ref is None:
             assert got is None
@@ -241,7 +245,8 @@ def test_exact_oracle_l1_matches_brute_force():
     for _ in range(80):
         region = random_subregion(sch, rng)
         x = cx.sample_point(region, rng)
-        got = cx.exact_tree_cf(t, x, region, d)
+        label, got = cx.exact_tree_cf(t, x, region, d)
+        assert label == t.predict(x)
         ref = brute_force_cf(t, x, region, d)
         if ref is None:
             assert got is None
@@ -282,13 +287,14 @@ def test_exact_tree_cf_matches_brute_force_point_for_point(
         region = random_subregion(sch, rng)
     for _ in range(10):
         x = cx.sample_point(region, rng)
-        got = cx.exact_tree_cf(t, x, region, d)
+        label, got = cx.exact_tree_cf(t, x, region, d)
+        assert label == t.predict(x)
         ref = brute_force_cf(t, x, region, d)
         if inside_leaf:
             assert ref is None
         assert got == (None if ref is None else ref[1])
         # the ensemble oracle serves a tree as itself: its cap bounds only a forest
-        assert cx.exact_ensemble_cf(t, x, region, d, cell_cap=1) == got
+        assert cx.exact_ensemble_cf(t, x, region, d, cell_cap=1) == (label, got)
 
 
 # Five levels per axis and a three-way group: under L1 every term is a small
@@ -316,7 +322,8 @@ def test_exact_tree_cf_matches_brute_force_on_partial_trees_and_ties(
             for _ in range(10):
                 x = cx.sample_point(region, rng)
                 ref = brute_force_cf(tree, x, region, d)
-                assert cx.exact_tree_cf(tree, x, region, d) == (None if ref is None else ref[1])
+                assert cx.exact_tree_cf(tree, x, region, d) == (
+                    tree.predict(x), None if ref is None else ref[1])
 
 
 def test_exact_tree_cf_unknown_leaves_never_agree(schema_grid10):
@@ -327,9 +334,9 @@ def test_exact_tree_cf_unknown_leaves_never_agree(schema_grid10):
     d = cx.Distance(schema_grid10)
     full = cx.full_region(schema_grid10)
     inside_unknown = schema_grid10.point_of("0.1", "0.5")
-    assert cx.exact_tree_cf(t, inside_unknown, full, d) == inside_unknown
+    assert cx.exact_tree_cf(t, inside_unknown, full, d) == (None, inside_unknown)
     for x in (inside_unknown, schema_grid10.point_of("0.5", "0.5")):
-        assert cx.exact_tree_cf(t, x, full, d) == brute_force_cf(t, x, full, d)[1]
+        assert cx.exact_tree_cf(t, x, full, d) == (t.predict(x), brute_force_cf(t, x, full, d)[1])
 
 
 # -- line search and local optimality ----------------------------------------------
@@ -384,7 +391,7 @@ def test_exact_outputs_verify_locally_optimal(schema_mixed):
         for _ in range(40):
             region = random_subregion(schema_mixed, rng)
             x = cx.sample_point(region, rng)
-            cf = cx.exact_tree_cf(t, x, region, d)
+            _, cf = cx.exact_tree_cf(t, x, region, d)
             if cf is not None:
                 assert verify_local_optimality(t, x, cf, d)
 
@@ -410,6 +417,24 @@ def random_model(schema, forest_trees: int, depth: int, n_classes: int, seed: in
     if forest_trees:
         return cx.gen_random_forest(schema, forest_trees, depth, seed, n_classes)
     return cx.gen_random_tree(schema, depth, seed, n_classes)
+
+
+@given(kind=st.sampled_from(["mixed", "groups2", "small3"]),
+       forest_trees=st.integers(0, 5), depth=st.integers(0, 4),
+       n_classes=st.sampled_from([2, 3]), metric=st.sampled_from(["l2", "l1"]),
+       model_seed=st.integers(0, 2**16), rng_seed=st.integers(0, 2**32 - 1))
+def test_exact_query_bills_the_label_predict_gives(kind, forest_trees, depth, n_classes,
+                                                   metric, model_seed, rng_seed):
+    # in exact mode the billed label is read from the descent's first leaf
+    # (for a forest, a leaf of the tree it compiles to), not from predict
+    schema = make_schema(kind)
+    model = random_model(schema, forest_trees, depth, n_classes, model_seed)
+    oracle = cx.CounterfactualOracle(model, cx.OracleConfig(distance=metric))
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(10):
+        region = random_subregion(schema, rng)
+        x = cx.sample_point(region, rng)
+        assert oracle.query(x, region).label == model.predict(x)
 
 
 @given(kind=st.sampled_from(["mixed", "groups2", "small3"]),
@@ -566,7 +591,7 @@ import cfextract as cx
 schema = cx.FeatureSchema([cx.NumericFeature("x", 0, 1, "1/8")])
 tree = cx.TreeModel(schema, [cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 3, 0, 1)], root=2)
 oracle = cx.CounterfactualOracle(tree)
-oracle._exact = lambda x, region: cx.Point(({cf},), ())
+oracle._exact = lambda x, region: (0, cx.Point(({cf},), ()))
 oracle.query(cx.Point((0,), ()), cx.Region(((0, 3),), ()))
 """
 
