@@ -10,17 +10,22 @@ record.
 CF trains a surrogate on (query, label) pairs augmented with the returned
 counterfactuals; DualCF additionally queries the counterfactual of each
 counterfactual, paying one extra call per round. Neither certifies
-functional equivalence; their outputs are tagged non-certified.
+functional equivalence; their outputs are tagged non-certified. A snapshot's
+surrogate is the one trained on the pairs gathered before it. The attack
+notes only how many pairs each snapshot covers, and trains all the snapshots'
+surrogates when its rounds end: tree surrogates together, as prefixes of one
+training set (``cart.train_prefixes``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .cart import TrainConfig, train_forest, train_tree
+from .cart import TrainConfig, train_forest, train_prefixes
 from .errors import ContractViolation, UnsupportedModelError
 from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
 from .oracles import CounterfactualOracle
@@ -41,6 +46,14 @@ class AttackBudget:
 def default_budget(target: Model) -> AttackBudget:
     """50 queries per node of the target."""
     return AttackBudget(50 * stats(target).node_count)
+
+
+class _Mark(NamedTuple):
+    """A surrogate snapshot before training: its billed query count, and the
+    number of training points it covers."""
+
+    queries: int
+    size: int
 
 
 @dataclass(frozen=True)
@@ -162,18 +175,24 @@ def _boundary(seed: Point, axis: int, start: int, limit: int, seed_id: int,
 # -- CF / DualCF -----------------------------------------------------------------
 
 
-def _train_surrogate(schema: FeatureSchema, points, labels,
-                     spec: SurrogateSpec) -> Model:
-    if not points:
-        return TreeModel(schema, [Leaf(0)], 0)
+def _train_surrogates(schema: FeatureSchema, points, labels, sizes,
+                      spec: SurrogateSpec) -> list[Model]:
+    """The surrogate trained on each prefix of ``sizes`` points: the trees
+    all in one ``train_prefixes`` call, a forest per prefix."""
+    if not points:  # no round ran: the constant surrogate
+        return [TreeModel(schema, [Leaf(0)], 0) for _ in sizes]
     if spec.kind == "forest":
-        return train_forest(schema, points, labels, spec.train)
-    return train_tree(schema, points, labels, spec.train)
+        return [train_forest(schema, points[:n], labels[:n], spec.train) for n in sizes]
+    return train_prefixes(schema, points, labels, sizes, spec.train)
 
 
 def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                       surrogate: SurrogateSpec, seed: int, snapshot_every: int,
                       dual: bool) -> AttackResult:
+    """Query rounds until the budget is spent. A snapshot records only its
+    query count and how many training points it covers; when the rounds end,
+    still within the attack, the surrogates of all snapshots are trained
+    together."""
     if snapshot_every < 0:
         raise ContractViolation("snapshot_every must be >= 0")
     schema = oracle.schema
@@ -182,11 +201,10 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
     binary = len(oracle.labels) == 2
     pts: list[Point] = []
     lbls: list[int] = []
-    snapshots: list[Snapshot] = []
+    marks: list[_Mark] = []
 
-    def snapshot() -> Snapshot:
-        return Snapshot(oracle.log.count, _train_surrogate(schema, pts, lbls, surrogate),
-                        Fraction(0))
+    def mark() -> _Mark:
+        return _Mark(oracle.log.count, len(pts))
 
     while oracle.log.count < budget.max_queries:
         x = sample_point(domain, rng)
@@ -206,9 +224,11 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
                 break
             pts.append(cf)
             lbls.append(label)
-        take_snapshot(snapshots, oracle.log.count, snapshot_every, snapshot)
+        take_snapshot(marks, oracle.log.count, snapshot_every, mark)
 
-    take_snapshot(snapshots, oracle.log.count, 1, snapshot)  # the final one
+    take_snapshot(marks, oracle.log.count, 1, mark)  # the final one
+    models = _train_surrogates(schema, pts, lbls, [m.size for m in marks], surrogate)
+    snapshots = [Snapshot(m.queries, model, Fraction(0)) for m, model in zip(marks, models)]
     return AttackResult(
         model=snapshots[-1].model,
         log=oracle.log,

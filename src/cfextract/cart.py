@@ -2,14 +2,30 @@
 
 Gini impurity, candidate thresholds at floor midpoints between consecutive
 distinct grid values, and a deterministic tie-break toward the lowest global
-axis then lowest threshold. A node scores every interval axis of its pool in
-one vectorised pass: one stable sort of its n x a block of values, one cumsum
-of one-hot class counts, one score matrix. The float scores are only a
-pre-filter: the cuts within a relative 1e-9 of the node's best float score
-are re-checked by exact cross-multiplication in Python ints (no float ties,
-no int64 overflow). The labels are encoded as 0..k-1 once per training, with
-one one-hot table that every node reads its class counts from. Trees grow
-through ``models.grow``.
+axis then lowest threshold. A one-hot category is read as a 0/1 column with
+one cut, so both kinds of axis are scored alike.
+
+One kernel, ``_Samples.best_cuts``, scores every cut of a batch of nodes at
+once, one global axis at a time. It sorts the batch's rows by one argsort
+keyed by (node, dense rank of the value), so each node's rows come out
+sorted and contiguous. Per class, one cumsum over the whole batch, corrected
+to each node's start, gives every cut's left counts, and
+``np.fmax.reduceat`` takes each node's best float score. The float scores
+are only a shortlist: the cuts within a relative 1e-9 of their node's best
+float score are re-checked by exact cross-multiplication in Python ints, so
+no tie-break rests on a float. The labels are encoded as 0..k-1 once per
+training set. A batch holds only the arrays of the axis it scores, each one
+row long per sample row of the batch.
+
+``train_prefixes`` grows the trees of several prefixes of one training set
+together and breadth-first, as SLIQ does (Mehta, Agrawal & Rissanen, 1996):
+each depth is one kernel call over every open node of every prefix. Each
+tree is then assembled from its nodes' recorded decisions through
+``models.grow``, so its nodes come out in the order of a depth-first build.
+``train_tree`` is its one-prefix case. A forest's trees still grow depth
+first, one node per kernel call. Each split draws its sqrt(m) axes from the
+tree's generator, and those draws have always come in pre-order, so a seed
+keeps giving the same forest.
 
 Cost-complexity pruning computes a tree's weakest-link path once: the nested
 sequence of subtrees that collapsing the cheapest links in turn produces
@@ -49,131 +65,220 @@ def _square_sum(counts: np.ndarray) -> int:
     return sum(c * c for c in counts.tolist())
 
 
-class _Builder:
-    def __init__(self, schema: FeatureSchema, iv: np.ndarray, cats: np.ndarray,
-                 labels: np.ndarray, config: TrainConfig, rng=None):
+def _band(top):
+    """The lowest float score a cut may have to be checked exactly, given its
+    node's best: the float scores are within a few ulps of the exact ones,
+    so a relative 1e-9 band below the maximum holds every cut that can win."""
+    return top * (1 - 1e-9)
+
+
+class _Samples:
+    """One training set, encoded once for every node that ``best_cuts`` scores.
+
+    Every global axis is read as one int column, ``values[g]``, that a cut
+    (g, t) sends left where it is <= t: an interval axis's grid index, and
+    for a one-hot category 0 where a row has it and 1 where not (its one cut
+    has t = 0). ``ranks[g]`` holds the column's dense ranks.
+    """
+
+    def __init__(self, schema: FeatureSchema, points: Sequence[Point],
+                 labels: Sequence[int], config: TrainConfig):
+        if len(points) == 0:
+            raise ContractViolation("training needs at least one sample")
+        if len(points) != len(labels):
+            raise ContractViolation("points and labels disagree in length")
+        if config.max_depth is not None and config.max_depth < 0:
+            raise ContractViolation("max_depth must be >= 0")
+        iv, cats = points_to_arrays(schema, points)
+        y = np.asarray(labels, dtype=np.int64)
+        if y.min() < 0:
+            raise ContractViolation("labels must be non-negative ints")
         self.schema = schema
-        self.iv = iv
-        self.cats = cats
-        self.labels = labels
-        # labels encoded once as 0..k-1 (ascending ids) with a one-hot table;
-        # a class absent from a node adds zero columns, which change no score
-        self.classes, self.codes = np.unique(labels, return_inverse=True)
-        self.onehot = self.codes[:, None] == np.arange(len(self.classes))
         self.config = config
-        self.rng = rng
-        # a forest's trees (the ones given an rng) see sqrt(m) axes per split
-        self.n_sub = max(1, int(math.sqrt(schema.m))) if rng is not None else schema.m
+        # labels encoded once as 0..k-1 (ascending ids); a class absent from
+        # a node adds zero counts, which change no score
+        self.classes, self.codes = np.unique(y, return_inverse=True)
+        self.onehot = (self.codes[:, None] == np.arange(len(self.classes))).astype(np.int64)
+        self.values = np.array([iv[:, e[1]] if e[0] == "i" else cats[:, e[1]] != e[2]
+                                for e in schema.axis_table], dtype=np.int64)
+        self.ranks = np.array([np.unique(col, return_inverse=True)[1] for col in self.values])
+        # a (node, rank) key sorts the rows of many nodes at once
+        self.n_ranks = int(self.ranks.max(initial=0)) + 1
 
-    def _axis_pool(self) -> list[int]:
-        m = self.schema.m
-        if self.n_sub >= m:
-            return list(range(m))
-        picked = self.rng.choice(m, size=self.n_sub, replace=False)
-        return sorted(int(a) for a in picked)
+    def deeper(self, depth: int) -> bool:
+        return self.config.max_depth is None or depth < self.config.max_depth
 
-    def _best_split(self, idx: np.ndarray):
-        """Best (num, den, global_axis, tie_t, test) over candidate cuts, or None;
-        ``test`` is the cut's node test, its children unattached.
+    def test(self, g: int, t: int):
+        """The node test of cut (g, t), its children unattached."""
+        entry = self.schema.axis_table[g]
+        return SplitNode(entry[1], t) if entry[0] == "i" else CatNode(entry[1], entry[2])
 
-        The score maximized is sum_side (sum_c count_c^2) / n_side, compared
-        exactly by cross-multiplication in Python ints. Only cuts at least as
-        good as the unsplit parent qualify.
+    def _axis_cuts(self, g: int, rows, starts, sizes, totals, n_l, n_r, top):
+        """The cuts on global axis ``g`` in each node of a batch, one after
+        each of its rows sorted by value: each node's best float score, and
+        the shortlist (node, s_l, n_l, s_r, t, score) of the cuts within the
+        band below ``top`` raised by it. s_l and s_r are the exact
+        sum_c count_c^2 of the rows up to the cut in its node and after it."""
+        key = np.repeat(np.arange(len(sizes)) * self.n_ranks, sizes) + self.ranks[g, rows]
+        # rows of equal value may come in any order: no cut falls between them
+        srows = rows[np.argsort(key)]
+        del key
+        codes = self.codes[srows]
+        s_l = np.zeros(len(rows), dtype=np.int64)
+        s_r = np.zeros(len(rows), dtype=np.int64)
+        for c in range(totals.shape[1]):
+            hit = codes == c
+            left = np.cumsum(hit)
+            left -= np.repeat(left[starts] - hit[starts], sizes)  # the counts before each node
+            right = np.repeat(totals[:, c], sizes)
+            right -= left
+            left *= left
+            s_l += left
+            right *= right
+            s_r += right
+        del codes, hit, left, right
+        vals = self.values[g, srows]
+        del srows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = s_l / n_l
+            score += s_r / n_r
+        # a cut exists only where the value changes within a node
+        ok = n_r > 0
+        ok[:-1] &= vals[1:] != vals[:-1]
+        score[~ok] = np.nan
+        node_max = np.fmax.reduceat(score, starts)
+        j = np.flatnonzero(score >= np.repeat(_band(np.fmax(top, node_max)), sizes))
+        # t = floor((v_j + v_j+1) / 2), without overflowing int64
+        t = vals[j] + (vals[j + 1] - vals[j]) // 2
+        return node_max, (np.searchsorted(starts, j, side="right") - 1, s_l[j], n_l[j], s_r[j],
+                          t, score[j])
+
+    def best_cuts(self, rows: np.ndarray, sizes: np.ndarray, totals: np.ndarray,
+                  pool) -> list:
+        """The best cut (g, t) of each node of a batch over the global axes
+        ``pool``, or None where no cut exists.
+
+        ``rows`` concatenates the nodes' sample rows, ``sizes`` counts them
+        and ``totals`` holds each node's class counts. The score maximized is
+        sum_side (sum_c count_c^2) / n_side, compared exactly by
+        cross-multiplication in Python ints, and ties go to the lowest
+        (g, t). Only cuts at least as good as the unsplit parent qualify.
         """
-        n = len(idx)
-        y = self.codes[idx]
-        k = len(self.classes)
-        total = np.bincount(y, minlength=k)
-        s_parent = _square_sum(total)
-        best = None  # (num, den, global_axis, tie_t, test)
-
-        def consider(s_l, n_l, s_r, n_r, g_axis, tie_t, test):
-            nonlocal best
-            num = s_l * n_r + s_r * n_l
-            den = n_l * n_r
-            # impure nodes split on the best candidate even at zero gain
-            # (XOR-style patterns need the zero-gain first cut)
-            if num * n < s_parent * den:
-                return
-            if best is not None:
-                b_num, b_den, b_axis, b_t, _ = best
-                lhs = num * b_den
-                rhs = b_num * den
-                if lhs < rhs or (lhs == rhs and (g_axis, tie_t) >= (b_axis, b_t)):
-                    return
-            best = (num, den, g_axis, tie_t, test)
-
-        pool = self._axis_pool()
-        table = self.schema.axis_table
-        axes = [g for g in pool if table[g][0] == "i"]
-        if axes:
-            ivxs = [table[g][1] for g in axes]
-            block = self.iv[idx][:, ivxs]  # n x a
-            order = np.argsort(block, axis=0, kind="stable")
-            sv = np.take_along_axis(block, order, axis=0)
-            # left[j, a]: class counts of sorted positions <= j in column a
-            left = np.cumsum(self.onehot[idx[order]], axis=0)[:-1]
-            lf = left.astype(np.float64)
-            rf = total - lf
-            n_l = np.arange(1.0, n)[:, None]
-            score = (np.einsum("jac,jac->ja", lf, lf) / n_l
-                     + np.einsum("jac,jac->ja", rf, rf) / (n - n_l))
-            # a cut after sorted position j exists only where the value changes
-            score[sv[1:] == sv[:-1]] = -np.inf
-            top = score.max()
-            # the float scores are within a few ulps of the exact ones, so the
-            # relative 1e-9 band below the node's maximum holds every cut that
-            # can win; consider() then decides among them exactly
-            if top > -np.inf:
-                for j, a in np.argwhere(score >= top - 1e-9 * top).tolist():
-                    t = (int(sv[j, a]) + int(sv[j + 1, a])) // 2
-                    consider(_square_sum(left[j, a]), j + 1, _square_sum(total - left[j, a]),
-                             n - j - 1, axes[a], t, SplitNode(ivxs[a], t))
-        for g_axis in pool:
-            entry = table[g_axis]
-            if entry[0] == "g":
-                _, gi, c = entry
-                mask = self.cats[idx, gi] == c
-                n_l = int(mask.sum())
-                if n_l == 0 or n_l == n:
+        starts = np.cumsum(sizes) - sizes
+        # per sorted row, the sizes of the two sides of a cut after it
+        n_l = np.arange(len(rows)) - np.repeat(starts - 1, sizes)
+        n_r = np.repeat(sizes, sizes) - n_l
+        top = np.full(len(sizes), -np.inf)
+        found = []  # per axis, its shortlist
+        for g in pool:
+            node_max, cut = self._axis_cuts(g, rows, starts, sizes, totals, n_l, n_r, top)
+            top = np.fmax(top, node_max)
+            if len(cut[0]):
+                found.append((g, cut))
+        best = [None] * len(sizes)  # (num, den, g, t) of each node
+        n = sizes.tolist()
+        s_parent = [_square_sum(t) for t in totals]
+        for g, cut in found:
+            keep = cut[-1] >= _band(top[cut[0]])
+            for s, sl, nl, sr, t in zip(*(f[keep].tolist() for f in cut[:-1])):
+                nr = n[s] - nl
+                num = sl * nr + sr * nl
+                den = nl * nr
+                # impure nodes split on the best candidate even at zero gain
+                # (XOR-style patterns need the zero-gain first cut)
+                if num * n[s] < s_parent[s] * den:
                     continue
-                lc = np.bincount(y[mask], minlength=k)
-                consider(_square_sum(lc), n_l, _square_sum(total - lc), n - n_l,
-                         g_axis, 0, CatNode(gi, c))
-        return best
+                b = best[s]
+                if b is not None:
+                    lhs = num * b[1]
+                    rhs = b[0] * den
+                    if lhs < rhs or (lhs == rhs and (g, t) >= (b[2], b[3])):
+                        continue
+                best[s] = (num, den, g, t)
+        return [None if b is None else b[2:] for b in best]
 
-    def expand(self, item):
-        """``grow``'s step on (sample indices, depth): a leaf, or a split."""
-        idx, depth = item
-        codes = self.codes[idx]
-        max_depth = self.config.max_depth
-        best = None
-        if codes.min() < codes.max() and (max_depth is None or depth < max_depth):
-            best = self._best_split(idx)
-        if best is None:
-            # the majority class, the lowest id on ties
-            return Leaf(int(self.classes[np.bincount(codes).argmax()]))
-        test = best[-1]
-        mask = test.left_mask(self.iv, self.cats, idx)
-        return test, (idx[mask], depth + 1), (idx[~mask], depth + 1)
+
+def train_prefixes(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[int],
+                   sizes: Sequence[int], config: TrainConfig = TrainConfig()) -> list[TreeModel]:
+    """For each ``n`` in ``sizes``, the tree ``train_tree`` grows on the
+    first ``n`` points and labels.
+
+    The trees grow together, one depth at a time: each depth scores every
+    open node of every tree in one kernel call. ``decisions[i]`` records
+    node ``i``'s leaf or its test and two child nodes, and ``grow`` then
+    assembles each tree from its root's record.
+    """
+    data = _Samples(schema, points, labels, config)
+    sizes = [int(n) for n in sizes]
+    if any(not 1 <= n <= len(points) for n in sizes):
+        raise ContractViolation(f"prefix sizes must lie in 1..{len(points)}")
+    decisions: list = [None] * len(sizes)
+    ids = list(range(len(sizes)))  # the open nodes of this depth
+    counts = np.array(sizes, dtype=np.int64)  # their rows, concatenated in ``rows``
+    rows = np.concatenate([np.arange(n) for n in sizes] or [np.arange(0)])
+    pool = range(schema.m)
+    depth = 0
+    while ids:
+        totals = np.add.reduceat(data.onehot[rows], np.cumsum(counts) - counts)
+        search = (np.count_nonzero(totals, axis=1) > 1) & data.deeper(depth)
+        cuts = [None] * len(ids)
+        if search.any():
+            found = data.best_cuts(rows[np.repeat(search, counts)], counts[search],
+                                   totals[search], pool)
+            for s, cut in zip(np.flatnonzero(search).tolist(), found):
+                cuts[s] = cut
+        split = np.array([cut is not None for cut in cuts])
+        children = []
+        # a leaf's label: the majority class, the lowest id on ties
+        for i, cut, label in zip(ids, cuts, data.classes[totals.argmax(axis=1)].tolist()):
+            if cut is None:
+                decisions[i] = Leaf(label)
+            else:
+                decisions[i] = (data.test(*cut), len(decisions), len(decisions) + 1)
+                children += decisions[i][1:]
+                decisions += (None, None)
+        if not children:
+            break
+        # each split node's rows, to its left child and then its right one
+        rows, counts = rows[np.repeat(split, counts)], counts[split]
+        g, t = np.array([cut for cut in cuts if cut is not None]).T
+        node = np.repeat(np.arange(len(counts)), counts)
+        child = 2 * node + (data.values[g[node], rows] > t[node])
+        rows, counts = rows[np.argsort(child)], np.bincount(child, minlength=len(children))
+        ids = children
+        depth += 1
+    return [TreeModel(schema, *grow(root, decisions.__getitem__)) for root in range(len(sizes))]
 
 
 def train_tree(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[int],
                config: TrainConfig = TrainConfig(), _rng=None,
                _subsample=None) -> TreeModel:
-    if len(points) == 0:
-        raise ContractViolation("training needs at least one sample")
-    if len(points) != len(labels):
-        raise ContractViolation("points and labels disagree in length")
-    if config.max_depth is not None and config.max_depth < 0:
-        raise ContractViolation("max_depth must be >= 0")
-    iv, cats = points_to_arrays(schema, points)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.min() < 0:
-        raise ContractViolation("labels must be non-negative ints")
+    """A CART tree on ``points`` and ``labels``. A forest's trees pass the
+    generator ``_rng``, which draws sqrt(m) axes for each split, and the
+    bootstrap rows ``_subsample``; they grow depth first, in pre-order."""
+    if _rng is None and _subsample is None:
+        return train_prefixes(schema, points, labels, [len(points)], config)[0]
+    data = _Samples(schema, points, labels, config)
+    m = schema.m
+    n_sub = m if _rng is None else max(1, int(math.sqrt(m)))
+    k = len(data.classes)
+
+    def expand(item):
+        """``grow``'s step on (sample rows, depth): a leaf, or a split."""
+        idx, depth = item
+        totals = np.bincount(data.codes[idx], minlength=k)
+        cut = None
+        if np.count_nonzero(totals) > 1 and data.deeper(depth):
+            pool = (range(m) if n_sub >= m
+                    else sorted(_rng.choice(m, size=n_sub, replace=False).tolist()))
+            cut = data.best_cuts(idx, np.array([len(idx)]), totals[None], pool)[0]
+        if cut is None:  # the majority class, the lowest id on ties
+            return Leaf(int(data.classes[totals.argmax()]))
+        mask = data.values[cut[0], idx] <= cut[1]
+        return data.test(*cut), (idx[mask], depth + 1), (idx[~mask], depth + 1)
+
     idx = np.arange(len(points)) if _subsample is None else _subsample
-    builder = _Builder(schema, iv, cats, y, config, rng=_rng)
-    return TreeModel(schema, *grow((idx, 0), builder.expand))
+    return TreeModel(schema, *grow((idx, 0), expand))
 
 
 def train_forest(schema: FeatureSchema, points: Sequence[Point],

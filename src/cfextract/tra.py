@@ -84,11 +84,13 @@ class Snapshot:
                 f"certified_fraction={self.certified_fraction})")
 
 
-def take_snapshot(snapshots: list[Snapshot], queries: int, every: int, take) -> None:
+def take_snapshot(snapshots: list, queries: int, every: int, take) -> None:
     """Append ``take()`` once the billed count ``queries`` has passed a
     multiple of ``every`` (if not 0) since the last snapshot. Every attack
     snapshots by this rule, and at its end by it with ``every`` 1: a final
-    snapshot unless the last is already at the final count."""
+    snapshot unless the last is already at the final count. A snapshot need
+    only have its ``queries``: the surrogate attacks take marks that they
+    train into snapshots when they end."""
     last = snapshots[-1].queries if snapshots else 0
     if every and queries // every > last // every:
         snapshots.append(take())
@@ -145,9 +147,12 @@ class ExtractionState:
         self.queue.append((full_region(self.schema), 0))
 
     @property
-    def certified_fraction(self) -> Fraction:
-        """Share of grid volume inside finalized leaves; lower-bounds uniform
-        fidelity at any point of the run."""
+    def finalized_fraction(self) -> Fraction:
+        """Share of grid volume inside finalized leaves. Under the exact
+        oracle a region is finalized only when no other label occurs in it,
+        so the share is certified and lower-bounds uniform fidelity at any
+        point of the run. A heuristic oracle finalizes the regions where its
+        search missed a counterfactual too, so there it certifies nothing."""
         return Fraction(self.finalized_volume, self.total_volume)
 
     def pop(self) -> tuple[Region, int]:
@@ -203,8 +208,10 @@ class ExtractionState:
         self.push(pieces[-1], slot)
 
     def snapshot(self) -> Snapshot:
-        return Snapshot(self.oracle.log.count, None, self.certified_fraction,
-                        state=self, size=len(self.nodes))
+        """The run now. Its certified fraction is the finalized share under
+        the exact oracle, and 0 under a heuristic one."""
+        certified = self.finalized_fraction if self.oracle.config.mode == "exact" else Fraction(0)
+        return Snapshot(self.oracle.log.count, None, certified, state=self, size=len(self.nodes))
 
     def materialize(self, queries: int | None = None, size: int | None = None) -> TreeModel:
         """The tree after ``queries`` billed queries, when the store held
@@ -263,9 +270,9 @@ def tra_extract(
             take_snapshot(snapshots, oracle.log.count, snapshot_every, state.snapshot)
 
     take_snapshot(snapshots, oracle.log.count, 1, state.snapshot)  # the final one
-    if state.certified_fraction != 1:
+    if state.finalized_fraction != 1:
         raise ContractViolation(
-            f"the queue drained with only {state.certified_fraction} of the grid "
+            f"the queue drained with only {state.finalized_fraction} of the grid "
             "volume in finalized leaves"
         )
     return AttackResult(

@@ -4,8 +4,10 @@ The brute-force counterfactual search below enumerates every grid point of a
 region and is deliberately independent of the projection-based oracle it
 checks against, and ``verify_local_optimality`` checks a counterfactual
 against its one-step neighbours. ``region_from_json`` reads back the regions
-a query trace records. ``reference_best_split`` is the per-cut CART split search
-that the vectorised one in ``cfextract.cart`` must reproduce exactly;
+a query trace records. ``reference_train_tree`` grows a CART tree one node at a
+time, recursively, with ``reference_best_split``, a per-cut split search in
+exact ints; the level-wise batch kernel in ``cfextract.cart`` must reproduce
+its trees exactly;
 ``reference_cost_complexity_prune`` re-derives the weakest links for one
 penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``reference_line_search`` is the line search with one ``predict`` per probe,
@@ -308,15 +310,50 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def reference_best_split(builder, idx: np.ndarray):
-    """Per-sample split search for ``cart._Builder``: the same result as
-    ``_Builder._best_split``, one candidate cut at a time in exact ints.
+def reference_train_tree(schema, points, labels, config=cx.TrainConfig(), _rng=None,
+                         _subsample=None):
+    """``cx.train_tree`` one node at a time: a recursive build, and a split
+    search over one candidate cut at a time in exact ints.
 
-    Install it with ``monkeypatch.setattr(cart._Builder, "_best_split", ...)``.
+    It takes ``train_tree``'s arguments, so it can stand in for it inside
+    ``cx.train_forest``: ``_rng`` draws each split's sqrt(m) axes in
+    pre-order, and ``_subsample`` gives the bootstrap rows.
     """
-    labels = builder.labels[idx]
+    iv = np.array([p.ivals for p in points], dtype=np.int64).reshape(len(points), -1)
+    cats = np.array([p.cats for p in points], dtype=np.int64).reshape(len(points), -1)
+    labels = np.asarray(labels, dtype=np.int64)
+    m = schema.m
+    n_sub = m if _rng is None else max(1, int(np.sqrt(m)))
+    nodes = []
+
+    def build(idx, depth):
+        """The index of the subtree grown on ``idx``; children before parents."""
+        ys = labels[idx].tolist()
+        if len(set(ys)) > 1 and (config.max_depth is None or depth < config.max_depth):
+            pool = (list(range(m)) if n_sub >= m
+                    else sorted(int(a) for a in _rng.choice(m, size=n_sub, replace=False)))
+            best = reference_best_split(schema, iv, cats, labels, idx, pool)
+            if best is not None:
+                test = best[-1]
+                mask = test.left_mask(iv, cats, idx)
+                left = build(idx[mask], depth + 1)
+                right = build(idx[~mask], depth + 1)
+                nodes.append(test.with_children(left, right))
+                return len(nodes) - 1
+        # the majority label, the lowest one on ties
+        nodes.append(cx.Leaf(min(set(ys), key=lambda y: (-ys.count(y), y))))
+        return len(nodes) - 1
+
+    idx = np.arange(len(points)) if _subsample is None else np.asarray(_subsample)
+    root = build(idx, 0)
+    return cx.TreeModel(schema, nodes, root)
+
+
+def reference_best_split(schema, iv, cats, labels, idx: np.ndarray, pool):
+    """Best (num, den, global_axis, tie_t, test) over the cuts of the rows
+    ``idx`` on the axes ``pool``, one candidate cut at a time in exact ints."""
     n = len(idx)
-    classes, y = np.unique(labels, return_inverse=True)
+    classes, y = np.unique(labels[idx], return_inverse=True)
     k = len(classes)
     total = np.bincount(y, minlength=k)
     s_parent = int((total.astype(object) ** 2).sum())
@@ -336,11 +373,11 @@ def reference_best_split(builder, idx: np.ndarray):
                 return
         best = (num, den, g_axis, tie_t, spec)
 
-    for g_axis in builder._axis_pool():
-        entry = builder.schema.axis_table[g_axis]
+    for g_axis in pool:
+        entry = schema.axis_table[g_axis]
         if entry[0] == "i":
             ivx = entry[1]
-            col = builder.iv[idx, ivx]
+            col = iv[idx, ivx]
             order = np.argsort(col, kind="stable")
             sv = col[order]
             sy = y[order]
@@ -359,7 +396,7 @@ def reference_best_split(builder, idx: np.ndarray):
                     consider(int(s_l), n_l, s_r, n - n_l, g_axis, t, cx.SplitNode(ivx, t))
         else:
             _, gi, c = entry
-            col = builder.cats[idx, gi]
+            col = cats[idx, gi]
             mask = col == c
             n_l = int(mask.sum())
             if n_l == 0 or n_l == n:

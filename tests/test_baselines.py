@@ -197,9 +197,9 @@ def test_surrogate_fidelity_reasonable(schema_mixed):
 @pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])
 def test_final_surrogate_is_trained_once(schema_mixed, monkeypatch, attack):
     calls = []
-    train = cx.baselines.train_tree
-    monkeypatch.setattr(cx.baselines, "train_tree",
-                        lambda *args: calls.append(1) or train(*args))
+    train = cx.baselines.train_prefixes
+    monkeypatch.setattr(cx.baselines, "train_prefixes",
+                        lambda *args: calls.extend(args[3]) or train(*args))
     target = cx.gen_random_tree(schema_mixed, depth=4, seed=7)
     res = attack(cx.CounterfactualOracle(target), cx.AttackBudget(300), seed=1,
                  snapshot_every=20)
@@ -218,9 +218,10 @@ def test_every_attack_takes_snapshots_by_one_rule(method, seed, classes, snapsho
     target = cx.gen_random_tree(make_schema("mixed"), 3, seed, classes)
     oracle = cx.CounterfactualOracle(target)
     calls = []
-    train = cx.baselines.train_tree
+    train = cx.baselines.train_prefixes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cx.baselines, "train_tree", lambda *args: calls.append(1) or train(*args))
+        mp.setattr(cx.baselines, "train_prefixes",
+                   lambda *args: calls.extend(args[3]) or train(*args))
         if method == "tra":
             res = cx.tra_extract(oracle, snapshot_every=snapshot_every)
         else:
@@ -272,24 +273,29 @@ def training_set_from_records(records, labels, dual):
 
 
 # budgets that run out in the middle of a round
-@example(method="cf", seed=0, classes=3, budget=3)
-@example(method="dualcf", seed=0, classes=2, budget=3)
-@example(method="dualcf", seed=0, classes=3, budget=4)
+@example(method="cf", seed=0, classes=3, budget=3, snapshot_every=0)
+@example(method="dualcf", seed=0, classes=2, budget=3, snapshot_every=0)
+@example(method="dualcf", seed=0, classes=3, budget=4, snapshot_every=0)
 @given(method=st.sampled_from(["cf", "dualcf"]), seed=st.integers(0, 2**16),
-       classes=st.sampled_from([2, 3]), budget=st.integers(1, 5))
-def test_surrogate_trains_on_what_the_records_spell_out(method, seed, classes, budget):
+       classes=st.sampled_from([2, 3]), budget=st.integers(1, 5),
+       snapshot_every=st.sampled_from([0, 1, 2]))
+def test_surrogate_trains_on_what_the_records_spell_out(method, seed, classes, budget,
+                                                        snapshot_every):
     target = cx.gen_random_tree(make_schema("mixed"), 3, seed, classes)
     records = []
     oracle = cx.CounterfactualOracle(target, sink=records.append)
     trained = []
-    train = cx.baselines.train_tree
+    train = cx.baselines.train_prefixes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cx.baselines, "train_tree",
-                   lambda *args: trained.append(args[1:3]) or train(*args))
+        mp.setattr(cx.baselines, "train_prefixes",
+                   lambda *args: trained.extend((args[1][:n], args[2][:n]) for n in args[3])
+                   or train(*args))
         attack = cx.cf_attack if method == "cf" else cx.dualcf_attack
-        res = attack(oracle, cx.AttackBudget(budget), seed=seed, snapshot_every=0)
+        res = attack(oracle, cx.AttackBudget(budget), seed=seed, snapshot_every=snapshot_every)
     assert res.log.count == len(records) == budget
-    assert trained[-1] == training_set_from_records(records, oracle.labels, method == "dualcf")
+    # each snapshot's surrogate trains on the records billed before it
+    assert trained == [training_set_from_records(records[:s.queries], oracle.labels,
+                                                 method == "dualcf") for s in res.snapshots]
 
 
 @pytest.mark.parametrize("attack", [cx.cf_attack, cx.dualcf_attack])

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import cfextract as cx
 from cfextract import cart
 from cfextract.cart import CCP_GRID, _square_sum, accuracy, cost_complexity_prune
-from tests.conftest import (make_schema, reference_best_split,
-                            reference_cost_complexity_prune, reference_prune)
+from tests.conftest import (make_schema, reference_cost_complexity_prune, reference_prune,
+                            reference_train_tree)
 
 
 def one_feature_schema(size=101):
@@ -252,18 +252,41 @@ def training_sets(draw):
 @given(training_sets(), st.booleans(), st.integers(0, 3))
 def test_split_search_matches_reference(data, forest, seed):
     schema, points, labels = data
-
-    def trained():
-        if forest:  # bootstrap plus sqrt(m) feature subsampling per split
-            model = cx.train_forest(schema, points, labels, cx.TrainConfig(n_trees=3, seed=seed))
-        else:
-            model = cx.train_tree(schema, points, labels)
-        return cx.model_json_dict(model, "s")
-
-    fast = trained()
+    if not forest:
+        assert (cx.model_json_dict(cx.train_tree(schema, points, labels), "s")
+                == cx.model_json_dict(reference_train_tree(schema, points, labels), "s"))
+        return
+    # bootstrap plus sqrt(m) feature subsampling per split; each tree of the
+    # forest grown by the reference instead, from the same draws
+    config = cx.TrainConfig(n_trees=3, seed=seed)
+    fast = cx.model_json_dict(cx.train_forest(schema, points, labels, config), "s")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cart._Builder, "_best_split", reference_best_split)
-        assert trained() == fast
+        mp.setattr(cart, "train_tree", reference_train_tree)
+        assert cx.model_json_dict(cx.train_forest(schema, points, labels, config), "s") == fast
+
+
+@given(training_sets(), st.data(), st.sampled_from([None, 0, 1, 3]))
+def test_prefix_trees_match_reference(data, draw, max_depth):
+    schema, points, labels = data
+    # duplicate points, and ascending prefix sizes that may repeat and start at 1
+    points = points + draw.draw(st.lists(st.sampled_from(points), max_size=10))
+    labels = labels + draw.draw(st.lists(st.sampled_from(labels), min_size=len(points) - len(labels),
+                                         max_size=len(points) - len(labels)))
+    sizes = sorted(draw.draw(st.lists(st.integers(1, len(points)), min_size=1, max_size=6)))
+    config = cx.TrainConfig(max_depth=max_depth)
+    trees = cart.train_prefixes(schema, points, labels, sizes, config)
+    assert len(trees) == len(sizes)
+    for n, tree in zip(sizes, trees):
+        assert (cx.model_json_dict(tree, "s") == cx.model_json_dict(
+            reference_train_tree(schema, points[:n], labels[:n], config), "s"))
+
+
+@pytest.mark.parametrize("sizes", [[0], [5], [2, 7]])
+def test_prefix_sizes_outside_the_sample_rejected(sizes):
+    sch = one_feature_schema()
+    pts = [sch.point_of(v) for v in ("0.1", "0.2", "0.8", "0.9")]
+    with pytest.raises(cx.ContractViolation, match="prefix sizes"):
+        cart.train_prefixes(sch, pts, [0, 0, 1, 1], sizes)
 
 
 @pytest.mark.parametrize("first", ["x", "g", "z"])
