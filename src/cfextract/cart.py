@@ -19,8 +19,10 @@ row long per sample row of the batch.
 
 ``train_prefixes`` grows the trees of several prefixes of one training set
 together and breadth-first, as SLIQ does (Mehta, Agrawal & Rissanen, 1996):
-each depth is one kernel call over every open node of every prefix. Each
-tree is then assembled from its nodes' recorded decisions through
+each depth is one kernel call over every open node of every prefix of a
+batch. A batch holds consecutive prefixes of at most 2^14 rows in all, or one
+larger prefix, so the kernel's arrays stay near the size of one training's.
+Each tree is then assembled from its nodes' recorded decisions through
 ``models.grow``, so its nodes come out in the order of a depth-first build.
 ``train_tree`` is its one-prefix case. A forest's trees still grow depth
 first, one node per kernel call. Each split draws its sqrt(m) axes from the
@@ -198,20 +200,43 @@ class _Samples:
         return [None if b is None else b[2:] for b in best]
 
 
+# the most sample rows one ``_grow_together`` call holds, unless one prefix
+# alone has more: a batch's kernel arrays grow with its rows, and the sizes of
+# all snapshots of a long attack sum to about snapshots x points / 2
+_BATCH_ROWS = 1 << 14
+
+
 def train_prefixes(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[int],
                    sizes: Sequence[int], config: TrainConfig = TrainConfig()) -> list[TreeModel]:
     """For each ``n`` in ``sizes``, the tree ``train_tree`` grows on the
     first ``n`` points and labels.
 
-    The trees grow together, one depth at a time: each depth scores every
-    open node of every tree in one kernel call. ``decisions[i]`` records
-    node ``i``'s leaf or its test and two child nodes, and ``grow`` then
-    assembles each tree from its root's record.
+    Consecutive sizes are grown together in batches of at most ``_BATCH_ROWS``
+    rows in all (a larger prefix forms a batch of its own), so the memory a
+    call takes stays near that of training its largest prefix alone.
     """
     data = _Samples(schema, points, labels, config)
     sizes = [int(n) for n in sizes]
     if any(not 1 <= n <= len(points) for n in sizes):
         raise ContractViolation(f"prefix sizes must lie in 1..{len(points)}")
+    batches: list[list[int]] = [[]]
+    rows = 0
+    for n in sizes:
+        if batches[-1] and rows + n > _BATCH_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append(n)
+        rows += n
+    return [tree for batch in batches for tree in _grow_together(data, batch)]
+
+
+def _grow_together(data: _Samples, sizes: list[int]) -> list[TreeModel]:
+    """The trees of the prefixes ``sizes`` of ``data``, grown together one
+    depth at a time: each depth scores every open node of every tree in one
+    kernel call. ``decisions[i]`` records node ``i``'s leaf or its test and
+    two child nodes, and ``grow`` then assembles each tree from its root's
+    record."""
+    schema = data.schema
     decisions: list = [None] * len(sizes)
     ids = list(range(len(sizes)))  # the open nodes of this depth
     counts = np.array(sizes, dtype=np.int64)  # their rows, concatenated in ``rows``

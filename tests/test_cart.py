@@ -273,12 +273,33 @@ def test_prefix_trees_match_reference(data, draw, max_depth):
     labels = labels + draw.draw(st.lists(st.sampled_from(labels), min_size=len(points) - len(labels),
                                          max_size=len(points) - len(labels)))
     sizes = sorted(draw.draw(st.lists(st.integers(1, len(points)), min_size=1, max_size=6)))
+    # one batch, or batches of a few prefixes or of one each
+    max_rows = draw.draw(st.sampled_from([cart._BATCH_ROWS, 2 * len(points), 1]))
     config = cx.TrainConfig(max_depth=max_depth)
-    trees = cart.train_prefixes(schema, points, labels, sizes, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cart, "_BATCH_ROWS", max_rows)
+        trees = cart.train_prefixes(schema, points, labels, sizes, config)
     assert len(trees) == len(sizes)
     for n, tree in zip(sizes, trees):
         assert (cx.model_json_dict(tree, "s") == cx.model_json_dict(
             reference_train_tree(schema, points[:n], labels[:n], config), "s"))
+
+
+@pytest.mark.parametrize("max_rows, batches", [
+    (100, [[3, 5, 8, 8]]), (16, [[3, 5, 8], [8]]), (8, [[3, 5], [8], [8]]),
+    (4, [[3], [5], [8], [8]])])
+def test_prefix_batches_stay_within_batch_rows(monkeypatch, max_rows, batches):
+    sch = one_feature_schema()
+    pts = [sch.point_of(f"0.{d}") for d in range(1, 9)]
+    seen = []
+    grow_together = cart._grow_together
+    monkeypatch.setattr(cart, "_grow_together",
+                        lambda data, sizes: seen.append(sizes) or grow_together(data, sizes))
+    monkeypatch.setattr(cart, "_BATCH_ROWS", max_rows)
+    trees = cart.train_prefixes(sch, pts, [0, 1] * 4, [3, 5, 8, 8])
+    # consecutive prefixes, each batch within max_rows unless one prefix exceeds it
+    assert seen == batches
+    assert [t.predict(pts[1]) for t in trees] == [1] * 4
 
 
 @pytest.mark.parametrize("sizes", [[0], [5], [2, 7]])
