@@ -24,10 +24,10 @@ batch. A batch holds consecutive prefixes of at most 2^14 rows in all, or one
 larger prefix, so the kernel's arrays stay near the size of one training's.
 Each tree is then assembled from its nodes' recorded decisions through
 ``models.grow``, so its nodes come out in the order of a depth-first build.
-``train_tree`` is its one-prefix case. A forest's trees still grow depth
-first, one node per kernel call. Each split draws its sqrt(m) axes from the
-tree's generator, and those draws have always come in pre-order, so a seed
-keeps giving the same forest.
+``train_tree`` is its one-prefix case. ``train_forest`` encodes its sample
+once for all its trees and grows each tree depth first, one node per kernel
+call: each split draws its sqrt(m) axes from the tree's generator, and those
+draws have always come in pre-order, so a seed keeps giving the same forest.
 
 Cost-complexity pruning computes a tree's weakest-link path once: the nested
 sequence of subtrees that collapsing the cheapest links in turn produces
@@ -276,48 +276,42 @@ def _grow_together(data: _Samples, sizes: list[int]) -> list[TreeModel]:
 
 
 def train_tree(schema: FeatureSchema, points: Sequence[Point], labels: Sequence[int],
-               config: TrainConfig = TrainConfig(), _rng=None,
-               _subsample=None) -> TreeModel:
-    """A CART tree on ``points`` and ``labels``. A forest's trees pass the
-    generator ``_rng``, which draws sqrt(m) axes for each split, and the
-    bootstrap rows ``_subsample``; they grow depth first, in pre-order."""
-    if _rng is None and _subsample is None:
-        return train_prefixes(schema, points, labels, [len(points)], config)[0]
-    data = _Samples(schema, points, labels, config)
-    m = schema.m
-    n_sub = m if _rng is None else max(1, int(math.sqrt(m)))
-    k = len(data.classes)
-
-    def expand(item):
-        """``grow``'s step on (sample rows, depth): a leaf, or a split."""
-        idx, depth = item
-        totals = np.bincount(data.codes[idx], minlength=k)
-        cut = None
-        if np.count_nonzero(totals) > 1 and data.deeper(depth):
-            pool = (range(m) if n_sub >= m
-                    else sorted(_rng.choice(m, size=n_sub, replace=False).tolist()))
-            cut = data.best_cuts(idx, np.array([len(idx)]), totals[None], pool)[0]
-        if cut is None:  # the majority class, the lowest id on ties
-            return Leaf(int(data.classes[totals.argmax()]))
-        mask = data.values[cut[0], idx] <= cut[1]
-        return data.test(*cut), (idx[mask], depth + 1), (idx[~mask], depth + 1)
-
-    idx = np.arange(len(points)) if _subsample is None else _subsample
-    return TreeModel(schema, *grow((idx, 0), expand))
+               config: TrainConfig = TrainConfig()) -> TreeModel:
+    """A CART tree on ``points`` and ``labels``."""
+    return train_prefixes(schema, points, labels, [len(points)], config)[0]
 
 
 def train_forest(schema: FeatureSchema, points: Sequence[Point],
                  labels: Sequence[int], config: TrainConfig = TrainConfig()) -> ForestModel:
-    """Bootstrap-bagged trees with per-split feature subsampling."""
+    """Bootstrap-bagged trees with per-split feature subsampling, all grown
+    on one encoding of the sample. Each tree's generator is seeded from the
+    forest's and draws the bootstrap rows, then each split's sqrt(m) axes in
+    pre-order."""
     if config.n_trees < 1:
         raise ContractViolation("n_trees must be >= 1")
-    rng = np.random.default_rng(config.seed)
-    n = len(points)
+    data = _Samples(schema, points, labels, config)
+    m, n = schema.m, len(points)
+    n_sub = max(1, int(math.sqrt(m)))
+
+    def expand(item):
+        """``grow``'s step on (sample rows, depth, the tree's generator): a
+        split, or a leaf of the majority class, the lowest id on ties."""
+        idx, depth, rng = item
+        totals = np.bincount(data.codes[idx], minlength=len(data.classes))
+        if np.count_nonzero(totals) > 1 and data.deeper(depth):
+            # with one axis the draw is [0], and only pool draws follow it
+            pool = sorted(rng.choice(m, size=n_sub, replace=False).tolist())
+            cut = data.best_cuts(idx, np.array([len(idx)]), totals[None], pool)[0]
+            if cut is not None:
+                mask = data.values[cut[0], idx] <= cut[1]
+                return data.test(*cut), (idx[mask], depth + 1, rng), (idx[~mask], depth + 1, rng)
+        return Leaf(int(data.classes[totals.argmax()]))
+
+    forest_rng = np.random.default_rng(config.seed)
     trees = []
     for _ in range(config.n_trees):
-        tree_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-        trees.append(train_tree(schema, points, labels, config, _rng=tree_rng,
-                                _subsample=tree_rng.integers(0, n, size=n)))
+        rng = np.random.default_rng(forest_rng.integers(0, 2**63 - 1))
+        trees.append(TreeModel(schema, *grow((rng.integers(0, n, size=n), 0, rng), expand)))
     return ForestModel(schema, trees)
 
 

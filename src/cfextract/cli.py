@@ -197,6 +197,23 @@ def _trace_sink(path, schema):
         raise
 
 
+def _trace_queries(path) -> int:
+    """The queries a trace ``path`` bills: its lines, each a JSON object whose
+    ``index`` is the line's 0-based position, as ``_trace_sink`` writes them."""
+    n = 0
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError:  # not UTF-8, or not JSON
+                rec = None
+            if not (isinstance(rec, dict) and type(rec.get("index")) is int
+                    and rec["index"] == n - 1):
+                raise DataFormatError(f"{path}, line {n}: not a query-trace record "
+                                      f"with index {n - 1}")
+    return n
+
+
 def _save_extracted(path, model, schema):
     schema_path = path + ".schema.json"
     save_schema(schema_path, schema)
@@ -357,8 +374,7 @@ def _cmd_eval(args) -> int:
             raise _UsageError("--ratio needs --target, --extracted and --trace")
         target = load_model(args.target, schema)
         extracted = load_model(args.extracted, schema)
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            queries = sum(1 for line in fh if line.strip())
+        queries = _trace_queries(args.trace)
         ratio = measured_ratio(queries, target, extracted, target.schema)
         report["ratio"] = {"queries": queries, "ratio": str(ratio),
                            "ratio_float": float(ratio)}

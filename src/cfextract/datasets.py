@@ -105,6 +105,7 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
 
     # fill in what the config leaves open from the data, then parse it as a schema file
     filled = []
+    parsed: dict[str, list[Fraction]] = {}  # the numeric columns read to fill in lo/hi
     for i, spec in enumerate(features_cfg):
         if not isinstance(spec, dict) or not isinstance(spec.get("name"), str):
             raise DataFormatError(f"feature {i} of the config needs a name")
@@ -116,7 +117,7 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
         if kind == "numeric" and "delta" in spec and ("lo" not in spec or "hi" not in spec):
             delta = exact_number(spec["delta"])
             if delta > 0:  # NumericFeature rejects any other step
-                vals = [number(r, name) for r in range(len(rows))]
+                vals = parsed[name] = [number(r, name) for r in range(len(rows))]
                 lo = Fraction((min(vals) / delta).__floor__()) * delta
                 hi = Fraction(-((-max(vals) / delta).__floor__())) * delta
                 spec.setdefault("lo", lo)
@@ -135,7 +136,7 @@ def ingest_csv(path: str, schema_config: dict, label_column: str,
             v = cell(i, feat.name)
             if tag == "i":
                 axis = schema.interval_axes[idx]
-                num = number(i, feat.name)
+                num = parsed[feat.name][i] if feat.name in parsed else number(i, feat.name)
                 if axis.kind == "numeric":
                     ivals.append(axis.snap_index(num))
                 else:

@@ -7,7 +7,8 @@ the lcm of the grid spans, squared for L2), so comparisons are exact.
 
 ``scaled`` works in Python ints and is exact on any grid; the exact oracle's
 descent, for trees and compiled forests alike, uses the same terms.
-``scaled_rows`` is an int64 row version that no oracle uses any more. Its
+``scaled_rows`` is an int64 row version of ``scaled``, called by no oracle:
+the tests check it against ``scaled``, and the benchmark still traces it. Its
 guard bounds the whole row sum: each interval axis contributes at most
 ``group_term`` (a full-span gap), as does each one-hot group, so a row is at
 most ``(n_iv + n_groups) * group_term``. Past ``2**63 - 1`` it refuses rather

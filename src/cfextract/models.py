@@ -17,8 +17,10 @@ Every model has one serving surface: ``trees``, the trees it votes over, and
 ``trees`` is ``(self,)`` and its ``tree(cap)`` is itself. A forest is served
 through the one tree it compiles to (``ForestModel.tree``, at most ``cap``
 leaves), so the exact oracle and the equivalence check only ever walk trees,
-and ask no model its kind. ``cells_within`` still enumerates a model's
-split-level cells, as a reference.
+and ask no model its kind. ``cells_within`` enumerates a model's
+split-level cells, which ``ForestModel.cell_box_set`` keeps: no oracle and
+no check walks them, and they are a reference for the tests and the
+benchmark's forest set-up.
 
 Leaf labels are non-negative ints; ``None`` marks the provisionally unknown
 leaves of in-progress reconstructions and never agrees with anything.

@@ -28,7 +28,6 @@ the same pass over the axes that finds their differences, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import ContractViolation
 from .schema import FeatureSchema, Point, number_str
@@ -202,9 +201,6 @@ def subtract(a: Region, b: Region) -> list[Region]:
     return pieces
 
 
-_event_axis = itemgetter(0)  # the global axis a cut event of ``split`` sorts by
-
-
 def _outside(region: Region, x: Point) -> ContractViolation:
     """The refusal of a ``split`` whose query point or counterfactual is not
     in ``region``: the query point's if it is outside, else the
@@ -218,17 +214,18 @@ def split(
 ) -> tuple[list[Region], list[tuple[SplitNode | CatNode, bool]]]:
     """Partition ``region`` along the axes where ``x`` and ``x_cf`` differ.
 
-    Iterates differing axes in ascending global order. On each it cuts the
-    remainder with one node test (children unattached) and peels off the side
-    holding ``x``; the final remainder holds ``x_cf``. Returns the pieces in
-    peel order (remainder last) and, per peeled piece, its node test and
-    ``x_left``: whether the piece is the test's left side. A test that leaves
-    one side empty (possible within a one-hot group) peels nothing.
+    Walks the features in order, so the differing axes come in ascending
+    global order, and cuts each axis as it reads it: it cuts the remainder
+    with one node test (children unattached) and peels off the side holding
+    ``x``; the final remainder holds ``x_cf``. A one-hot group peels its lower
+    category first. Returns the pieces in peel order (remainder last) and,
+    per peeled piece, its node test and ``x_left``: whether the piece is the
+    test's left side. A test that leaves one side empty (possible within a
+    one-hot group) peels nothing.
 
-    The one pass over the axes that finds the cuts also checks that ``x`` and
-    ``x_cf`` lie in ``region`` and that they differ. The remainder between
-    cuts is carried as plain tuples; a ``Region`` is built, and validated,
-    only for each piece returned.
+    The same walk checks that ``x`` and ``x_cf`` lie in ``region`` and that
+    they differ. The remainder between cuts is carried as plain tuples; a
+    ``Region`` is built, and validated, only for each piece returned.
     """
     ivs, al = region.intervals, region.allowed
     x_iv, cf_iv, x_cats, cf_cats = x.ivals, x_cf.ivals, x.cats, x_cf.cats
@@ -238,39 +235,37 @@ def split(
     if not (len(x_iv) == len(cf_iv) == n_iv and len(x_cats) == len(cf_cats) == n_groups):
         raise _outside(region, x)
 
-    events: list[tuple[int, SplitNode | CatNode, bool]] = []
-    for iv, axis in enumerate(schema.interval_axes):
-        a, b = ivs[iv]
-        v, vx = cf_iv[iv], x_iv[iv]
-        if not (a <= vx <= b and a <= v <= b):
-            raise _outside(region, x)
-        if v < vx:  # counterfactual below the query: x keeps values >= v+1
-            events.append((axis.global_axis, SplitNode(iv, v), False))
-        elif v > vx:  # counterfactual above: x keeps values <= v-1
-            events.append((axis.global_axis, SplitNode(iv, v - 1), True))
-    for gi, grp in enumerate(schema.groups):
-        s = al[gi]
-        cx, cv = x_cats[gi], cf_cats[gi]
-        if cx not in s or cv not in s:
-            raise _outside(region, x)
-        if cx != cv:
-            # peel {category == cx}, then {category != cv}
-            events.append((grp.global_axis0 + cx, CatNode(gi, cx), True))
-            events.append((grp.global_axis0 + cv, CatNode(gi, cv), False))
-    if not events:
-        raise ContractViolation("query equals counterfactual")
-    if len(events) > 1:
-        events.sort(key=_event_axis)
-
     pieces: list[Region] = []
     steps: list[tuple[SplitNode | CatNode, bool]] = []
-    for _, test, x_left in events:
-        left, right = test.cut(ivs, al)
-        if left is None or right is None:  # a one-hot test may peel nothing; x and
-            continue  # x_cf lie on either side of an interval test
-        piece, (ivs, al) = (left, right) if x_left else (right, left)
-        pieces.append(Region(*piece))
-        steps.append((test, x_left))
+    for tag, i in schema.layout:  # features in order: global axes ascending
+        if tag == "i":
+            (a, b), vx, v = ivs[i], x_iv[i], cf_iv[i]
+            if not (a <= vx <= b and a <= v <= b):
+                raise _outside(region, x)
+            if v == vx:
+                continue
+            # counterfactual below the query: x keeps values >= v+1; above: <= v-1
+            tests = ((SplitNode(i, v), False),) if v < vx else ((SplitNode(i, v - 1), True),)
+        else:
+            s, cx, cv = al[i], x_cats[i], cf_cats[i]
+            if cx not in s or cv not in s:
+                raise _outside(region, x)
+            if cx == cv:
+                continue
+            # peel {category == cx} and {category != cv}, the lower category first
+            tests = ((CatNode(i, cx), True), (CatNode(i, cv), False))
+            if cv < cx:
+                tests = tests[::-1]
+        for test, x_left in tests:
+            left, right = test.cut(ivs, al)
+            if left is None or right is None:  # a one-hot test may peel nothing; x and
+                continue  # x_cf lie on either side of an interval test
+            piece, (ivs, al) = (left, right) if x_left else (right, left)
+            pieces.append(Region(*piece))
+            steps.append((test, x_left))
+    # a differing axis always peels: an interval test, or a group's first test
+    if not pieces:
+        raise ContractViolation("query equals counterfactual")
     pieces.append(Region(ivs, al))
     return pieces, steps
 

@@ -15,11 +15,13 @@ which the per-axis label tables of ``cfextract.line_search`` must reproduce.
 ``false_absences`` audits a heuristic run's log against the exact oracle.
 ``reference_split_region`` cuts a whole ``Region`` by a node test, written
 apart from ``SplitNode.cut`` and ``CatNode.cut`` so the walks built on it do
-not share the code they check. ``reference_leaves_within`` walks a tree
-through a region one ``Region`` per node with it, and ``reference_equivalence``
-is the equivalence check built on that, which the box walks of
-``TreeModel.leaf_boxes`` and ``cfextract.functional_equivalence`` (on a
-``Region``'s fields, no ``Region`` per node) must reproduce exactly.
+not share the code they check. ``reference_split`` is ``cx.split`` as a list
+of cut events sorted by global axis before any cut, which the one walk over
+the features must reproduce piece for piece. ``reference_leaves_within``
+walks a tree through a region one ``Region`` per node with it, and
+``reference_equivalence`` is the equivalence check built on that, which the
+box walks of ``TreeModel.leaf_boxes`` and ``cfextract.functional_equivalence``
+(on a ``Region``'s fields, no ``Region`` per node) must reproduce exactly.
 ``reference_forest_compile`` grafts a forest into one tree on ``Region``s, cut
 with ``reference_split_region``, which ``ForestModel.tree``'s walk through
 ``cut`` must reproduce node for node.
@@ -226,6 +228,58 @@ def reference_split_region(node, region: cx.Region):
             cx.Region(region.intervals, head + (s - {c},) + tail))
 
 
+def reference_split(region: cx.Region, x: cx.Point, x_cf: cx.Point, schema: cx.FeatureSchema):
+    """``cx.split`` by cut events: collect one event per differing interval
+    axis and two per differing one-hot group, sort them by global axis, and
+    only then cut; the same pieces and steps, or the same refusal."""
+    def outside():
+        return cx.ContractViolation("query point outside region" if not cx.contains(region, x)
+                                    else "counterfactual outside region")
+
+    ivs, al = region.intervals, region.allowed
+    x_iv, cf_iv, x_cats, cf_cats = x.ivals, x_cf.ivals, x.cats, x_cf.cats
+    n_iv, n_groups = len(schema.interval_axes), len(schema.groups)
+    if len(ivs) != n_iv or len(al) != n_groups:
+        raise cx.ContractViolation("region has wrong arity for this schema")
+    if not (len(x_iv) == len(cf_iv) == n_iv and len(x_cats) == len(cf_cats) == n_groups):
+        raise outside()
+
+    events = []
+    for iv, axis in enumerate(schema.interval_axes):
+        a, b = ivs[iv]
+        v, vx = cf_iv[iv], x_iv[iv]
+        if not (a <= vx <= b and a <= v <= b):
+            raise outside()
+        if v < vx:  # counterfactual below the query: x keeps values >= v+1
+            events.append((axis.global_axis, cx.SplitNode(iv, v), False))
+        elif v > vx:  # counterfactual above: x keeps values <= v-1
+            events.append((axis.global_axis, cx.SplitNode(iv, v - 1), True))
+    for gi, grp in enumerate(schema.groups):
+        s = al[gi]
+        cx_, cv = x_cats[gi], cf_cats[gi]
+        if cx_ not in s or cv not in s:
+            raise outside()
+        if cx_ != cv:
+            # peel {category == cx}, then {category != cv}
+            events.append((grp.global_axis0 + cx_, cx.CatNode(gi, cx_), True))
+            events.append((grp.global_axis0 + cv, cx.CatNode(gi, cv), False))
+    if not events:
+        raise cx.ContractViolation("query equals counterfactual")
+    events.sort(key=lambda event: event[0])
+
+    pieces, steps = [], []
+    for _, test, x_left in events:
+        left, right = reference_split_region(test, cx.Region(ivs, al))
+        if left is None or right is None:
+            continue
+        piece, rest = (left, right) if x_left else (right, left)
+        ivs, al = rest.intervals, rest.allowed
+        pieces.append(piece)
+        steps.append((test, x_left))
+    pieces.append(cx.Region(ivs, al))
+    return pieces, steps
+
+
 def reference_leaves_within(tree: cx.TreeModel, region: cx.Region):
     """Each leaf of ``tree`` meeting ``region``, as (node index, the part of
     ``region`` it holds), left subtrees first: one ``Region`` per node."""
@@ -315,9 +369,9 @@ def reference_train_tree(schema, points, labels, config=cx.TrainConfig(), _rng=N
     """``cx.train_tree`` one node at a time: a recursive build, and a split
     search over one candidate cut at a time in exact ints.
 
-    It takes ``train_tree``'s arguments, so it can stand in for it inside
-    ``cx.train_forest``: ``_rng`` draws each split's sqrt(m) axes in
-    pre-order, and ``_subsample`` gives the bootstrap rows.
+    ``_rng`` draws each split's sqrt(m) axes in pre-order, and
+    ``_subsample`` gives the bootstrap rows, so it grows a tree of
+    ``cx.train_forest`` from that tree's draws.
     """
     iv = np.array([p.ivals for p in points], dtype=np.int64).reshape(len(points), -1)
     cats = np.array([p.cats for p in points], dtype=np.int64).reshape(len(points), -1)

@@ -256,13 +256,19 @@ def test_split_search_matches_reference(data, forest, seed):
         assert (cx.model_json_dict(cx.train_tree(schema, points, labels), "s")
                 == cx.model_json_dict(reference_train_tree(schema, points, labels), "s"))
         return
-    # bootstrap plus sqrt(m) feature subsampling per split; each tree of the
-    # forest grown by the reference instead, from the same draws
+    # bootstrap plus sqrt(m) feature subsampling per split; the reference
+    # forest's trees grown by the reference from the same draws: each tree's
+    # seed from the forest's generator, then its bootstrap rows, then its
+    # splits' axis pools in pre-order
     config = cx.TrainConfig(n_trees=3, seed=seed)
-    fast = cx.model_json_dict(cx.train_forest(schema, points, labels, config), "s")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cart, "train_tree", reference_train_tree)
-        assert cx.model_json_dict(cx.train_forest(schema, points, labels, config), "s") == fast
+    rng, n = np.random.default_rng(seed), len(points)
+    trees = []
+    for _ in range(config.n_trees):
+        tree_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
+        trees.append(reference_train_tree(schema, points, labels, config, _rng=tree_rng,
+                                          _subsample=tree_rng.integers(0, n, size=n)))
+    assert (cx.model_json_dict(cx.train_forest(schema, points, labels, config), "s")
+            == cx.model_json_dict(cx.ForestModel(schema, trees), "s"))
 
 
 @given(training_sets(), st.data(), st.sampled_from([None, 0, 1, 3]))

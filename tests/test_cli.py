@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,70 @@ def test_adversarial_gen_and_ratio(workdir):
                    "--trace", tr, "--out", rep) == 0
     data = json.loads(rep.read_text())
     assert data["ratio"]["ratio"] == "11/4"
+
+
+@pytest.mark.parametrize("text", [
+    b"a,y\n0.1,0\n",  # a CSV
+    b'{"index": 0}\n[0]\n',  # a line that is not an object
+    b'{"index": 1}\n',  # an index that is not the line's position
+    b'{"index": 0}\n{"index": 2}\n',  # a record left out
+    b'{"index": true}\n',  # a bool is not an index
+    b'{"index": 0}\n\n',  # a blank line
+    b'{"index": 0}\n\xff\n',  # not UTF-8
+])
+def test_eval_ratio_refuses_a_file_that_is_not_a_trace(workdir, capsys, text):
+    adv, ex, trace = workdir / "adv.json", workdir / "ex.json", workdir / "t.jsonl"
+    assert run_cli("gen", "--kind", "adversarial", "--s", "2,1", "--out", adv) == 0
+    assert run_cli("attack", "--method", "tra", "--target", adv, "--out", ex) == 0
+    trace.write_bytes(text)
+    capsys.readouterr()
+    assert run_cli("eval", "--ratio", "--target", adv, "--extracted", ex, "--trace", trace,
+                   "--out", workdir / "r.json") == 2
+    assert "not a query-trace record" in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", [None, "1/96"])
+def test_adversarial_schema_step_is_the_given_delta(workdir, epsilon):
+    out = workdir / "adv.json"
+    extra = [] if epsilon is None else ["--epsilon", epsilon]
+    assert run_cli("gen", "--kind", "adversarial", "--s", "3,2", "--delta", "1/96", *extra,
+                   "--out", out) == 0
+    schema = cx.load_schema(str(out) + ".schema.json")
+    assert [f.delta for f in schema.features] == [Fraction(1, 96)] * 2
+
+
+@pytest.mark.parametrize("epsilon, problem", [
+    ("1/100", "does not land on the grid"),  # off the default 1/48 grid
+    ("1/6", "epsilon too large"),  # 1/(2(s_2 + 1)) for s = (3, 2)
+])
+def test_adversarial_bad_epsilon_exits_2_and_writes_nothing(workdir, capsys, epsilon, problem):
+    out = workdir / "adv.json"
+    assert run_cli("gen", "--kind", "adversarial", "--s", "3,2", "--epsilon", epsilon,
+                   "--out", out) == 2
+    assert problem in capsys.readouterr().err
+    assert os.listdir(workdir) == ["schema.json"]
+
+
+def test_train_no_prune_writes_the_tree_grown_on_the_training_split(workdir):
+    rng = np.random.default_rng(0)
+    data, cfg = workdir / "d.csv", workdir / "cfg.json"
+    # a threshold at 0.5 and one label in five flipped: pruning has noise to cut
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y"])
+        for v in rng.integers(0, 101, size=200).tolist():
+            w.writerow([f"{v / 100:.2f}", int(v > 50) ^ int(rng.random() < 0.2)])
+    config = {"features": [{"name": "x", "kind": "numeric", "delta": "0.01"}]}
+    cfg.write_text(json.dumps(config))
+    for flag, out in [("--no-prune", "full.json"), (None, "pruned.json")]:
+        assert run_cli("train", "--data", data, "--schema-config", cfg, "--label", "y",
+                       *([flag] if flag else []), "--out", workdir / out) == 0
+    bundle = cx.ingest_csv(str(data), config, "y", 0)
+    grown = cx.train_tree(bundle.schema, *bundle.train)
+    full, pruned = (cx.load_model(str(workdir / name)) for name in ("full.json", "pruned.json"))
+    assert (full.nodes, full.root) == (grown.nodes, grown.root)
+    assert len(pruned.nodes) < len(full.nodes)
 
 
 def test_bounds_report(workdir):
@@ -548,7 +613,7 @@ def test_eval_reads_each_model_under_its_own_schema(workdir, capsys, mode, first
                        "--out", models[name]) == 0
     one, other = models[first], models["b" if first == "a" else "a"]
     trace = workdir / "t.jsonl"
-    trace.write_text("{}\n")
+    trace.write_text('{"index": 0}\n')  # a well-formed trace: the schemas are what is refused
     args = (["--ratio", "--target", one, "--extracted", other, "--trace", trace]
             if mode == "--ratio" else [mode, one, other])
     capsys.readouterr()

@@ -2,10 +2,11 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
-from tests.conftest import enumerate_region, make_schema, random_subregion, region_from_json
+from tests.conftest import (enumerate_region, make_schema, random_subregion, reference_split,
+                            region_from_json)
 
 import numpy as np
 
@@ -159,6 +160,53 @@ def test_split_soundness_random(seed):
     # determinism
     again, _ = cx.split(region, x, cf, sch)
     assert again == pieces
+
+
+# groups before, between and after interval axes, one of them nine-way
+WALK_SCHEMA = cx.FeatureSchema([
+    cx.CategoricalFeature("g", tuple("abcdefghi")),
+    cx.NumericFeature("a", 0, 1, Fraction(1, 8)),
+    cx.OrdinalFeature("o", 5),
+    cx.CategoricalFeature("h", ("p", "q", "r")),
+    cx.BinaryFeature("b"),
+    cx.CategoricalFeature("k", ("s", "t")),
+])
+
+
+@st.composite
+def split_cases(draw):
+    sch = WALK_SCHEMA
+    intervals = []
+    for size in sch.iv_sizes:
+        a = draw(st.integers(0, size - 1))
+        intervals.append((a, draw(st.integers(a, size - 1))))
+    allowed = [frozenset(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+               for k in sch.group_sizes]
+    inside = ([st.integers(a, b) for a, b in intervals]
+              + [st.sampled_from(sorted(s)) for s in allowed])
+    anywhere = [st.integers(0, n - 1) for n in sch.iv_sizes + sch.group_sizes]
+    # x mostly inside; x_cf equal to x, or per axis a draw from inside or from
+    # anywhere, or x's value
+    x = draw(st.tuples(*draw(st.sampled_from([inside, inside, inside, anywhere]))))
+    cf_axes = draw(st.sampled_from([inside, anywhere, inside, []]))
+    cf = tuple(draw(st.one_of(a, st.just(v))) for v, a in zip(x, cf_axes)) or x
+    n_iv = len(sch.iv_sizes)
+    return (cx.Region(tuple(intervals), tuple(allowed)),
+            cx.Point(x[:n_iv], x[n_iv:]), cx.Point(cf[:n_iv], cf[n_iv:]))
+
+
+@settings(max_examples=300)
+@given(split_cases())
+def test_split_matches_the_sorted_events_reference(case):
+    region, x, cf = case
+    try:
+        want = reference_split(region, x, cf, WALK_SCHEMA)
+    except cx.ContractViolation as exc:
+        with pytest.raises(cx.ContractViolation) as got:
+            cx.split(region, x, cf, WALK_SCHEMA)
+        assert str(got.value) == str(exc)
+        return
+    assert cx.split(region, x, cf, WALK_SCHEMA) == want
 
 
 @given(st.integers(0, 2**32 - 1))
