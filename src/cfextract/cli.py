@@ -73,14 +73,17 @@ def build_parser() -> _Parser:
     g.add_argument("--delta", type=exact_number, help="adversarial grid step (exact number)")
     g.add_argument("--out", required=True, help="output model JSON")
 
-    t = sub.add_parser("train", help="train a target on an ingested CSV dataset")
+    t = sub.add_parser("train", help="train a target on an ingested CSV dataset",
+                       description="An option that the chosen kind does not read is a "
+                       "usage error.")
     t.add_argument("--data", required=True)
     t.add_argument("--schema-config", required=True)
     t.add_argument("--label", required=True, help="label column name")
     t.add_argument("--kind", choices=["tree", "forest"], default="tree")
-    t.add_argument("--trees", type=int, default=10)
+    # None, so that a --trees left out is told from one given
+    t.add_argument("--trees", type=int, help="forest: number of trees (default 10)")
     t.add_argument("--max-depth", type=int)
-    t.add_argument("--no-prune", action="store_true")
+    t.add_argument("--no-prune", action="store_true", help="tree: keep the grown tree")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
 
@@ -262,13 +265,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # refused before any file is read or written
+    if args.kind == "tree" and args.trees is not None:
+        raise _UsageError("--kind tree reads no --trees")
+    if args.kind == "forest" and args.no_prune:
+        raise _UsageError("--kind forest reads no --no-prune")
     with open(args.schema_config, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataFormatError(f"{args.schema_config}: not valid JSON ({exc})") from exc
     bundle = ingest_csv(args.data, config, args.label, args.seed)
-    cfg = TrainConfig(max_depth=args.max_depth, n_trees=args.trees, seed=args.seed)
+    cfg = TrainConfig(max_depth=args.max_depth, seed=args.seed,
+                      n_trees=TrainConfig.n_trees if args.trees is None else args.trees)
     train_p, train_y = bundle.train
     if args.kind == "forest":
         model = train_forest(bundle.schema, train_p, train_y, cfg)

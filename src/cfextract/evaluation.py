@@ -6,22 +6,28 @@ forest the tree it compiles to), walks the smaller tree's leaf boxes and the
 other tree's leaves within each box, on a ``Region``'s own fields with no
 ``Region`` per node, so comparisons stay near-linear in the leaves. All
 bound arithmetic is exact (Fractions).
+
+The anytime curve of a TRA run builds none of its partial trees: it replays
+the evaluation points through the node store's resolution stamps
+(``_replay``), one tree level at a time. The store is read once into flat
+int64 arrays, and each level is one numpy pass over the points still
+walking, so the cost is one Python pass over the slots plus a numpy pass per
+tree depth, not a numpy step per slot.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ContractViolation
-from .models import (UNKNOWN, ForestModel, Leaf, Model, TreeModel, check_int64_grid,
+from .models import (UNKNOWN, ForestModel, Model, TreeModel, check_int64_grid,
                      points_to_arrays, stats)
-from .regions import Region, center, full_region
+from .regions import CatNode, Region, SplitNode, center, full_region
 from .schema import FeatureSchema, Point
 from .tra import ExtractionState, Snapshot
 
@@ -132,9 +138,8 @@ def fidelity(f: Model, g: Model, schema: FeatureSchema, n_samples: int = 3000,
                           n_samples, seed, "uniform" if points is None else "test")
 
 
-def _hits(ref: np.ndarray, label: int | None) -> int:
-    """How many of the target labels ``ref`` equal ``label`` (unknown: none)."""
-    return 0 if label is None else int(np.count_nonzero(ref == label))
+_NEVER = -2  # a label array entry no target label equals, UNKNOWN included
+_BELOW = np.iinfo(np.int64).min  # the low end of a SplitNode's left test
 
 
 def _replay(state: ExtractionState, checkpoints: Sequence[int], iv: np.ndarray, cats: np.ndarray,
@@ -143,41 +148,75 @@ def _replay(state: ExtractionState, checkpoints: Sequence[int], iv: np.ndarray, 
     ascending query counts ``checkpoints``, from the store's resolution
     stamps alone.
 
-    One walk from slot 0 carries each set of points with the query count at
-    which it arrived in its slot (the stamp of the parent). A slot stamped
-    later than that shows its provisional label from the arrival until its
-    stamp; a resolved leaf shows its label from its stamp on; a split slot
-    sends its points on to its children. The walk stops below slots resolved
-    after the last checkpoint. Each of these is an integer change in the
-    agreement count stamped with a query count, and the count at a checkpoint
-    is the sum of the changes stamped at or before it. This rests on stamps
-    never decreasing down the store (``ExtractionState``). The result is the
-    same, point for point, as ``predict_arrays`` on each partial tree.
+    Each point walks from slot 0 with the query count at which it arrived in
+    its slot (the stamp of the parent). A slot stamped later than that shows
+    its provisional label from the arrival until its stamp; a resolved leaf
+    shows its label from its stamp on; a test slot sends the point on to a
+    child. The walk stops below slots resolved after the last checkpoint.
+    Each of these is a +1 or -1 in the agreement count stamped with a query
+    count, and the count at a checkpoint is the sum of those stamped at or
+    before it. This rests on stamps never decreasing down the store
+    (``ExtractionState``). The result is the same, point for point, as
+    ``predict_arrays`` on each partial tree.
+
+    The store's lists are read once into flat int64 arrays, one entry per
+    slot: the column a test reads in the matrix of ``iv`` then ``cats``
+    columns, the ``[lo, hi]`` range that sends a point left (a ``SplitNode``
+    ``(-inf, threshold]``, a ``CatNode`` ``[c, c]``), the children, the leaf
+    and provisional labels (``_NEVER`` for none), and the stamp as its
+    bucket, the first checkpoint at or after it (one ``searchsorted``; a
+    stamp past the last checkpoint, pending ones too, falls in one bucket
+    past them all). A change counts only through its bucket, so a provisional
+    label whose arrival and stamp share a bucket is skipped: its +1 and -1
+    cancel. The walk then goes one tree level at a time: one vectorised step
+    over all points still walking sums their changes per bucket
+    (``bincount``), drops the points that stop and routes the rest with one
+    gather. The cost is O(slots) Python to build the arrays and O(depth)
+    numpy passes over at most every point. On the (20,20) adversarial store
+    (881 slots, depth 11) and 3,000 points, the fastest of 300 calls on a
+    2-core VM took 1.3 ms (0.35 ms of it building the arrays), against 3.4
+    ms for a walk of one numpy step per slot; on a depth-7 tree-mixed
+    target's store (4,707 slots, depth 20) 4.4-5.6 ms against 8.0-9.5 ms.
+    The walk holds a few arrays one entry per point at a time: the traced
+    peak of one adversarial call is about 350 KiB, against 54 KiB for the
+    per-slot walk.
     """
-    nodes, provisional, resolved_at = state.nodes, state.provisional, state.resolved_at
-    horizon = checkpoints[-1]
-    # the agreement changes, each under the first checkpoint at or after its stamp;
-    # the last entry takes those after every checkpoint
-    change = [0] * (len(checkpoints) + 1)
-    stack = [(0, 0, np.arange(len(ref)))]  # (slot, arrival, points)
-    while stack:
-        s, arrived, sel = stack.pop()
-        at = resolved_at[s]
-        if at != arrived:
-            hits = _hits(ref[sel], provisional[s])
-            change[bisect_left(checkpoints, arrived)] += hits
-            change[bisect_left(checkpoints, at)] -= hits
-        if at > horizon:
-            continue
-        node = nodes[s]
-        if isinstance(node, Leaf):
-            change[bisect_left(checkpoints, at)] += _hits(ref[sel], node.label)
-        else:
-            mask = node.left_mask(iv, cats, sel)
-            for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
-                if part.size:
-                    stack.append((child, at, part))
-    return [agree / len(ref) for agree in accumulate(change[:-1])]
+    horizon, n_iv = checkpoints[-1], iv.shape[1]
+    slots = np.array([
+        (node.iv_axis, _BELOW, node.threshold, node.left, node.right, _NEVER)
+        if type(node) is SplitNode else
+        (n_iv + node.group, node.category, node.category, node.left, node.right, _NEVER)
+        if type(node) is CatNode else  # a leaf, or a slot still pending (None)
+        (0, 0, 0, -1, -1, _NEVER if node is None or node.label is None else node.label)
+        for node in state.nodes], dtype=np.int64)
+    col, lo, hi, left, right, leaf_label = slots.T
+    provisional = np.array([_NEVER if label is None else label for label in state.provisional],
+                           dtype=np.int64)
+    stamp = np.array([at if at <= horizon else horizon + 1 for at in state.resolved_at],
+                     dtype=np.int64)
+    # each slot's stamp as the first checkpoint at or after it; the last bucket
+    # takes the stamps after every checkpoint
+    bins = len(checkpoints) + 1
+    bucket = np.searchsorted(np.asarray(checkpoints, dtype=np.int64), stamp, side="left")
+    descends = (left >= 0) & (bucket < bins - 1)
+    matrix = np.hstack((iv, cats))
+
+    # per level: the walking points, their target labels, slots and arrival buckets
+    pts, target = np.arange(len(ref)), ref
+    slot = arrived = np.zeros(len(ref), dtype=np.int64)
+    change = np.zeros(bins, dtype=np.int64)
+    while pts.size:
+        at = bucket[slot]
+        # a provisional label shown from arrival to stamp; within one bucket it cancels
+        shown = (at != arrived) & (provisional[slot] == target)
+        change += (np.bincount(arrived[shown], minlength=bins)
+                   - np.bincount(at[shown], minlength=bins)
+                   + np.bincount(at[leaf_label[slot] == target], minlength=bins))
+        go = descends[slot]
+        pts, target, slot, arrived = pts[go], target[go], slot[go], at[go]
+        v = matrix[pts, col[slot]]
+        slot = np.where((lo[slot] <= v) & (v <= hi[slot]), left[slot], right[slot])
+    return [agree / len(ref) for agree in np.cumsum(change[:-1]).tolist()]
 
 
 def snapshot_fidelities(target: Model, snapshots: Sequence[Snapshot], iv: np.ndarray,

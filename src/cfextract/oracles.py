@@ -13,8 +13,12 @@ and replay each one's ``x``, ``region`` and ``counterfactual`` through
 interval probe from a table of the target's labels along the axis it is
 sweeping, built by one walk of each tree and rebuilt each time the sweep turns
 to an axis; the sampling generator is built only when the training-data scan
-misses. Server-side computation (including every predict issued internally) is
-not billed; only ``query`` calls count.
+misses. The uniform samples are drawn and labelled in growing blocks, one
+``rng.integers`` and one ``predict_arrays`` call each; a block's rows are the
+points that one ``sample_point`` call after another would draw from the same
+generator, so the first hit, and every answer, is theirs. Server-side
+computation (including every predict issued internally) is not billed; only
+``query`` calls count.
 
 The exact mode is deterministic: among all minimizers it returns the
 lexicographically smallest point (``FeatureSchema.lex_key``), so the answer,
@@ -53,8 +57,8 @@ import numpy as np
 
 from .distances import Distance
 from .errors import ContractViolation, UnsupportedModelError
-from .models import Leaf, Model, SplitNode, TreeModel
-from .regions import Region, contains, sample_point
+from .models import UNKNOWN, Leaf, Model, SplitNode, TreeModel
+from .regions import Region, contains
 from .schema import FeatureSchema, Point
 
 
@@ -287,6 +291,11 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
     return Point(tuple(ivals), tuple(cats))
 
 
+# rows of the heuristic search's sample blocks: each is 4 times the one before,
+# up to the largest, so that a large sample budget keeps memory bounded
+_FIRST_BLOCK, _LARGEST_BLOCK = 16, 4096
+
+
 def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
                  training_data: Sequence[Point] | None, sample_budget: int,
                  make_rng: Callable[[], np.random.Generator]) -> Point | None:
@@ -296,6 +305,16 @@ def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
     the sampling generator; it is called only when the scan finds no flip
     and sampling starts.
 
+    The ``sample_budget`` uniform draws come in blocks of 16, 64, 256, 1,024
+    and then 4,096 rows (the last cut to the budget). A block is one
+    ``rng.integers`` call over the interval axes, then over the index into
+    the sorted allowed set of each group with more than one;
+    ``predict_arrays`` labels it, and the first row of another label than
+    ``y`` is the hit. The rows are the points
+    that successive ``sample_point`` calls draw from the same generator, in
+    order, so the hit is the same point, and the rows drawn past it are only
+    thrown away: the generator is the query's own.
+
     Returns a locally optimal counterfactual when the search hits one;
     ``None`` only means the search failed, not that none exists.
     """
@@ -303,11 +322,30 @@ def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
         for p in training_data:
             if contains(region, p) and target.predict(p) != y:
                 return line_search(target, x, p)
+    if any(b >= 2 ** 63 for _, b in region.intervals):
+        raise ContractViolation("cannot sample past grid index 2**63 - 1: numpy draws int64")
+    n_iv = len(region.intervals)
+    choices = [np.array(sorted(s), dtype=np.int64) for s in region.allowed]
+    drawn = [g for g, s in enumerate(choices) if len(s) > 1]
+    lo = [a for a, _ in region.intervals] + [0] * len(drawn)
+    hi = [b for _, b in region.intervals] + [len(choices[g]) - 1 for g in drawn]
+    fixed = [s[0] for s in choices]  # a group's one category, or a placeholder
+    y_row = UNKNOWN if y is None else y
     rng = make_rng()
-    for _ in range(sample_budget):
-        p = sample_point(region, rng)
-        if target.predict(p) != y:
-            return line_search(target, x, p)
+    left, size = sample_budget, _FIRST_BLOCK
+    while left:
+        n = min(size, left)
+        block = rng.integers(lo, hi, size=(n, len(lo)), endpoint=True, dtype=np.int64)
+        iv = block[:, :n_iv]
+        cats = np.tile(np.array(fixed, dtype=np.int64), (n, 1))
+        for j, g in enumerate(drawn):
+            cats[:, g] = choices[g][block[:, n_iv + j]]
+        flips = np.flatnonzero(target.predict_arrays(iv, cats) != y_row)
+        if flips.size:
+            i = flips[0]
+            return line_search(target, x, Point(tuple(iv[i].tolist()), tuple(cats[i].tolist())))
+        left -= n
+        size = min(4 * size, _LARGEST_BLOCK)
     return None
 
 

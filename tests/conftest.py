@@ -25,6 +25,11 @@ box walks of ``TreeModel.leaf_boxes`` and ``cfextract.functional_equivalence``
 ``reference_forest_compile`` grafts a forest into one tree on ``Region``s, cut
 with ``reference_split_region``, which ``ForestModel.tree``'s walk through
 ``cut`` must reproduce node for node.
+``reference_heuristic_cf`` is the heuristic search with one ``sample_point``
+and one ``predict`` per draw, whose records the block sampler of
+``cfextract.heuristic_cf`` must reproduce. ``reference_replay`` is the anytime
+replay walking the node store one slot at a time, whose fidelities the
+level pass of ``evaluation._replay`` must reproduce.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.
 """
 
@@ -34,7 +39,9 @@ import copy
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -496,6 +503,53 @@ def reference_line_search(target, x: cx.Point, x_cand: cx.Point) -> cx.Point:
                     cats[g] = x.cats[g]
                     moved = True
     return cx.Point(tuple(ivals), tuple(cats))
+
+
+def reference_heuristic_cf(target, x: cx.Point, y, region: cx.Region, training_data,
+                           sample_budget: int, make_rng):
+    """``cx.heuristic_cf`` drawing one ``sample_point`` and one ``predict`` at
+    a time: the same scan, the same draws, the same result."""
+    if training_data:
+        for p in training_data:
+            if cx.contains(region, p) and target.predict(p) != y:
+                return cx.line_search(target, x, p)
+    rng = make_rng()
+    for _ in range(sample_budget):
+        p = cx.sample_point(region, rng)
+        if target.predict(p) != y:
+            return cx.line_search(target, x, p)
+    return None
+
+
+def reference_replay(state: cx.ExtractionState, checkpoints, iv, cats, ref) -> list[float]:
+    """``evaluation._replay`` one slot at a time: a walk from slot 0 that
+    carries each set of points with the query count it arrived at and adds
+    each integer change in the agreement count under the first checkpoint at
+    or after its stamp, as ``_replay``'s level pass must reproduce."""
+    def hits(sel, label):
+        return 0 if label is None else int(np.count_nonzero(ref[sel] == label))
+
+    horizon = checkpoints[-1]
+    change = [0] * (len(checkpoints) + 1)
+    stack = [(0, 0, np.arange(len(ref)))]  # (slot, arrival, points)
+    while stack:
+        s, arrived, sel = stack.pop()
+        at = state.resolved_at[s]
+        if at != arrived:
+            n = hits(sel, state.provisional[s])
+            change[bisect_left(checkpoints, arrived)] += n
+            change[bisect_left(checkpoints, at)] -= n
+        if at > horizon:
+            continue
+        node = state.nodes[s]
+        if isinstance(node, cx.Leaf):
+            change[bisect_left(checkpoints, at)] += hits(sel, node.label)
+        else:
+            mask = node.left_mask(iv, cats, sel)
+            for child, part in ((node.left, sel[mask]), (node.right, sel[~mask])):
+                if part.size:
+                    stack.append((child, at, part))
+    return [agree / len(ref) for agree in accumulate(change[:-1])]
 
 
 def reference_cost_complexity_prune(tree, train_points, train_labels, alpha):

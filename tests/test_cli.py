@@ -177,6 +177,48 @@ def test_train_no_prune_writes_the_tree_grown_on_the_training_split(workdir):
     assert len(pruned.nodes) < len(full.nodes)
 
 
+def _train_data(workdir):
+    """A 60-row CSV of one numeric feature and its schema config."""
+    rng = np.random.default_rng(1)
+    data, cfg = workdir / "d.csv", workdir / "cfg.json"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y"])
+        for v in rng.integers(0, 101, size=60).tolist():
+            w.writerow([f"{v / 100:.2f}", int(v > 50) ^ int(rng.random() < 0.2)])
+    config = {"features": [{"name": "x", "kind": "numeric", "delta": "0.01"}]}
+    cfg.write_text(json.dumps(config))
+    return data, cfg, config
+
+
+@pytest.mark.parametrize("kind, option", [("tree", ["--trees", "7"]),
+                                          ("forest", ["--no-prune"])])
+def test_train_option_the_kind_does_not_read_is_a_usage_error(workdir, capsys, kind, option):
+    data, cfg, _ = _train_data(workdir)
+    before = sorted(workdir.iterdir())
+    assert run_cli("train", "--data", data, "--schema-config", cfg, "--label", "y",
+                   "--kind", kind, *option, "--out", workdir / "m.json") == 1
+    assert capsys.readouterr().err == f"--kind {kind} reads no {option[0]}\n"
+    assert sorted(workdir.iterdir()) == before  # refused before any file is written
+
+
+def test_train_defaults_are_a_pruned_tree_and_a_forest_of_ten(workdir):
+    data, cfg, config = _train_data(workdir)
+    for kind, extra, out in [("tree", [], "tree.json"), ("forest", [], "forest.json"),
+                             ("forest", ["--trees", "3"], "forest3.json")]:
+        assert run_cli("train", "--data", data, "--schema-config", cfg, "--label", "y",
+                       "--kind", kind, *extra, "--out", workdir / out) == 0
+    bundle = cx.ingest_csv(str(data), config, "y", 0)
+    train_p, train_y = bundle.train
+    tree = cx.prune(cx.train_tree(bundle.schema, train_p, train_y), train_p, train_y,
+                    *bundle.val)
+    assert cx.load_model(str(workdir / "tree.json")).nodes == tree.nodes
+    for out, n_trees in [("forest.json", 10), ("forest3.json", 3)]:
+        forest = cx.train_forest(bundle.schema, train_p, train_y, cx.TrainConfig(n_trees=n_trees))
+        assert [t.nodes for t in cx.load_model(str(workdir / out)).trees] \
+            == [t.nodes for t in forest.trees]
+
+
 def test_bounds_report(workdir):
     adv = workdir / "adv.json"
     run_cli("gen", "--kind", "adversarial", "--s", "1,1", "--out", adv)

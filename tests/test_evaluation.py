@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfextract as cx
-from tests.conftest import enumerate_region, make_schema, reference_equivalence
+from cfextract.evaluation import _replay
+from tests.conftest import (enumerate_region, make_schema, reference_equivalence,
+                            reference_replay)
 from tests.test_models import single_split_tree
 
 
@@ -332,13 +334,27 @@ def _agreement(target, model, iv, cats) -> float:
     return float(((pred == ref) & (pred != -1)).mean())
 
 
+def _replay_target(family, kind, depth, seed, classes, data):
+    """A target of ``family``: a random tree or forest on the ``kind`` schema,
+    or an adversarial chain of drawn non-increasing split counts."""
+    if family == "adversarial":
+        s = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        return cx.gen_adversarial(cx.AdversarialSpec(tuple(sorted(s, reverse=True))))
+    if family == "forest":
+        return cx.gen_random_forest(make_schema(kind), 2, min(depth, 3), seed, classes)
+    return cx.gen_random_tree(make_schema(kind), depth, seed, classes)
+
+
 @given(seed=st.integers(0, 2**16), depth=st.integers(1, 5), classes=st.sampled_from([2, 3]),
        order=st.sampled_from(["fifo", "lifo", "random"]),
-       snapshot_every=st.sampled_from([1, 3, 20]), data=st.data())
+       snapshot_every=st.sampled_from([1, 3, 20]),
+       kind=st.sampled_from(["mixed", "2num", "small3", "groups2"]),
+       family=st.sampled_from(["tree", "forest", "adversarial"]), data=st.data())
 def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, order,
-                                                       snapshot_every, data):
-    sch = make_schema("mixed")
-    target = cx.gen_random_tree(sch, depth, seed, classes)
+                                                       snapshot_every, kind, family, data):
+    # schemas with no groups (2num, small3) and with groups first (groups2)
+    target = _replay_target(family, kind, depth, seed, classes, data)
+    sch = target.schema
     # the tree after each query, built when the next query starts
     eager = {}
     pop = cx.ExtractionState.pop
@@ -357,6 +373,11 @@ def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, orde
     assert replayed == [_agreement(target, s.model, iv, cats) for s in res.snapshots]
     for snap in res.snapshots:
         assert snap.model.nodes == eager[snap.queries]
+    # the level pass gives the per-slot walk's numbers, on any ascending checkpoints
+    checkpoints = sorted(data.draw(st.sets(st.integers(0, res.log.count + 2), min_size=1)))
+    state, ref = res.snapshots[-1].state, target.predict_arrays(iv, cats)
+    assert (_replay(state, checkpoints, iv, cats, ref)
+            == reference_replay(state, checkpoints, iv, cats, ref))
     # in one call and shuffled: a subset of the run's snapshots that ends below its
     # final count, a second run's snapshots and a snapshot that carries a model
     early = data.draw(st.permutations(res.snapshots[:-1] or res.snapshots))
@@ -366,6 +387,27 @@ def test_replayed_fidelities_match_the_snapshot_trees(seed, depth, classes, orde
         early[:data.draw(st.integers(1, len(early)))] + second.snapshots + [model]))
     assert (cx.snapshot_fidelities(target, mixed, iv, cats)
             == [_agreement(target, s.model, iv, cats) for s in mixed])
+
+
+@given(seed=st.integers(0, 2**16), depth=st.integers(1, 4), classes=st.sampled_from([2, 3]),
+       kind=st.sampled_from(["mixed", "2num", "groups2"]), data=st.data())
+def test_replay_against_a_partial_target_matches_the_snapshot_trees_point_for_point(
+        seed, depth, classes, kind, data):
+    # the run extracts a full tree; its snapshots are scored against a copy with
+    # one leaf unknown, where no label agrees, an unknown provisional one included
+    sch = make_schema(kind)
+    full = cx.gen_random_tree(sch, depth, seed, classes)
+    leaves = [i for i, node in enumerate(full.nodes) if isinstance(node, cx.Leaf)]
+    unknown = data.draw(st.sampled_from(leaves))
+    partial = cx.TreeModel(sch, [cx.Leaf(None) if i == unknown else node
+                                 for i, node in enumerate(full.nodes)], full.root)
+    res = cx.tra_extract(cx.CounterfactualOracle(full), snapshot_every=2)
+    iv, cats = cx.uniform_points(sch, 40, seed)
+    for i in range(len(iv)):
+        point = iv[i:i + 1], cats[i:i + 1]
+        assert (cx.snapshot_fidelities(partial, res.snapshots, *point)
+                == [_agreement(partial, s.model, *point)
+                    for s in res.snapshots])
 
 
 # anytime curves (checkpoint 5, 400 uniform points of seed 0) of two TRA runs with

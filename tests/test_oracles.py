@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import cfextract as cx
 from tests.conftest import (brute_force_cf, false_absences, make_schema, random_subregion,
-                            reference_line_search, run_optimized, verify_local_optimality)
+                            reference_heuristic_cf, reference_line_search, run_optimized,
+                            verify_local_optimality)
 from tests.test_models import single_split_tree, two_split_target
 
 
@@ -560,6 +561,87 @@ def test_heuristic_deterministic_per_region(schema_mixed):
     sub = cx.Region(((0, 10), (0, 1), (0, 7)), (frozenset({0, 1, 2}),))
     b.query(cx.center(sub), sub)
     assert a.query(x, region).counterfactual == b.query(x, region).counterfactual
+
+
+class _RowRecorder:
+    """A model that labels every row ``label`` and keeps the rows it was asked
+    about, as the points they stand for."""
+
+    def __init__(self, label):
+        self.label, self.rows = label, []
+
+    def predict_arrays(self, iv, cats):
+        self.rows += [cx.Point(tuple(a), tuple(c)) for a, c in zip(iv.tolist(), cats.tolist())]
+        return np.full(len(iv), self.label, dtype=np.int64)
+
+
+@st.composite
+def sampling_regions(draw):
+    """Regions with point intervals, an axis ending at index 2**63 - 1 and
+    single-category groups among the rest."""
+    intervals = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["point", "small", "top"]))
+        if kind == "top":
+            intervals.append((draw(st.integers(0, 2**63 - 1)), 2**63 - 1))
+        else:
+            a = draw(st.integers(0, 2**40))
+            intervals.append((a, a if kind == "point" else a + draw(st.integers(1, 300))))
+    allowed = [frozenset(draw(st.sets(st.integers(0, 6), min_size=1, max_size=5)))
+               for _ in range(draw(st.integers(0, 3)))]
+    return cx.Region(tuple(intervals), tuple(allowed))
+
+
+@given(region=sampling_regions(), seed=st.integers(0, 2**32),
+       budget=st.one_of(st.integers(1, 400), st.integers(5400, 5500)))
+def test_sample_blocks_are_successive_sample_point_draws(region, seed, budget):
+    # no row flips the label: every block is drawn and labelled, and its rows in
+    # order are the draws of sample_point from a generator of the same seed (a
+    # budget past 5,456 = 16 + 64 + 256 + 1,024 + 4,096 draws a second largest block)
+    recorder = _RowRecorder(0)
+    x = cx.center(region)
+    assert cx.heuristic_cf(recorder, x, 0, region, None, budget,
+                           lambda: np.random.default_rng(seed)) is None
+    rng = np.random.default_rng(seed)
+    assert recorder.rows == [cx.sample_point(region, rng) for _ in range(budget)]
+
+
+def test_sampling_past_index_2_63_minus_1_is_refused():
+    region = cx.Region(((0, 2**63),), ())
+    with pytest.raises(cx.ContractViolation, match="2\\*\\*63"):
+        cx.heuristic_cf(_RowRecorder(0), cx.Point((0,), ()), 0, region, None, 10,
+                        lambda: np.random.default_rng(0))
+
+
+@given(kind=st.sampled_from(["mixed", "groups2", "small3", "2num"]), seed=st.integers(0, 2**16),
+       forest=st.booleans(), method=st.sampled_from(["tra", "cf", "dualcf"]),
+       train=st.integers(0, 20), budget=st.integers(1, 80))
+@settings(max_examples=25)
+def test_heuristic_attacks_bill_the_records_of_per_point_sampling(kind, seed, forest, method,
+                                                                   train, budget):
+    sch = make_schema(kind)
+    target = (cx.gen_random_forest(sch, 3, 3, seed, 3) if forest
+              else cx.gen_random_tree(sch, 4, seed, 2))
+    rng = np.random.default_rng(seed)
+    training = [cx.sample_point(cx.full_region(sch), rng) for _ in range(train)]
+
+    def run():
+        records = []
+        oracle = cx.CounterfactualOracle(
+            target, cx.OracleConfig(mode="heuristic", sample_budget=budget, seed=seed),
+            training_data=training, sink=records.append)
+        if method == "tra":
+            res = cx.tra_extract(oracle, snapshot_every=0)
+        else:
+            attack = cx.cf_attack if method == "cf" else cx.dualcf_attack
+            res = attack(oracle, cx.AttackBudget(60), cx.SurrogateSpec(), seed=seed,
+                         snapshot_every=0)
+        return records, res.model.nodes
+
+    blocks = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cx.oracles, "heuristic_cf", reference_heuristic_cf)
+        assert blocks == run()
 
 
 def test_metering_counts_api_calls_only(schema_mixed):
