@@ -56,13 +56,16 @@ class _Mark(NamedTuple):
     size: int
 
 
+SURROGATE_KINDS = ("tree", "forest")
+
+
 @dataclass(frozen=True)
 class SurrogateSpec:
-    kind: str = "tree"  # "tree" | "forest"
+    kind: str = "tree"  # one of SURROGATE_KINDS
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        if self.kind not in ("tree", "forest"):
+        if self.kind not in SURROGATE_KINDS:
             raise ContractViolation(f"unknown surrogate kind {self.kind!r}")
 
 

@@ -3,6 +3,12 @@
 Exit codes: 0 success (also when the reader of stdout closes it early: the
 output ends there), 1 usage error (including a missing or unreadable file),
 2 contract violation, 3 capacity.
+
+One rule holds for options: a command refuses any option that its choice
+does not read (the kind for gen and train, the method for attack, the
+reports asked for in eval), and any that its choice needs but is left out,
+before it reads or writes a file. Such options default to None in the
+parser; each command's table below holds their readers and their defaults.
 """
 
 from __future__ import annotations
@@ -13,24 +19,26 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .baselines import (AttackBudget, LeafIdOracle, SurrogateSpec, cf_attack,
-                        default_budget, dualcf_attack, pathfinding_extract)
+from .baselines import (SURROGATE_KINDS, AttackBudget, LeafIdOracle, SurrogateSpec,
+                        cf_attack, default_budget, dualcf_attack, pathfinding_extract)
 from .cart import TrainConfig, prune, train_forest, train_tree, accuracy
 from .datasets import ingest_csv
+from .distances import DISTANCE_KINDS
 from .errors import CapacityError, ContractViolation, DataFormatError, UnsupportedModelError
 from .evaluation import (bound_report, fidelity, functional_equivalence, mean_curve,
                          measured_ratio, snapshot_fidelities, uniform_points)
 from .generators import (AdversarialSpec, gen_adversarial, gen_chessboard,
                          gen_random_forest, gen_random_tree)
 from .models import check_int64_grid, load_model, save_model, stats
-from .oracles import CounterfactualOracle, OracleConfig
+from .oracles import ORACLE_MODES, CounterfactualOracle, OracleConfig
 from .regions import full_region, region_json, sample_point
-from .schema import exact_number, load_schema, save_schema
-from .tra import tra_extract
+from .schema import exact_number, load_schema, read_json, save_schema, write_json
+from .tra import QUEUE_ORDERS, tra_extract
 
 
 class _UsageError(Exception):
@@ -59,15 +67,18 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic target model")
+    g = sub.add_parser("gen", help="generate a synthetic target model",
+                       description="An option that the chosen kind does not read is a "
+                       "usage error.")
     g.add_argument("--kind", required=True,
                    choices=["random-tree", "random-forest", "chessboard", "adversarial"])
     g.add_argument("--schema", help="schema JSON (random-* and chessboard kinds)")
-    g.add_argument("--depth", type=int, default=4)
-    g.add_argument("--trees", type=int, default=5)
-    g.add_argument("--classes", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--s", help="comma-separated split counts (chessboard, adversarial)")
+    g.add_argument("--depth", type=int)
+    g.add_argument("--trees", type=int)
+    g.add_argument("--classes", type=int)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--s", type=_int_list,
+                   help="comma-separated split counts (chessboard, adversarial)")
     g.add_argument("--epsilon", type=exact_number,
                    help="adversarial placement offset (exact number)")
     g.add_argument("--delta", type=exact_number, help="adversarial grid step (exact number)")
@@ -80,10 +91,10 @@ def build_parser() -> _Parser:
     t.add_argument("--schema-config", required=True)
     t.add_argument("--label", required=True, help="label column name")
     t.add_argument("--kind", choices=["tree", "forest"], default="tree")
-    # None, so that a --trees left out is told from one given
     t.add_argument("--trees", type=int, help="forest: number of trees (default 10)")
     t.add_argument("--max-depth", type=int)
-    t.add_argument("--no-prune", action="store_true", help="tree: keep the grown tree")
+    t.add_argument("--no-prune", action="store_true", default=None,
+                   help="tree: keep the grown tree")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True)
 
@@ -93,16 +104,14 @@ def build_parser() -> _Parser:
     a.add_argument("--method", required=True, choices=["tra", "pathfinding", "cf", "dualcf"])
     a.add_argument("--target", required=True, help="target model JSON")
     a.add_argument("--schema", help="schema JSON (defaults to the model's schema_ref)")
-    # the rest default to None, so that an option left out is told from one
-    # given; _ATTACK_OPTIONS holds their defaults and the methods that read them
-    a.add_argument("--oracle", choices=["exact", "heuristic"])
-    a.add_argument("--distance", choices=["l2", "l1"])
+    a.add_argument("--oracle", choices=ORACLE_MODES)
+    a.add_argument("--distance", choices=DISTANCE_KINDS)
     a.add_argument("--seed", type=int)
     a.add_argument("--budget", type=_budget,
                    help="query budget for cf/dualcf (int or 'auto')")
-    a.add_argument("--order", choices=["fifo", "lifo", "random"], help="TRA's queue order")
+    a.add_argument("--order", choices=QUEUE_ORDERS, help="TRA's queue order")
     a.add_argument("--snapshot-every", type=int)
-    a.add_argument("--surrogate", choices=["tree", "forest"], help="cf/dualcf surrogate")
+    a.add_argument("--surrogate", choices=SURROGATE_KINDS, help="cf/dualcf surrogate")
     a.add_argument("--oracle-samples", type=int,
                    help="heuristic oracle: uniform draws per query")
     a.add_argument("--oracle-train-size", type=int,
@@ -112,7 +121,9 @@ def build_parser() -> _Parser:
     a.add_argument("--trace", help="JSON-lines query trace (not for pathfinding)")
     a.add_argument("--curve", help="anytime curve CSV (not for pathfinding)")
 
-    e = sub.add_parser("eval", help="equivalence / fidelity / bounds / ratio reports")
+    e = sub.add_parser("eval", help="equivalence / fidelity / bounds / ratio reports",
+                       description="An option that no report asked for reads is a usage "
+                       "error.")
     e.add_argument("--equivalence", nargs=2, metavar=("A", "B"))
     e.add_argument("--fidelity", nargs=2, metavar=("A", "B"))
     e.add_argument("--bounds", metavar="MODEL")
@@ -122,8 +133,8 @@ def build_parser() -> _Parser:
     e.add_argument("--trace")
     e.add_argument("--schema", help="schema JSON for every model (defaults to each "
                    "model's own schema_ref)")
-    e.add_argument("--samples", type=int, default=3000)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--samples", type=int)
+    e.add_argument("--seed", type=int)
     e.add_argument("--out")
 
     r = sub.add_parser("report", help="aggregate anytime curves (means over runs)",
@@ -133,11 +144,28 @@ def build_parser() -> _Parser:
     return p
 
 
+_REQUIRED = object()  # the default of an option that its readers cannot do without
+# Per command, option -> (the choices that read it, its default or _REQUIRED).
+# An option that every choice of its command reads is left out of the table.
+_GEN_OPTIONS = {
+    "schema": (("random-tree", "random-forest", "chessboard"), _REQUIRED),
+    "depth": (("random-tree", "random-forest"), 4),
+    "seed": (("random-tree", "random-forest"), 0),
+    "trees": (("random-forest",), 5),
+    "classes": (("random-tree", "random-forest", "chessboard"), 2),
+    "s": (("chessboard", "adversarial"), _REQUIRED),
+    "epsilon": (("adversarial",), None),
+    "delta": (("adversarial",), None),
+}
+_TRAIN_OPTIONS = {
+    "trees": (("forest",), TrainConfig.n_trees),
+    "no_prune": (("tree",), False),
+}
 _COUNTERFACTUAL = ("tra", "cf", "dualcf")
 _SURROGATE = ("cf", "dualcf")
-# attack option -> (the methods that read it, its default). Pathfinding reads
-# only --target, --schema and --out: it takes no snapshots to draw a curve
-# from, and its leaf-id probes have no region or counterfactual to trace.
+# Pathfinding reads only --target, --schema and --out: it takes no snapshots
+# to draw a curve from, and its leaf-id probes have no region or
+# counterfactual to trace.
 _ATTACK_OPTIONS = {
     "oracle": (_COUNTERFACTUAL, "exact"),
     "distance": (_COUNTERFACTUAL, "l2"),
@@ -152,25 +180,36 @@ _ATTACK_OPTIONS = {
     "trace": (_COUNTERFACTUAL, None),
     "curve": (_COUNTERFACTUAL, None),
 }
+_EVAL_OPTIONS = {
+    "target": (("ratio",), _REQUIRED),
+    "extracted": (("ratio",), _REQUIRED),
+    "trace": (("ratio",), _REQUIRED),
+    "samples": (("fidelity",), 3000),
+    "seed": (("fidelity",), 0),
+}
 
 
-def _attack_options(args) -> None:
-    """Refuse every option given that ``args.method`` does not read, then
-    fill in the defaults of those left out."""
-    unread = [name for name, (methods, _) in _ATTACK_OPTIONS.items()
-              if getattr(args, name) is not None and args.method not in methods]
-    if unread:
-        raise _UsageError(f"--method {args.method} reads no "
-                          + ", ".join("--" + name.replace("_", "-") for name in unread))
-    for name, (_, default) in _ATTACK_OPTIONS.items():
-        if getattr(args, name) is None:
+def _options(args, chosen: dict, table: dict) -> None:
+    """Refuse every option of ``table`` that is given but that no choice in
+    ``chosen`` reads, then every required one that a chosen choice reads and
+    that is left out; fill in the defaults of the others left out.
+    ``chosen`` maps each choice made (a kind, a method or a report) to its
+    name in a message."""
+    unread, missing = [], []
+    for name, (readers, default) in table.items():
+        read = not chosen.keys().isdisjoint(readers)
+        if getattr(args, name) is not None:
+            if not read:
+                unread.append("--" + name.replace("_", "-"))
+        elif default is not _REQUIRED:
             setattr(args, name, default)
-
-
-def _load_target(args):
-    schema = load_schema(args.schema) if args.schema else None
-    model = load_model(args.target, schema)
-    return model, model.schema
+        elif read:
+            missing.append("--" + name.replace("_", "-"))
+    named, s = " ".join(chosen.values()), "s" if len(chosen) == 1 else ""
+    if unread:
+        raise _UsageError(f"{named} read{s} no {', '.join(unread)}")
+    if missing:
+        raise _UsageError(f"{named} need{s} {', '.join(missing)}")
 
 
 @contextlib.contextmanager
@@ -202,22 +241,27 @@ def _trace_sink(path, schema):
 
 def _trace_queries(path) -> int:
     """The queries a trace ``path`` bills: its lines, each a JSON object whose
-    ``index`` is the line's 0-based position, as ``_trace_sink`` writes them."""
+    ``index`` is the line's 0-based position, as ``_trace_sink`` writes them.
+    A trace has at least one: every attack that writes one bills a query."""
     n = 0
     with open(path, "rb") as fh:
         for n, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line.decode("utf-8"))
-            except ValueError:  # not UTF-8, or not JSON
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
                 rec = None
             if not (isinstance(rec, dict) and type(rec.get("index")) is int
                     and rec["index"] == n - 1):
                 raise DataFormatError(f"{path}, line {n}: not a query-trace record "
                                       f"with index {n - 1}")
+    if n == 0:
+        raise DataFormatError(f"{path}: a query trace with no records")
     return n
 
 
-def _save_extracted(path, model, schema):
+def _save_with_schema(path, model, schema):
+    """Write ``model`` to ``path`` and ``schema`` beside it, to
+    ``<path>.schema.json``, which the model file names."""
     schema_path = path + ".schema.json"
     save_schema(schema_path, schema)
     save_model(path, model, os.path.basename(schema_path))
@@ -234,9 +278,13 @@ def _write_curve(path, method, target, schema, snapshots, samples, seed):
 
 
 def _cmd_gen(args) -> int:
-    if args.kind in ("random-tree", "random-forest", "chessboard"):
-        if not args.schema:
-            raise _UsageError(f"--schema is required for kind {args.kind}")
+    # before any file is read
+    _options(args, {args.kind: f"--kind {args.kind}"}, _GEN_OPTIONS)
+    if args.kind == "adversarial":
+        model = gen_adversarial(AdversarialSpec(args.s, epsilon=args.epsilon,
+                                                delta=args.delta))
+        _save_with_schema(args.out, model, model.schema)
+    else:
         schema = load_schema(args.schema)
         if args.kind == "random-tree":
             model = gen_random_tree(schema, args.depth, args.seed, args.classes)
@@ -244,40 +292,20 @@ def _cmd_gen(args) -> int:
             model = gen_random_forest(schema, args.trees, args.depth, args.seed,
                                       args.classes)
         else:
-            if not args.s:
-                raise _UsageError("--s is required for chessboard")
-            model = gen_chessboard(schema, _int_list(args.s), args.classes)
-        schema_ref = os.path.relpath(
-            os.path.abspath(args.schema), os.path.dirname(os.path.abspath(args.out)) or "."
-        )
-    else:
-        if not args.s:
-            raise _UsageError("--s is required for adversarial")
-        model = gen_adversarial(AdversarialSpec(_int_list(args.s), epsilon=args.epsilon,
-                                                delta=args.delta))
-        schema_path = args.out + ".schema.json"
-        save_schema(schema_path, model.schema)
-        schema_ref = os.path.basename(schema_path)
-    save_model(args.out, model, schema_ref)
+            model = gen_chessboard(schema, args.s, args.classes)
+        # the model names the given schema, relative to the model's own directory
+        save_model(args.out, model, os.path.relpath(
+            os.path.abspath(args.schema), os.path.dirname(os.path.abspath(args.out))))
     st = stats(model)
     print(f"wrote {args.out}: n={st.n} nodes={st.node_count} leaves={st.leaf_count}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    # refused before any file is read or written
-    if args.kind == "tree" and args.trees is not None:
-        raise _UsageError("--kind tree reads no --trees")
-    if args.kind == "forest" and args.no_prune:
-        raise _UsageError("--kind forest reads no --no-prune")
-    with open(args.schema_config, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{args.schema_config}: not valid JSON ({exc})") from exc
-    bundle = ingest_csv(args.data, config, args.label, args.seed)
-    cfg = TrainConfig(max_depth=args.max_depth, seed=args.seed,
-                      n_trees=TrainConfig.n_trees if args.trees is None else args.trees)
+    # before any file is read
+    _options(args, {args.kind: f"--kind {args.kind}"}, _TRAIN_OPTIONS)
+    bundle = ingest_csv(args.data, read_json(args.schema_config), args.label, args.seed)
+    cfg = TrainConfig(max_depth=args.max_depth, seed=args.seed, n_trees=args.trees)
     train_p, train_y = bundle.train
     if args.kind == "forest":
         model = train_forest(bundle.schema, train_p, train_y, cfg)
@@ -286,9 +314,7 @@ def _cmd_train(args) -> int:
         if not args.no_prune and bundle.val_idx:
             val_p, val_y = bundle.val
             model = prune(model, train_p, train_y, val_p, val_y)
-    schema_path = args.out + ".schema.json"
-    save_schema(schema_path, bundle.schema)
-    save_model(args.out, model, os.path.basename(schema_path))
+    _save_with_schema(args.out, model, bundle.schema)
     test_p, test_y = bundle.test
     acc = float(accuracy(model, test_p, test_y)) if test_p else float("nan")
     print(f"wrote {args.out}: test_accuracy={acc:.4f} nodes={stats(model).node_count}")
@@ -296,17 +322,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _attack_options(args)  # before any file is read or written
+    # before any file is read
+    _options(args, {args.method: f"--method {args.method}"}, _ATTACK_OPTIONS)
     if args.fidelity_samples < 1:  # refused before the attack writes anything
         raise ContractViolation("--fidelity-samples must be >= 1")
-    target, schema = _load_target(args)
+    target = load_model(args.target, load_schema(args.schema) if args.schema else None)
+    schema = target.schema
     if args.curve:  # the curve's sample is int64 arrays
         check_int64_grid(schema)
     if args.method == "pathfinding":
         model, log = pathfinding_extract(LeafIdOracle(target), schema)
         snapshots = []
         result_method = "pathfinding"
-        _save_extracted(args.out, model, schema)
+        _save_with_schema(args.out, model, schema)
     else:
         if args.oracle_train_size < 0:  # as OracleConfig checks --oracle-samples
             raise ContractViolation("--oracle-train-size must be >= 0")
@@ -335,7 +363,7 @@ def _cmd_attack(args) -> int:
                              seed=args.seed, snapshot_every=args.snapshot_every)
             model, log, snapshots = res.model, res.log, res.snapshots
             result_method = res.method
-            _save_extracted(args.out, model, schema)
+            _save_with_schema(args.out, model, schema)
     if args.curve:
         _write_curve(args.curve, result_method, target, schema, snapshots,
                      args.fidelity_samples, args.seed)
@@ -344,8 +372,15 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.samples < 1:  # refused before any work, whichever report is asked for
+    # refused before any work, whichever report is asked for
+    if args.samples is not None and args.samples < 1:
         raise ContractViolation("--samples must be >= 1")
+    chosen = {name: "--" + name for name in ("equivalence", "fidelity", "bounds", "ratio")
+              if getattr(args, name)}
+    if not chosen:
+        raise _UsageError("eval needs at least one of --equivalence/--fidelity/--bounds/--ratio")
+    # before any file is read
+    _options(args, chosen, _EVAL_OPTIONS)
     report: dict = {}
     schema = load_schema(args.schema) if args.schema else None
     if args.equivalence:
@@ -357,13 +392,8 @@ def _cmd_eval(args) -> int:
         }
     if args.fidelity:
         a, b = (load_model(path, schema) for path in args.fidelity)
-        rep = fidelity(a, b, a.schema, n_samples=args.samples, seed=args.seed)
-        report["fidelity"] = {
-            "fidelity": rep.fidelity,
-            "sample_count": rep.sample_count,
-            "seed": rep.seed,
-            "kind": rep.kind,
-        }
+        report["fidelity"] = asdict(fidelity(a, b, a.schema, n_samples=args.samples,
+                                             seed=args.seed))
     if args.bounds:
         model = load_model(args.bounds, schema)
         br = bound_report(model)
@@ -379,22 +409,16 @@ def _cmd_eval(args) -> int:
             "c_tra_float": float(br.c_tra),
         }
     if args.ratio:
-        if not (args.target and args.extracted and args.trace):
-            raise _UsageError("--ratio needs --target, --extracted and --trace")
         target = load_model(args.target, schema)
         extracted = load_model(args.extracted, schema)
         queries = _trace_queries(args.trace)
         ratio = measured_ratio(queries, target, extracted, target.schema)
         report["ratio"] = {"queries": queries, "ratio": str(ratio),
                            "ratio_float": float(ratio)}
-    if not report:
-        raise _UsageError("eval needs at least one of --equivalence/--fidelity/--bounds/--ratio")
-    text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(args.out, report)
     else:
-        print(text)
+        print(json.dumps(report, indent=2))
     return 0
 
 

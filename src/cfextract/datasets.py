@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataFormatError
-from .schema import FeatureSchema, Point, exact_number, number_str
+from .schema import FeatureSchema, Point, exact_number
 
 TRAIN_FRACTION = Fraction(3, 5)
 VAL_FRACTION = Fraction(1, 5)
@@ -49,16 +49,9 @@ class DatasetBundle:
             w = csv.writer(fh)
             w.writerow(header)
             for p, y in zip(self.points, self.labels):
-                row = []
-                for (tag, idx), feat in zip(schema.layout, schema.features):
-                    if tag == "i":
-                        axis = schema.interval_axes[idx]
-                        v = axis.value(p.ivals[idx])
-                        row.append(number_str(v) if axis.kind == "numeric" else str(int(v)))
-                    else:
-                        row.append(schema.groups[idx].categories[p.cats[idx]])
-                row.append(self.label_names[y])
-                w.writerow(row)
+                w.writerow([schema.interval_axes[idx].file_value(p.ivals[idx]) if tag == "i"
+                            else schema.groups[idx].categories[p.cats[idx]]
+                            for tag, idx in schema.layout] + [self.label_names[y]])
 
 
 def _split_sizes(n: int) -> tuple[int, int, int]:

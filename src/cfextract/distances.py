@@ -26,11 +26,12 @@ from .schema import FeatureSchema, Point
 
 # largest row sum the int64 path may produce
 _INT64_MAX = (1 << 63) - 1
+DISTANCE_KINDS = ("l2", "l1")
 
 
 class Distance:
     def __init__(self, schema: FeatureSchema, kind: str = "l2"):
-        if kind not in ("l1", "l2"):
+        if kind not in DISTANCE_KINDS:
             raise ContractViolation(f"unknown distance kind {kind!r}")
         self.schema = schema
         self.kind = kind

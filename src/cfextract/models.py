@@ -29,7 +29,6 @@ leaves of in-progress reconstructions and never agrees with anything.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from bisect import bisect_right
 from collections import Counter
@@ -40,7 +39,8 @@ import numpy as np
 
 from .errors import CapacityError, ContractViolation, DataFormatError
 from .regions import CatNode, Region, SplitNode, full_region, intersect
-from .schema import FeatureSchema, Point, exact_number, json_int, number_str
+from .schema import (FeatureSchema, Point, exact_number, json_int, load_schema,
+                     number_str, read_json, write_json)
 
 UNKNOWN = -1  # array sentinel for None labels
 
@@ -776,19 +776,11 @@ def model_from_json_dict(data: dict, schema: FeatureSchema) -> Model:
 
 
 def save_model(path: str, model: Model, schema_ref: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_json_dict(model, schema_ref), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_json_dict(model, schema_ref))
 
 
 def load_model(path: str, schema: FeatureSchema | None = None) -> Model:
-    from .schema import load_schema
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise DataFormatError(f"{path}: model JSON must be an object")
     if schema is None:

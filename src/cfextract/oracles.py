@@ -61,17 +61,19 @@ from .models import UNKNOWN, Leaf, Model, SplitNode, TreeModel
 from .regions import Region, contains
 from .schema import FeatureSchema, Point
 
+ORACLE_MODES = ("exact", "heuristic")
+
 
 @dataclass
 class OracleConfig:
     distance: str = "l2"
-    mode: str = "exact"  # "exact" | "heuristic"
+    mode: str = "exact"  # one of ORACLE_MODES
     sample_budget: int = 1000  # uniform draws tried by the heuristic search
     cell_cap: int = 100_000  # max leaves of the tree a forest compiles to (exact mode)
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "heuristic"):
+        if self.mode not in ORACLE_MODES:
             raise ContractViolation(f"unknown oracle mode {self.mode!r}")
         if self.sample_budget < 1:
             raise ContractViolation("sample_budget must be >= 1")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .schema import FeatureSchema, Point, number_str
+from .schema import FeatureSchema, Point
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,13 +289,8 @@ def region_json(region: Region, schema: FeatureSchema) -> list:
     out: list = []
     for entry in schema.axis_table:
         if entry[0] == "i":
-            iv = entry[1]
-            axis = schema.interval_axes[iv]
-            a, b = region.intervals[iv]
-            if axis.kind == "numeric":
-                out.append([number_str(axis.value(a)), number_str(axis.value(b))])
-            else:
-                out.append([a, b])
+            axis = schema.interval_axes[entry[1]]
+            out.append([axis.file_value(i) for i in region.intervals[entry[1]]])
         else:
             _, gi, c = entry
             s = region.allowed[gi]

@@ -11,6 +11,13 @@ categories compiles to one ``CategoryGroup`` of k one-hot axes, so the total
 axis count is ``m = #numeric + #binary + #ordinal + sum(k_j)``. A point holds
 one index per interval axis and one category per group: it is built from
 feature values by ``point_of`` and written out per axis by ``point_json``.
+
+The file boundary is three functions. ``read_json`` and ``write_json`` are
+the only places that open a JSON file: schemas, models and schema configs all
+go through them, and every file that is not UTF-8 JSON is a
+``DataFormatError`` naming its path. ``IntervalAxis.file_value`` is the one
+rule for writing an interval index to a file: an exact string on a numeric
+axis, an int otherwise.
 """
 
 from __future__ import annotations
@@ -161,6 +168,12 @@ class IntervalAxis:
     def value(self, idx: int) -> Fraction:
         return self.lo + idx * self.step
 
+    def file_value(self, idx: int):
+        """``value(idx)`` as files hold it: an exact string on a numeric
+        axis, an int on an ordinal or binary one."""
+        v = self.value(idx)
+        return number_str(v) if self.kind == "numeric" else int(v)
+
     def index(self, value) -> int:
         v = exact_number(value)
         q = (v - self.lo) / self.step
@@ -286,9 +299,7 @@ class FeatureSchema:
         out: list = []
         for entry in self.axis_table:
             if entry[0] == "i":
-                axis = self.interval_axes[entry[1]]
-                v = axis.value(p.ivals[entry[1]])
-                out.append(number_str(v) if axis.kind == "numeric" else int(v))
+                out.append(self.interval_axes[entry[1]].file_value(p.ivals[entry[1]]))
             else:
                 _, gi, c = entry
                 out.append(1 if p.cats[gi] == c else 0)
@@ -360,16 +371,27 @@ class FeatureSchema:
         return FeatureSchema(feats)
 
 
-def save_schema(path: str, schema: FeatureSchema) -> None:
+def read_json(path: str):
+    """The JSON value in the file ``path``; a file that is not UTF-8 JSON is
+    a DataFormatError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # RecursionError: arrays or objects nested past the decoder's depth
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_json(path: str, data) -> None:
+    """Write ``data`` to ``path`` as indented JSON and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_config(), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
+def save_schema(path: str, schema: FeatureSchema) -> None:
+    write_json(path, schema.to_config())
+
+
 def load_schema(path: str) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return FeatureSchema.from_config(config)
+    return FeatureSchema.from_config(read_json(path))

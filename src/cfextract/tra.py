@@ -47,7 +47,7 @@ from .models import Leaf, Model, Node, TreeModel
 from .oracles import CounterfactualOracle, QueryLog
 from .regions import Region, center, full_region, grid_volume, split
 
-_ORDERS = ("fifo", "lifo", "random")
+QUEUE_ORDERS = ("fifo", "lifo", "random")
 _PENDING = math.inf  # resolution stamp of a slot no query has resolved yet
 
 
@@ -131,7 +131,7 @@ class ExtractionState:
 
     def __init__(self, oracle: CounterfactualOracle, order: str, order_seed: int,
                  max_regions: int):
-        if order not in _ORDERS:
+        if order not in QUEUE_ORDERS:
             raise ContractViolation(f"unknown queue order {order!r}")
         self.oracle = oracle
         self.schema = oracle.schema

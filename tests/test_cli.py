@@ -121,6 +121,7 @@ def test_adversarial_gen_and_ratio(workdir):
     b'{"index": true}\n',  # a bool is not an index
     b'{"index": 0}\n\n',  # a blank line
     b'{"index": 0}\n\xff\n',  # not UTF-8
+    b'{"index": 0}\n' + b"[" * 100_000 + b"]" * 100_000 + b"\n",  # nested too deep
 ])
 def test_eval_ratio_refuses_a_file_that_is_not_a_trace(workdir, capsys, text):
     adv, ex, trace = workdir / "adv.json", workdir / "ex.json", workdir / "t.jsonl"
@@ -279,8 +280,9 @@ def test_fidelity_without_samples_exit_code(workdir, capsys):
                                            ("random-tree", -3)])
 def test_curve_with_no_evaluation_points_exits_2(workdir, capsys, kind, samples):
     target = workdir / "t.json"
+    trees = ["--trees", "3"] if kind == "random-forest" else []  # a tree reads no --trees
     assert run_cli("gen", "--kind", kind, "--schema", workdir / "schema.json", "--classes", "3",
-                   "--trees", "3", "--depth", "3", "--out", target) == 0
+                   *trees, "--depth", "3", "--out", target) == 0
     capsys.readouterr()
     before = sorted(workdir.iterdir())
     assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
@@ -848,3 +850,178 @@ def test_attack_option_the_method_does_not_read_is_a_usage_error(workdir, capsys
     for option in options[::2]:
         assert option in err
     assert sorted(workdir.iterdir()) == before  # refused before any file is written
+
+
+@pytest.mark.parametrize("text", [b'{"features": ["\xff\xfe"]}', b'{"features": [{"name": "a", ',
+                                  b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "truncated", "nested-too-deep"])
+@pytest.mark.parametrize("source", ["gen --schema", "attack --schema", "attack --target",
+                                    "eval --equivalence", "eval schema_ref",
+                                    "train --schema-config"])
+def test_a_json_input_that_is_not_json_exits_2_naming_it(workdir, capsys, source, text):
+    target, data, bad = workdir / "t.json", workdir / "d.csv", workdir / "bad.json"
+    assert run_cli("gen", "--kind", "random-tree", "--schema", workdir / "schema.json",
+                   "--depth", "3", "--out", target) == 0
+    data.write_text("a,y\n0.1,0\n0.2,1\n0.3,0\n0.4,1\n")
+    bad.write_bytes(text)
+    refers = workdir / "refers.json"  # a model whose schema_ref is the bad file
+    model = json.loads(target.read_text())
+    refers.write_text(json.dumps({**model, "schema_ref": "bad.json"}))
+    out = workdir / "out.json"
+    args = {
+        "gen --schema": ("gen", "--kind", "random-tree", "--schema", bad),
+        "attack --schema": ("attack", "--method", "tra", "--target", target, "--schema", bad),
+        "attack --target": ("attack", "--method", "tra", "--target", bad),
+        "eval --equivalence": ("eval", "--equivalence", target, bad),
+        "eval schema_ref": ("eval", "--bounds", refers),
+        "train --schema-config": ("train", "--data", data, "--schema-config", bad,
+                                  "--label", "y"),
+    }[source]
+    capsys.readouterr()
+    before = sorted(workdir.iterdir())
+    assert run_cli(*args, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"contract violation: {bad}: not valid JSON") and err.count("\n") == 1
+    assert sorted(workdir.iterdir()) == before
+
+
+# gen option -> (a value it takes, the kinds that read it, whether they need it)
+_GEN_READS = {
+    "--schema": ("schema.json", {"random-tree", "random-forest", "chessboard"}, True),
+    "--depth": ("3", {"random-tree", "random-forest"}, False),
+    "--seed": ("1", {"random-tree", "random-forest"}, False),
+    "--trees": ("3", {"random-forest"}, False),
+    "--classes": ("3", {"random-tree", "random-forest", "chessboard"}, False),
+    "--s": ("1,1,1", {"chessboard", "adversarial"}, True),
+    "--epsilon": ("1/96", {"adversarial"}, False),
+    "--delta": ("1/48", {"adversarial"}, False),
+}
+_GEN_KINDS = ("random-tree", "random-forest", "chessboard", "adversarial")
+
+
+def _gen_args(workdir, kind, skip=None):
+    """The options ``kind`` needs, but ``skip``."""
+    args = []
+    for option, (value, kinds, needed) in _GEN_READS.items():
+        if needed and kind in kinds and option != skip:
+            args += [option, workdir / value if option == "--schema" else value]
+    return args
+
+
+@pytest.mark.parametrize("kind, option", [(kind, option) for kind in _GEN_KINDS
+                                          for option, (_, kinds, _) in _GEN_READS.items()
+                                          if kind not in kinds])
+def test_gen_option_the_kind_does_not_read_is_a_usage_error(workdir, capsys, kind, option):
+    value = _GEN_READS[option][0]
+    value = workdir / value if option == "--schema" else value
+    before = sorted(workdir.iterdir())
+    assert run_cli("gen", "--kind", kind, *_gen_args(workdir, kind), option, value,
+                   "--out", workdir / "m.json") == 1
+    assert capsys.readouterr().err == f"--kind {kind} reads no {option}\n"
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind, option", [(kind, option) for kind in _GEN_KINDS
+                                          for option, (_, kinds, needed) in _GEN_READS.items()
+                                          if needed and kind in kinds])
+def test_gen_option_the_kind_needs_is_a_usage_error_when_left_out(workdir, capsys, kind,
+                                                                  option):
+    before = sorted(workdir.iterdir())
+    assert run_cli("gen", "--kind", kind, *_gen_args(workdir, kind, skip=option),
+                   "--out", workdir / "m.json") == 1
+    assert capsys.readouterr().err == f"--kind {kind} needs {option}\n"
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_gen_defaults_are_depth_4_seed_0_five_trees_and_two_classes(workdir):
+    schema = cx.load_schema(str(workdir / "schema.json"))
+    expected = {"random-tree": cx.gen_random_tree(schema, 4, 0, 2),
+                "random-forest": cx.gen_random_forest(schema, 5, 4, 0, 2),
+                "chessboard": cx.gen_chessboard(schema, (1, 1, 1), 2),
+                "adversarial": cx.gen_adversarial(cx.AdversarialSpec((1, 1, 1)))}
+    for kind, model in expected.items():
+        out = workdir / f"{kind}.json"
+        assert run_cli("gen", "--kind", kind, *_gen_args(workdir, kind), "--out", out) == 0
+        assert json.loads(out.read_text()) == cx.model_json_dict(
+            model, json.loads(out.read_text())["schema_ref"])
+
+
+_EVAL_REPORTS = ("--equivalence", "--fidelity", "--bounds", "--ratio")
+# eval option -> (a value it takes, the reports that read it)
+_EVAL_READS = {"--target": ("t.json", {"--ratio"}), "--extracted": ("t.json", {"--ratio"}),
+               "--trace": ("q.jsonl", {"--ratio"}), "--samples": ("5", {"--fidelity"}),
+               "--seed": ("1", {"--fidelity"})}
+
+
+def _eval_args(workdir, report, skip=None):
+    """``report`` and the files it reads, but ``skip``."""
+    if report != "--ratio":
+        return [report] + [workdir / "t.json"] * (1 if report == "--bounds" else 2)
+    return [report] + [a for option, (value, reports) in _EVAL_READS.items()
+                       if "--ratio" in reports and option != skip
+                       for a in (option, workdir / value)]
+
+
+@pytest.fixture
+def evaldir(workdir):
+    """A target, its extraction and the trace of that run, all in ``workdir``."""
+    target = workdir / "t.json"
+    assert run_cli("gen", "--kind", "adversarial", "--s", "2,1", "--out", target) == 0
+    assert run_cli("attack", "--method", "tra", "--target", target, "--out", workdir / "x.json",
+                   "--trace", workdir / "q.jsonl") == 0
+    return workdir
+
+
+@pytest.mark.parametrize("report, option", [(report, option) for report in _EVAL_REPORTS
+                                            for option, (_, reports) in _EVAL_READS.items()
+                                            if report not in reports])
+def test_eval_option_the_report_does_not_read_is_a_usage_error(evaldir, capsys, report,
+                                                               option):
+    value = _EVAL_READS[option][0]
+    value = value if option in ("--samples", "--seed") else evaldir / value
+    capsys.readouterr()
+    before = sorted(evaldir.iterdir())
+    assert run_cli("eval", *_eval_args(evaldir, report), option, value,
+                   "--out", evaldir / "r.json") == 1
+    assert capsys.readouterr().err == f"{report} reads no {option}\n"
+    assert sorted(evaldir.iterdir()) == before
+
+
+def test_eval_option_read_by_one_report_asked_for_is_not_refused(evaldir, capsys):
+    # --samples is read by --fidelity, so --bounds beside it does not refuse it
+    assert run_cli("eval", "--bounds", evaldir / "t.json", "--fidelity", evaldir / "t.json",
+                   evaldir / "x.json", "--samples", "7", "--out", evaldir / "r.json") == 0
+    assert json.loads((evaldir / "r.json").read_text())["fidelity"]["sample_count"] == 7
+    capsys.readouterr()
+    assert run_cli("eval", "--bounds", evaldir / "t.json", "--equivalence", evaldir / "t.json",
+                   evaldir / "x.json", "--seed", "1", "--out", evaldir / "s.json") == 1
+    assert capsys.readouterr().err == "--equivalence --bounds read no --seed\n"
+    assert not (evaldir / "s.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--target", "--extracted", "--trace"])
+def test_eval_ratio_without_an_option_it_needs_is_a_usage_error(evaldir, capsys, option):
+    capsys.readouterr()
+    before = sorted(evaldir.iterdir())
+    assert run_cli("eval", *_eval_args(evaldir, "--ratio", skip=option),
+                   "--out", evaldir / "r.json") == 1
+    assert capsys.readouterr().err == f"--ratio needs {option}\n"
+    assert sorted(evaldir.iterdir()) == before
+
+
+def test_eval_fidelity_defaults_are_3000_samples_and_seed_0(evaldir):
+    assert run_cli("eval", "--fidelity", evaldir / "t.json", evaldir / "x.json",
+                   "--out", evaldir / "r.json") == 0
+    report = json.loads((evaldir / "r.json").read_text())["fidelity"]
+    assert (report["sample_count"], report["seed"]) == (3000, 0)
+
+
+def test_eval_ratio_refuses_an_empty_trace(evaldir, capsys):
+    empty = evaldir / "empty.jsonl"
+    empty.write_bytes(b"")
+    capsys.readouterr()
+    assert run_cli("eval", "--ratio", "--target", evaldir / "t.json", "--extracted",
+                   evaldir / "x.json", "--trace", empty, "--out", evaldir / "r.json") == 2
+    assert capsys.readouterr().err == \
+        f"contract violation: {empty}: a query trace with no records\n"
+    assert not (evaldir / "r.json").exists()

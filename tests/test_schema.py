@@ -104,3 +104,35 @@ def test_undecodable_files_are_a_data_format_error(tmp_path):
         cx.load_schema(str(path))
     with pytest.raises(cx.DataFormatError):
         cx.load_model(str(path))
+
+
+@given(st.data())
+def test_points_regions_and_csv_rows_write_an_index_as_file_value(tmp_path_factory, data):
+    schema = make_schema(data.draw(st.sampled_from(["2num", "grid10", "mixed", "groups2",
+                                                    "small3"])))
+    spans = [tuple(sorted(data.draw(st.tuples(st.integers(0, size - 1),
+                                              st.integers(0, size - 1)))))
+             for size in schema.iv_sizes]
+    cats = tuple(data.draw(st.integers(0, k - 1)) for k in schema.group_sizes)
+    lo = cx.Point(tuple(a for a, _ in spans), cats)
+    region = cx.Region(tuple(spans), tuple(frozenset([c]) for c in cats))
+    bundle = cx.DatasetBundle(schema, (lo,), (0,), ("y0",), (0,), (), (), 0)
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    bundle.write_csv(str(path))
+    row = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+    point, bounds = schema.point_json(lo), cx.region_json(region, schema)
+    for (tag, idx), cell in zip(schema.layout, row):
+        if tag != "i":
+            continue
+        axis = schema.interval_axes[idx]
+        a, b = spans[idx]
+        # an exact string on a numeric axis, the grid value as an int otherwise
+        for i in (a, b):
+            v = axis.file_value(i)
+            if axis.kind == "numeric":
+                assert type(v) is str and exact_number(v) == axis.value(i)
+            else:
+                assert type(v) is int and v == axis.value(i) == i
+        assert point[axis.global_axis] == axis.file_value(a)
+        assert bounds[axis.global_axis] == [axis.file_value(a), axis.file_value(b)]
+        assert cell == str(axis.file_value(a))
