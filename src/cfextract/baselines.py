@@ -14,7 +14,11 @@ functional equivalence; their outputs are tagged non-certified. A snapshot's
 surrogate is the one trained on the pairs gathered before it. The attack
 notes only how many pairs each snapshot covers, and trains all the snapshots'
 surrogates when its rounds end: tree surrogates together, as prefixes of one
-training set (``cart.train_prefixes``).
+training set (``cart.train_prefixes``). A round's query point is the next row
+of ``regions.sample_blocks`` over the whole domain, drawn in growing blocks
+from the attack's generator, which serves nothing else: the points are the
+ones a ``sample_point`` call per round would draw, at one ``rng.integers``
+call per block instead of one per axis and round.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .cart import TrainConfig, train_forest, train_prefixes
 from .errors import ContractViolation, UnsupportedModelError
 from .models import Leaf, Model, TreeModel, boxes_to_tree, stats
 from .oracles import CounterfactualOracle
-from .regions import Region, center, full_region, sample_point, subtract
+from .regions import Region, center, full_region, sample_blocks, subtract
 from .schema import FeatureSchema, Point, exact_number
 from .tra import AttackResult, Snapshot, other_label, take_snapshot
 
@@ -199,8 +203,12 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
     if snapshot_every < 0:
         raise ContractViolation("snapshot_every must be >= 0")
     schema = oracle.schema
-    rng = np.random.default_rng(seed)
     domain = full_region(schema)
+    # each round bills at least its query, so no attack takes more points than
+    # its budget; the generator serves these draws alone
+    draws = sample_blocks(domain, np.random.default_rng(seed), budget.max_queries)
+    query_points = (Point(tuple(a), tuple(c)) for iv, cats in draws
+                    for a, c in zip(iv.tolist(), cats.tolist()))
     binary = len(oracle.labels) == 2
     pts: list[Point] = []
     lbls: list[int] = []
@@ -210,7 +218,7 @@ def _surrogate_rounds(oracle: CounterfactualOracle, budget: AttackBudget,
         return _Mark(oracle.log.count, len(pts))
 
     while oracle.log.count < budget.max_queries:
-        x = sample_point(domain, rng)
+        x = next(query_points)
         resp = oracle.query(x, domain)
         pts.append(x)
         lbls.append(resp.label)

@@ -33,7 +33,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -229,13 +229,6 @@ class TreeModel:
             labels.append(node.label)
         return starts, labels
 
-    def line(self, ivals: Sequence[int], cats: Sequence[int], axis: int, lo: int,
-             hi: int) -> Callable[[int], int | None]:
-        """The label at index ``v`` of ``[lo, hi]`` on ``axis``, others fixed
-        as in ``line_segments``: one walk, then a bisection per lookup."""
-        starts, labels = self.line_segments(ivals, cats, axis, lo, hi)
-        return lambda v: labels[bisect_right(starts, v) - 1]
-
     # -- serving ------------------------------------------------------------
     @property
     def trees(self) -> tuple[TreeModel, ...]:
@@ -358,21 +351,36 @@ class ForestModel:
             counts[self._class_of[t.predict(p)]] += 1
         return self.labels[_vote(counts)]
 
-    def line(self, ivals: Sequence[int], cats: Sequence[int], axis: int, lo: int,
-             hi: int) -> Callable[[int], int]:
-        """``TreeModel.line`` for the vote: one segment table per tree, and a
-        lookup votes over the trees' labels at the index, as ``predict`` does.
-        (One merged breakpoint list would cost O(T^2) per line on T trees.)"""
-        tables = [t.line_segments(ivals, cats, axis, lo, hi) for t in self.trees]
+    def line_segments(self, ivals: Sequence[int], cats: Sequence[int], axis: int,
+                      lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """``TreeModel.line_segments`` for the vote, in the same format: one
+        segment per piece the trees' leaves cut the line into, labelled as
+        ``predict`` votes there.
+
+        The trees' tables are merged at their breakpoints: each breakpoint
+        moves one vote, from the class of the tree's segment that ends there
+        to the class of the one that starts, so only the trees whose segment
+        changes are touched, and each segment's vote is one scan of the class
+        counts: O(S x C) for S segments and C classes, plus the sort of the
+        breakpoints, where a vote over all T trees per segment is O(S x T)."""
         class_of, labels = self._class_of, self.labels
-
-        def label_at(v: int) -> int:
-            counts = [0] * len(labels)
-            for starts, leaf_labels in tables:
-                counts[class_of[leaf_labels[bisect_right(starts, v) - 1]]] += 1
-            return labels[_vote(counts)]
-
-        return label_at
+        counts = [0] * len(labels)
+        moves: list[tuple[int, int, int]] = []  # (breakpoint, class left, class entered)
+        for t in self.trees:
+            starts, leaf_labels = t.line_segments(ivals, cats, axis, lo, hi)
+            classes = [class_of[lab] for lab in leaf_labels]
+            counts[classes[0]] += 1
+            moves += zip(starts[1:], classes, classes[1:])
+        moves.sort()
+        starts, out = [lo], []
+        for at, old, new in moves:
+            if at != starts[-1]:
+                out.append(labels[counts.index(max(counts))])  # ties to the lowest class
+                starts.append(at)
+            counts[old] -= 1
+            counts[new] += 1
+        out.append(labels[counts.index(max(counts))])
+        return starts, out
 
     def predict_arrays(self, iv: np.ndarray, cats: np.ndarray) -> np.ndarray:
         """The vote at each row, counted per class: the table is classes x rows,

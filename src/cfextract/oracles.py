@@ -9,14 +9,18 @@ line search, and its absences are only a search failure. Whether one was
 false is a question for an audit after the run: the meter keeps no record, so
 collect them with a sink (``CounterfactualOracle(..., sink=records.append)``)
 and replay each one's ``x``, ``region`` and ``counterfactual`` through
-``exact_ensemble_cf``, which takes any model. The line search reads each
-interval probe from a table of the target's labels along the axis it is
-sweeping, built by one walk of each tree and rebuilt each time the sweep turns
-to an axis; the sampling generator is built only when the training-data scan
-misses. The uniform samples are drawn and labelled in growing blocks, one
-``rng.integers`` and one ``predict_arrays`` call each; a block's rows are the
-points that one ``sample_point`` call after another would draw from the same
-generator, so the first hit, and every answer, is theirs. Server-side
+``exact_ensemble_cf``, which takes any model. The line search takes each
+interval move off a table of the target's labels along the axis it is
+sweeping (``line_segments``: one walk of each tree, a forest's tables merged
+at their breakpoints), rebuilt each time the sweep turns to an axis: when the
+flipped labels form one run from the current coordinate, the move is that
+run's far end, read in one step; otherwise the halving descent runs on the
+table, one bisection per probe. The sampling generator is built only when
+the training-data scan misses. The uniform samples come from
+``regions.sample_blocks`` and are labelled one block at a time, one
+``predict_arrays`` call each; a block's rows are the points that one
+``sample_point`` call after another would draw from the same generator, so
+the first hit, and every answer, is theirs. Server-side
 computation (including every predict issued internally) is not billed; only
 ``query`` calls count.
 
@@ -48,6 +52,7 @@ query's.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from math import inf
@@ -58,7 +63,7 @@ import numpy as np
 from .distances import Distance
 from .errors import ContractViolation, UnsupportedModelError
 from .models import UNKNOWN, Leaf, Model, SplitNode, TreeModel
-from .regions import Region, contains
+from .regions import Region, contains, sample_blocks
 from .schema import FeatureSchema, Point
 
 ORACLE_MODES = ("exact", "heuristic")
@@ -254,11 +259,19 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
     single-axis one-step move toward ``x`` preserves the flip, which makes the
     result locally optimal.
 
-    An interval probe reads the target's label table along the axis being
-    swept (``target.line``): the labels between the current coordinate and
-    the query's, every other coordinate fixed. The table is built once each
-    time the sweep turns to an axis, since the other coordinates may have
-    moved since its last visit. Category probes call ``predict``.
+    An interval move is read off the target's segment table along the axis
+    being swept (``target.line_segments`` over the span between the current
+    coordinate ``v`` and the query's, ``home``, every other coordinate fixed),
+    built once each time the sweep turns to an axis, since the other
+    coordinates may have moved since its last visit. The greedy halving
+    descent moves from ``v`` by the largest step that lands on a flipped
+    label, and tries the same step again after each move. When the flipped
+    labels form one run that starts at ``v`` (every label past it is the
+    query's), each step lands inside the run exactly when it does not pass the
+    run's far end, so the descent stops at that end, or at ``home`` when the
+    run reaches it: that end is taken in one step. Otherwise the same descent
+    runs, each probe a bisection of the table. Category probes call
+    ``predict``.
     """
     y = target.predict(x)
     if target.predict(x_cand) == y:
@@ -272,18 +285,30 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
             v = ivals[i]
             if v == home:
                 continue
-            label_at = target.line(ivals, cats, i, min(v, home), max(v, home))
-            direction = 1 if home > v else -1
-            step = 1 << (abs(home - v).bit_length() - 1)
-            while step:
-                if step <= abs(home - v):
-                    trial = v + direction * step
-                    if label_at(trial) != y:
-                        v = trial
-                        moved = True
-                        continue
-                step >>= 1
-            ivals[i] = v
+            up = home > v
+            starts, labels = target.line_segments(ivals, cats, i, min(v, home), max(v, home))
+            flips = [label != y for label in labels]
+            run = flips.count(True)  # segments in the flipped run, when it is one
+            if run == len(flips):
+                end = home
+            elif up and all(flips[:run]):
+                end = starts[run] - 1
+            elif not up and all(flips[-run:]):
+                end = starts[-run]
+            else:  # the descent itself, each probe read off the table
+                direction = 1 if up else -1
+                end = v
+                step = 1 << (abs(home - v).bit_length() - 1)
+                while step:
+                    if step <= abs(home - end):
+                        trial = end + direction * step
+                        if flips[bisect_right(starts, trial) - 1]:
+                            end = trial
+                            continue
+                    step >>= 1
+            if end != v:
+                ivals[i] = end
+                moved = True
         for g in range(len(cats)):
             if cats[g] != x.cats[g]:
                 probe = Point(tuple(ivals), tuple(cats[:g] + [x.cats[g]] + cats[g + 1:]))
@@ -291,11 +316,6 @@ def line_search(target: Model, x: Point, x_cand: Point) -> Point:
                     cats[g] = x.cats[g]
                     moved = True
     return Point(tuple(ivals), tuple(cats))
-
-
-# rows of the heuristic search's sample blocks: each is 4 times the one before,
-# up to the largest, so that a large sample budget keeps memory bounded
-_FIRST_BLOCK, _LARGEST_BLOCK = 16, 4096
 
 
 def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
@@ -307,15 +327,13 @@ def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
     the sampling generator; it is called only when the scan finds no flip
     and sampling starts.
 
-    The ``sample_budget`` uniform draws come in blocks of 16, 64, 256, 1,024
-    and then 4,096 rows (the last cut to the budget). A block is one
-    ``rng.integers`` call over the interval axes, then over the index into
-    the sorted allowed set of each group with more than one;
-    ``predict_arrays`` labels it, and the first row of another label than
-    ``y`` is the hit. The rows are the points
-    that successive ``sample_point`` calls draw from the same generator, in
-    order, so the hit is the same point, and the rows drawn past it are only
-    thrown away: the generator is the query's own.
+    The ``sample_budget`` uniform draws come from ``sample_blocks``, in
+    growing blocks whose rows are the points that successive
+    ``sample_point`` calls draw from the same generator, in order.
+    ``predict_arrays`` labels each block, and the first row of another label
+    than ``y`` is the hit: the point the per-point search would hit, and the
+    rows drawn past it are only thrown away, since the generator is the
+    query's own.
 
     Returns a locally optimal counterfactual when the search hits one;
     ``None`` only means the search failed, not that none exists.
@@ -324,30 +342,12 @@ def heuristic_cf(target: Model, x: Point, y: int | None, region: Region,
         for p in training_data:
             if contains(region, p) and target.predict(p) != y:
                 return line_search(target, x, p)
-    if any(b >= 2 ** 63 for _, b in region.intervals):
-        raise ContractViolation("cannot sample past grid index 2**63 - 1: numpy draws int64")
-    n_iv = len(region.intervals)
-    choices = [np.array(sorted(s), dtype=np.int64) for s in region.allowed]
-    drawn = [g for g, s in enumerate(choices) if len(s) > 1]
-    lo = [a for a, _ in region.intervals] + [0] * len(drawn)
-    hi = [b for _, b in region.intervals] + [len(choices[g]) - 1 for g in drawn]
-    fixed = [s[0] for s in choices]  # a group's one category, or a placeholder
     y_row = UNKNOWN if y is None else y
-    rng = make_rng()
-    left, size = sample_budget, _FIRST_BLOCK
-    while left:
-        n = min(size, left)
-        block = rng.integers(lo, hi, size=(n, len(lo)), endpoint=True, dtype=np.int64)
-        iv = block[:, :n_iv]
-        cats = np.tile(np.array(fixed, dtype=np.int64), (n, 1))
-        for j, g in enumerate(drawn):
-            cats[:, g] = choices[g][block[:, n_iv + j]]
+    for iv, cats in sample_blocks(region, make_rng(), sample_budget):
         flips = np.flatnonzero(target.predict_arrays(iv, cats) != y_row)
         if flips.size:
             i = flips[0]
             return line_search(target, x, Point(tuple(iv[i].tolist()), tuple(cats[i].tolist())))
-        left -= n
-        size = min(4 * size, _LARGEST_BLOCK)
     return None
 
 

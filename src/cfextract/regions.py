@@ -18,6 +18,10 @@ cut a box (``cut``: its two sides as box fields, None for an empty one).
 walks keep the cut inline, each saying why: ``TreeModel.leaf_boxes``,
 ``exact_tree_cf`` and ``TreeModel.line_segments`` (which cuts 1-D spans).
 
+Uniform draws come in one way: ``sample_point`` draws one point, and
+``sample_blocks`` draws the same stream as blocks of index-array rows, for
+the heuristic oracle's samples and the surrogate attacks' query points.
+
 Where the checks on TRA's query path live: ``contains`` is the one membership
 test (a point of another arity is never inside), which the oracle calls.
 ``split`` checks the query point and the counterfactual against the region in
@@ -28,6 +32,9 @@ the same pass over the axes that finds their differences, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .errors import ContractViolation
 from .schema import FeatureSchema, Point
@@ -159,7 +166,15 @@ def center(region: Region) -> Point:
                  tuple([min(s) for s in region.allowed]))
 
 
+def _check_arity(a: Region, b: Region) -> None:
+    """Refuse two boxes of different arity: a pairwise walk over their axes
+    would stop at the shorter one."""
+    if len(a.intervals) != len(b.intervals) or len(a.allowed) != len(b.allowed):
+        raise ContractViolation("regions of different arity")
+
+
 def intersect(a: Region, b: Region) -> Region | None:
+    _check_arity(a, b)
     intervals = []
     for (al, ah), (bl, bh) in zip(a.intervals, b.intervals):
         lo, hi = max(al, bl), min(ah, bh)
@@ -179,22 +194,31 @@ def subtract(a: Region, b: Region) -> list[Region]:
     """Disjoint pieces covering a minus b (guillotine peel), in peel order:
     per interval axis in turn, the part of the remainder below b, then the
     part above, each remainder cut to b on that axis; then per group, the
-    remainder's categories that b does not allow."""
-    inter = intersect(a, b)
-    if inter is None:
-        return [a]
+    remainder's categories that b does not allow.
+
+    Most of PathFinding's calls meet a box that misses ``a``, so the first
+    pass only tests the two for disjointness, axis by axis, and returns
+    ``[a]`` on the first axis that separates them; no intersection is built."""
+    _check_arity(a, b)
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(a.intervals, b.intervals):
+        if a_hi < b_lo or b_hi < a_lo:
+            return [a]
+    for sa, sb in zip(a.allowed, b.allowed):
+        if sa.isdisjoint(sb):
+            return [a]
     pieces: list[Region] = []
     rest = a.intervals, a.allowed
     # cut only where a side is non-empty: two cuts per axis took ~35% longer
-    for i, ((a_lo, a_hi), (lo, hi)) in enumerate(zip(a.intervals, inter.intervals)):
-        if a_lo < lo:
-            below, rest = SplitNode(i, lo - 1).cut(*rest)
+    for i, ((a_lo, a_hi), (b_lo, b_hi)) in enumerate(zip(a.intervals, b.intervals)):
+        if a_lo < b_lo:
+            below, rest = SplitNode(i, b_lo - 1).cut(*rest)
             pieces.append(Region(*below))
-        if hi < a_hi:
-            rest, above = SplitNode(i, hi).cut(*rest)
+        if b_hi < a_hi:
+            rest, above = SplitNode(i, b_hi).cut(*rest)
             pieces.append(Region(*above))
     ivs, al = rest
-    for g, s in enumerate(inter.allowed):
+    for g, sb in enumerate(b.allowed):
+        s = al[g] & sb
         if al[g] != s:
             pieces.append(Region(ivs, al[:g] + (al[g] - s,) + al[g + 1:]))
             al = al[:g] + (s,) + al[g + 1:]
@@ -270,18 +294,64 @@ def split(
     return pieces, steps
 
 
+def _refuse_past_int64(region: Region) -> None:
+    if any(b >= 2 ** 63 for _, b in region.intervals):
+        raise ContractViolation("cannot sample past grid index 2**63 - 1: numpy draws int64")
+
+
 def sample_point(region: Region, rng) -> Point:
     """Uniform grid point of ``region`` drawn from a numpy Generator. Its
     draws are int64, so a region reaching past grid index 2**63 - 1 is
     refused."""
-    if any(b >= 2 ** 63 for _, b in region.intervals):
-        raise ContractViolation("cannot sample past grid index 2**63 - 1: numpy draws int64")
+    _refuse_past_int64(region)
     ivals = tuple(int(rng.integers(a, b + 1)) for a, b in region.intervals)
     cats = tuple(
         sorted(s)[int(rng.integers(len(s)))] if len(s) > 1 else next(iter(s))
         for s in region.allowed
     )
     return Point(ivals, cats)
+
+
+# rows of the blocks of sample_blocks: each is 4 times the one before, up to the
+# largest, so that a long stream of draws keeps memory bounded
+_FIRST_BLOCK, _LARGEST_BLOCK = 16, 4096
+
+
+def sample_blocks(region: Region, rng, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``n`` points that successive ``sample_point`` calls on ``region``
+    would draw from ``rng``, in order, as blocks of index-array rows: ``(iv,
+    cats)`` pairs of int64 arrays of 16, 64, 256, 1,024 and then 4,096 rows
+    (the last cut to ``n``), each drawn only when it is asked for.
+
+    A block is one ``rng.integers`` call over the interval axes, then over
+    the index into the sorted allowed set of each group with more than one,
+    the draws ``sample_point`` makes for a point, row after row; a group with
+    one allowed category draws nothing, as there. So a caller that takes the
+    rows one by one, and leaves the generator to no other draw, sees
+    ``sample_point``'s stream; rows drawn past the last one it takes are only
+    thrown away. A region reaching past grid index 2**63 - 1 is refused here,
+    before any block is drawn."""
+    _refuse_past_int64(region)
+    n_iv = len(region.intervals)
+    choices = [np.array(sorted(s), dtype=np.int64) for s in region.allowed]
+    drawn = [g for g, s in enumerate(choices) if len(s) > 1]
+    lo = [a for a, _ in region.intervals] + [0] * len(drawn)
+    hi = [b for _, b in region.intervals] + [len(choices[g]) - 1 for g in drawn]
+    fixed = np.array([s[0] for s in choices], dtype=np.int64)  # one category, or a placeholder
+
+    def blocks():
+        left, size = n, _FIRST_BLOCK
+        while left > 0:
+            rows = min(size, left)
+            block = rng.integers(lo, hi, size=(rows, len(lo)), endpoint=True, dtype=np.int64)
+            cats = np.tile(fixed, (rows, 1))
+            for j, g in enumerate(drawn):
+                cats[:, g] = choices[g][block[:, n_iv + j]]
+            yield block[:, :n_iv], cats
+            left -= rows
+            size = min(4 * size, _LARGEST_BLOCK)
+
+    return blocks()
 
 
 def region_json(region: Region, schema: FeatureSchema) -> list:

@@ -11,7 +11,8 @@ its trees exactly;
 ``reference_cost_complexity_prune`` re-derives the weakest links for one
 penalty at a time, as the pruning path in ``cfextract.cart`` must agree with.
 ``reference_line_search`` is the line search with one ``predict`` per probe,
-which the per-axis label tables of ``cfextract.line_search`` must reproduce.
+which ``cfextract.line_search``, reading its moves off segment tables, must
+reproduce point for point.
 ``false_absences`` audits a heuristic run's log against the exact oracle.
 ``reference_split_region`` cuts a whole ``Region`` by a node test, written
 apart from ``SplitNode.cut`` and ``CatNode.cut`` so the walks built on it do
@@ -26,8 +27,8 @@ box walks of ``TreeModel.leaf_boxes`` and ``cfextract.functional_equivalence``
 with ``reference_split_region``, which ``ForestModel.tree``'s walk through
 ``cut`` must reproduce node for node.
 ``reference_heuristic_cf`` is the heuristic search with one ``sample_point``
-and one ``predict`` per draw, whose records the block sampler of
-``cfextract.heuristic_cf`` must reproduce. ``reference_replay`` is the anytime
+and one ``predict`` per draw, whose records ``cfextract.heuristic_cf``, on
+the block sampler ``regions.sample_blocks``, must reproduce. ``reference_replay`` is the anytime
 replay walking the node store one slot at a time, whose fidelities the
 level pass of ``evaluation._replay`` must reproduce.
 ``malformed`` edits a valid JSON document at random, for the loader fuzz tests.

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cfextract as cx
 from cfextract import baselines
@@ -111,6 +111,43 @@ def test_pathfinding_boxes_are_the_target_leaves(kind, depth, classes, seed):
 def test_default_budget_is_fifty_times_nodes(schema_grid10):
     target = single_split_tree(schema_grid10, 0, 5)
     assert cx.default_budget(target).max_queries == 50 * 3
+
+
+@given(kind=st.sampled_from(["mixed", "groups2"]), forest=st.booleans(),
+       mode=st.sampled_from(["exact", "heuristic"]), n_classes=st.sampled_from([2, 3]),
+       dual=st.booleans(), seed=st.integers(0, 2**16),
+       budget=st.one_of(st.integers(1, 20), st.integers(75, 100)))
+@settings(max_examples=30, deadline=None)
+def test_surrogate_rounds_query_the_successive_sample_point_draws(kind, forest, mode, n_classes,
+                                                                   dual, seed, budget):
+    # each round bills its query point, then follows the counterfactual chain:
+    # one billed hop per round for DualCF and one more on more than two classes
+    # (the last hop's label is free on two). The round points are the draws of
+    # one sample_point call after another, across the sampler's block boundaries
+    # (16 and 80 rows)
+    sch = make_schema(kind)
+    target = (cx.gen_random_forest(sch, 3, 3, seed, n_classes) if forest
+              else cx.gen_random_tree(sch, 4, seed, n_classes))
+    records = []
+    oracle = cx.CounterfactualOracle(target, cx.OracleConfig(mode=mode, seed=seed),
+                                     sink=records.append)
+    attack = cx.dualcf_attack if dual else cx.cf_attack
+    attack(oracle, cx.AttackBudget(budget), seed=seed, snapshot_every=0)
+    assert len(records) == budget
+    hops = dual + (len(oracle.labels) > 2)
+    rng = np.random.default_rng(seed)
+    domain = cx.full_region(sch)
+    j = 0
+    while j < len(records):
+        rec = records[j]
+        assert rec.x == cx.sample_point(domain, rng)
+        j += 1
+        for _ in range(hops):
+            if rec.counterfactual is None or j == len(records):
+                break
+            assert records[j].x == rec.counterfactual
+            rec = records[j]
+            j += 1
 
 
 def test_budget_validation():

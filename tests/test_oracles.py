@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +455,21 @@ def test_line_search_matches_per_probe_reference_point_for_point(
             assert cx.line_search(model, x, start) == reference_line_search(model, x, start)
 
 
+@pytest.mark.parametrize("x, start, want", [((0, 5), (10, 5), (1, 5)),
+                                             ((10, 5), (0, 5), (8, 5))])
+def test_line_search_descends_across_stripes(schema_grid10, x, start, want):
+    # stripes along x1: label 1 on indices 1-2 and 9-10, 0 elsewhere. From
+    # either start the flipped labels toward x are not one run, so the halving
+    # descent runs on the table: its step of 8 jumps over the stripe of x's label,
+    # where the first run's far end (9, or 0 with no move) would have stopped
+    nodes = [cx.Leaf(0), cx.Leaf(1), cx.Leaf(0), cx.Leaf(1), cx.SplitNode(0, 8, 2, 3),
+             cx.SplitNode(0, 2, 1, 4), cx.SplitNode(0, 0, 0, 5)]
+    t = cx.TreeModel(schema_grid10, nodes, root=6)
+    assert t.line_segments((0, 5), (), 0, 0, 10) == ([0, 1, 3, 9], [0, 1, 0, 1])
+    x, start = cx.Point(x, ()), cx.Point(start, ())
+    assert cx.line_search(t, x, start) == reference_line_search(t, x, start) == cx.Point(want, ())
+
+
 @given(kind=st.sampled_from(["grid10", "mixed", "groups2", "small3"]),
        forest_trees=st.integers(0, 5), depth=st.integers(0, 6),
        n_classes=st.sampled_from([2, 3]), model_seed=st.integers(0, 2**16),
@@ -467,10 +483,11 @@ def test_line_table_label_equals_predict_at_every_index(
     axis = int(rng.integers(len(schema.iv_sizes)))
     lo = int(rng.integers(schema.iv_sizes[axis]))
     hi = int(rng.integers(lo, schema.iv_sizes[axis]))
-    label_at = model.line(p.ivals, p.cats, axis, lo, hi)
+    starts, labels = model.line_segments(p.ivals, p.cats, axis, lo, hi)
+    assert starts[0] == lo and starts == sorted(set(starts)) and len(labels) == len(starts)
     for v in range(lo, hi + 1):
         q = cx.Point(p.ivals[:axis] + (v,) + p.ivals[axis + 1:], p.cats)
-        assert label_at(v) == model.predict(q)
+        assert labels[bisect_right(starts, v) - 1] == model.predict(q)
 
 
 def test_line_segments_ascend_and_cut_only_at_the_axis_thresholds(schema_grid10):
@@ -604,6 +621,29 @@ def test_sample_blocks_are_successive_sample_point_draws(region, seed, budget):
                            lambda: np.random.default_rng(seed)) is None
     rng = np.random.default_rng(seed)
     assert recorder.rows == [cx.sample_point(region, rng) for _ in range(budget)]
+
+
+@given(region=sampling_regions(), seed=st.integers(0, 2**32),
+       n=st.one_of(st.integers(0, 400), st.integers(5400, 5500)))
+def test_sample_blocks_grow_and_hold_successive_sample_point_draws(region, seed, n):
+    blocks = list(cx.regions.sample_blocks(region, np.random.default_rng(seed), n))
+    sizes, left, size = [], n, 16
+    while left:
+        sizes.append(min(size, left))
+        left, size = left - sizes[-1], min(4 * size, 4096)
+    assert [len(iv) for iv, _ in blocks] == [len(cats) for _, cats in blocks] == sizes
+    rows = [cx.Point(tuple(a), tuple(c)) for iv, cats in blocks
+            for a, c in zip(iv.tolist(), cats.tolist())]
+    rng = np.random.default_rng(seed)
+    assert rows == [cx.sample_point(region, rng) for _ in range(n)]
+
+
+def test_sample_blocks_refuse_past_index_2_63_minus_1_before_a_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(cx.ContractViolation, match="2\\*\\*63"):
+        cx.regions.sample_blocks(cx.Region(((0, 3), (5, 2**63)), ()), rng, 10)
+    assert rng.bit_generator.state == state
 
 
 def test_sampling_past_index_2_63_minus_1_is_refused():

@@ -209,6 +209,20 @@ def test_split_matches_the_sorted_events_reference(case):
     assert cx.split(region, x, cf, WALK_SCHEMA) == want
 
 
+# a second group the other box lacks: a pairwise walk would stop before it
+LOPSIDED = (cx.Region(((0, 9), (0, 9)), (frozenset({0, 1}),)), cx.Region(((0, 9), (0, 9)), ()))
+
+
+@pytest.mark.parametrize("op", [cx.intersect, cx.subtract])
+@pytest.mark.parametrize("a, b", [LOPSIDED, LOPSIDED[::-1],
+                                  (cx.Region(((0, 9),), ()), cx.Region(((0, 9), (5, 5)), ())),
+                                  (cx.Region(((0, 9), (0, 3)), ()), cx.Region(((4, 9),), ()))])
+def test_boxes_of_different_arity_are_refused(op, a, b):
+    # the last pair is disjoint on its first axis: refused all the same
+    with pytest.raises(cx.ContractViolation, match="different arity"):
+        op(a, b)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_subtract_partitions(seed):
     # a minus b in disjoint pieces, peeled in order: interval axes ascending,
